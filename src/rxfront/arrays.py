@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .core import (
     DEFAULT_TOL,
     OPEN_CIRCUIT,
@@ -121,52 +120,130 @@ def _check_explicit_passivity(z_l: np.ndarray, tol: float = DEFAULT_TOL) -> None
 
 
 def termination_matrix(strategy: TerminationStrategy, z_r: np.ndarray):
-    """Load matrix for the strategy, or OPEN_CIRCUIT for the open strategy."""
+    """Load matrix for the strategy, or OPEN_CIRCUIT for the open strategy.
+
+    z_r is one K x K matrix or a stack (..., K, K); the load has its shape.
+    An explicit load is checked for passivity once and broadcast read-only.
+    """
     z_r = np.asarray(z_r, dtype=np.complex128)
-    if z_r.ndim != 2 or z_r.shape[0] != z_r.shape[1]:
+    if z_r.ndim < 2 or z_r.shape[-1] != z_r.shape[-2]:
         raise ValidationError("z_r must be square")
     if strategy.kind == "open_circuit":
         return OPEN_CIRCUIT
     if strategy.kind == "per_antenna_conjugate":
-        return np.diag(np.conj(np.diag(z_r)))
+        ports = np.arange(z_r.shape[-1])
+        z_l = np.zeros(z_r.shape, dtype=np.complex128)
+        z_l[..., ports, ports] = np.conj(z_r[..., ports, ports])
+        return z_l
     if strategy.kind == "full_conjugate":
         return np.conj(z_r)
-    if strategy.z_l.shape != z_r.shape:
+    if strategy.z_l.shape != z_r.shape[-2:]:
         raise ValidationError(
-            f"explicit load matrix shape {strategy.z_l.shape} does not match {z_r.shape}"
+            f"explicit load matrix shape {strategy.z_l.shape} does not match {z_r.shape[-2:]}"
         )
     _check_explicit_passivity(strategy.z_l)
-    return strategy.z_l
+    return np.broadcast_to(strategy.z_l, z_r.shape)
 
 
-def _solve_termination(z_r: np.ndarray, z_l: np.ndarray, v_oc: np.ndarray, index: int) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class ArrayTermination:
+    """One strategy solved at every frequency: terminated voltages (F, K),
+    total extracted power (F,) and off-diagonal divider ratio (F,)."""
+
+    voltages: np.ndarray
+    power: np.ndarray
+    offdiag_ratio: np.ndarray
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Unconjugated a . b along the last axis. A row times a column is one
+    # BLAS dot per pair, as for 1-D a @ b, so stacked results match the
+    # per-matrix ones bitwise.
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _voltages_and_power(total: np.ndarray, z_l: np.ndarray, v_oc: np.ndarray) -> tuple:
+    # Stacked I = (Z_R + Z_L)^-1 V_oc, V = Z_L I and 0.5 Re(I^H V) along the
+    # leading axis; v_oc is (N, K) or one (K,) vector shared by the stack.
+    rhs = np.broadcast_to(v_oc[..., None], total.shape[:-1] + (1,))
+    currents = np.linalg.solve(total, rhs)
+    volts = (z_l @ currents)[..., 0]
+    return volts, 0.5 * _dot(np.conj(currents[..., 0]), volts).real
+
+
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    # Per-matrix sqrt(re.re + im.im): the dot products np.linalg.norm takes
+    # for one matrix.
+    flat = stack.reshape(len(stack), -1)
+    return np.sqrt(_dot(flat.real, flat.real) + _dot(flat.imag, flat.imag))
+
+
+def _offdiag_ratio(divider: np.ndarray) -> np.ndarray:
+    """Off-diagonal over diagonal Frobenius norm per matrix; divider is overwritten."""
+    ports = np.arange(divider.shape[-1])
+    diag = np.zeros_like(divider)
+    diag[:, ports, ports] = divider[:, ports, ports]
+    divider[:, ports, ports] = 0.0
+    diag_norm = _frobenius(diag)
+    off_norm = _frobenius(divider)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(diag_norm == 0, math.inf, off_norm / diag_norm)
+
+
+def terminate_array(model: ArrayModel, strategy: TerminationStrategy) -> ArrayTermination:
+    """Solve V = Z_L (Z_R + Z_L)^-1 V_oc for one strategy over all F frequencies.
+
+    Open circuit is exact: V = V_oc, zero power and an identity divider.
+    Otherwise one stacked condition estimate, solve and inverse cover every
+    frequency. A singular Z_R + Z_L raises SingularCircuitError naming the
+    first singular frequency index; each index whose condition number
+    exceeds COND_WARN emits one RuntimeWarning.
+    """
+    v_oc = open_circuit_voltages(model)
+    if strategy.kind == "open_circuit":
+        zeros = np.zeros(len(v_oc))
+        return ArrayTermination(v_oc, zeros, zeros.copy())
+    z_r = model.zms.z_r
+    z_l = termination_matrix(strategy, z_r)
     total = z_r + z_l
     cond = np.linalg.cond(total)
-    if not math.isfinite(cond):
-        raise SingularCircuitError(f"singular termination at frequency index {index}")
-    if cond > COND_WARN:
+    for index in np.flatnonzero(~(cond <= COND_WARN)):
+        if not math.isfinite(cond[index]):
+            raise SingularCircuitError(f"singular termination at frequency index {index}")
         warnings.warn(
-            f"ill-conditioned termination at frequency index {index}: cond={cond:.3e}",
+            f"ill-conditioned termination at frequency index {index}: cond={cond[index]:.3e}",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     try:
-        return np.linalg.solve(total, v_oc)
+        voltages, power = _voltages_and_power(total, z_l, v_oc)
+        divider = z_l @ np.linalg.inv(total)
     except np.linalg.LinAlgError as exc:
+        # A zero pivot the SVD did not see: name the worst-conditioned index.
+        index = int(np.argmax(cond))
         raise SingularCircuitError(f"singular termination at frequency index {index}") from exc
+    return ArrayTermination(voltages, power, _offdiag_ratio(divider))
 
 
 def terminated_voltages(model: ArrayModel, strategy: TerminationStrategy) -> np.ndarray:
     """Per-frequency terminated voltages, shape (F, K); open circuit is exact."""
-    v_oc = open_circuit_voltages(model)
-    if strategy.kind == "open_circuit":
-        return v_oc
-    out = np.empty_like(v_oc)
-    for fi, z_r in enumerate(model.zms.z_r):
-        z_l = termination_matrix(strategy, z_r)
-        currents = _solve_termination(z_r, z_l, v_oc[fi], fi)
-        out[fi] = z_l @ currents
-    return out
+    return terminate_array(model, strategy).voltages
+
+
+def sum_extracted_power(model: ArrayModel, strategy: TerminationStrategy) -> np.ndarray:
+    """Per-frequency total extracted power 0.5 Re(I^H Z_L I); exact zeros when open."""
+    return terminate_array(model, strategy).power
+
+
+def coupling_offdiag_ratio(model: ArrayModel, strategy: TerminationStrategy) -> np.ndarray:
+    """Off-diagonal to diagonal Frobenius-norm ratio of the effective divider
+    matrix Z_L (Z_R + Z_L)^-1 per frequency.
+
+    Descriptive statistic only: it is one possible reading of "mutual coupling
+    effects" under a termination, not a normative figure of merit. Open
+    circuit gives the identity divider, hence exact zeros.
+    """
+    return terminate_array(model, strategy).offdiag_ratio
 
 
 def full_conjugate_closed_form(z_r: np.ndarray, v_oc: np.ndarray) -> np.ndarray:
@@ -179,20 +256,6 @@ def full_conjugate_closed_form(z_r: np.ndarray, v_oc: np.ndarray) -> np.ndarray:
     return 0.5 * np.conj(z_r) @ scaled
 
 
-def sum_extracted_power(model: ArrayModel, strategy: TerminationStrategy) -> np.ndarray:
-    """Per-frequency total extracted power 0.5 Re(I^H Z_L I); exact zeros when open."""
-    v_oc = open_circuit_voltages(model)
-    n_freq = v_oc.shape[0]
-    if strategy.kind == "open_circuit":
-        return np.zeros(n_freq)
-    out = np.empty(n_freq)
-    for fi, z_r in enumerate(model.zms.z_r):
-        z_l = termination_matrix(strategy, z_r)
-        currents = _solve_termination(z_r, z_l, v_oc[fi], fi)
-        out[fi] = 0.5 * float(np.real(np.conj(currents) @ (z_l @ currents)))
-    return out
-
-
 def perturbation_sum_powers(
     z_r: np.ndarray, z_l: np.ndarray, v_oc: np.ndarray, perturbations: np.ndarray
 ) -> np.ndarray:
@@ -202,35 +265,8 @@ def perturbation_sum_powers(
     the perturbed loads passive and the sums nonsingular.
     """
     z_r = np.asarray(z_r, dtype=np.complex128)
-    z_l = np.asarray(z_l, dtype=np.complex128)
-    stack = z_l[None, :, :] + np.asarray(perturbations, dtype=np.complex128)
-    return kernels.sum_power_batch(z_r, stack, np.asarray(v_oc, dtype=np.complex128))
-
-
-def coupling_offdiag_ratio(model: ArrayModel, strategy: TerminationStrategy) -> np.ndarray:
-    """Off-diagonal to diagonal Frobenius-norm ratio of the effective divider
-    matrix Z_L (Z_R + Z_L)^-1 per frequency.
-
-    Descriptive statistic only: it is one possible reading of "mutual coupling
-    effects" under a termination, not a normative figure of merit. Open
-    circuit gives the identity divider, hence exact zeros.
-    """
-    n_freq = len(model.zms.grid)
-    if strategy.kind == "open_circuit":
-        return np.zeros(n_freq)
-    out = np.empty(n_freq)
-    for fi, z_r in enumerate(model.zms.z_r):
-        z_l = termination_matrix(strategy, z_r)
-        total = z_r + z_l
-        try:
-            divider = z_l @ np.linalg.inv(total)
-        except np.linalg.LinAlgError as exc:
-            raise SingularCircuitError(f"singular termination at frequency index {fi}") from exc
-        diag = np.diag(np.diag(divider))
-        diag_norm = np.linalg.norm(diag)
-        off_norm = np.linalg.norm(divider - diag)
-        out[fi] = math.inf if diag_norm == 0 else off_norm / diag_norm
-    return out
+    loads = np.asarray(z_l, dtype=np.complex128) + np.asarray(perturbations, dtype=np.complex128)
+    return _voltages_and_power(z_r + loads, loads, np.asarray(v_oc, dtype=np.complex128))[1]
 
 
 def make_synthetic_model(

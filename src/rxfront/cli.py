@@ -5,7 +5,7 @@ and the literal token ``"inf"`` wherever an infinite value is meaningful.
 Reports are CSV (default) or indented text with numbers rendered to 12
 significant digits; exact zeros print as ``0`` and non-finite values as
 ``inf`` / ``undefined``. Row order is fixed, so identical inputs give
-byte-identical reports at any ``--jobs`` setting.
+byte-identical reports.
 
 Exit codes: 0 success, 1 validation failure, 2 parse error, 3 numerical or
 singular-circuit error, 4 I/O error.
@@ -19,7 +19,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +31,7 @@ from .core import (
     NumericalError,
     ParseError,
     SingularCircuitError,
+    TheveninSource,
     ToolkitError,
     ValidationError,
     load_impedance_csv,
@@ -102,9 +102,17 @@ def _to_float(canon) -> float:
     return math.inf if canon == "inf" else float(canon)
 
 
-def _int(value, context: str) -> int:
+def _int(value, context: str, minimum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(f"{context} must be an integer")
+    if minimum is not None and value < minimum:
+        _fail(f"{context} must be >= {minimum}")
+    return value
+
+
+def _str(value, context: str) -> str:
+    if not isinstance(value, str):
+        _fail(f"{context} must be a string")
     return value
 
 
@@ -136,6 +144,17 @@ def _nonempty_list(value, context: str) -> list:
     return value
 
 
+def _cx_rows(value, context: str) -> list:
+    """Non-empty list of equal-length, non-empty rows of complex objects."""
+    rows = [
+        [_cx(v, f"{context}[][]") for v in _nonempty_list(row, f"{context}[]")]
+        for row in _nonempty_list(value, context)
+    ]
+    if len({len(row) for row in rows}) != 1:
+        _fail(f"{context} rows must all have the same length")
+    return rows
+
+
 def _amplifier(section, context: str) -> dict:
     return {
         "gain": _num(_req(section, "gain", context), f"{context}.gain"),
@@ -154,7 +173,7 @@ def _link_fields(section, context: str) -> dict:
 
 def _normalize_validate(section) -> dict:
     out = {
-        "impedance_csv": str(_req(section, "impedance_csv", "validate")),
+        "impedance_csv": _str(_req(section, "impedance_csv", "validate"), "validate.impedance_csv"),
         "tol": _num(section.get("tol", 1e-9), "validate.tol"),
     }
     if "dims_m" in section or "dims_k" in section:
@@ -225,7 +244,7 @@ def _normalize_noisefig(section) -> dict:
 
 def _normalize_frontend(section) -> dict:
     if "netlist" in section:
-        return {"netlist": str(section["netlist"])}
+        return {"netlist": _str(section["netlist"], "frontend.netlist")}
     source = _req(section, "source", "frontend")
     opamp = _req(section, "opamp", "frontend")
     topologies = _nonempty_list(
@@ -273,7 +292,7 @@ def _normalize_match(section) -> dict:
         ),
         "cancel_reactance": _bool(section.get("cancel_reactance", True), "match.cancel_reactance"),
         "ratio_sweep": {
-            "count": _int(sweep.get("count", 51), "match.ratio_sweep.count"),
+            "count": _int(sweep.get("count", 51), "match.ratio_sweep.count", minimum=0),
             "span_decades": _num(sweep.get("span_decades", 2.0), "match.ratio_sweep.span_decades"),
         },
     }
@@ -298,7 +317,7 @@ def _normalize_array(section) -> dict:
             "seed": _int(syn.get("seed", 0), "array.synthetic.seed"),
         }
     else:
-        out["impedance_csv"] = str(_req(section, "impedance_csv", "array"))
+        out["impedance_csv"] = _str(_req(section, "impedance_csv", "array"), "array.impedance_csv")
         out["dims_m"] = _int(_req(section, "dims_m", "array"), "array.dims_m")
         out["dims_k"] = _int(_req(section, "dims_k", "array"), "array.dims_k")
     if "i_t_amperes" in section:
@@ -306,10 +325,7 @@ def _normalize_array(section) -> dict:
             _fail("array.i_t_amperes is only for CSV models")
         items = _nonempty_list(section["i_t_amperes"], "array.i_t_amperes")
         if isinstance(items[0], list):
-            out["i_t_amperes"] = [
-                [_cx(v, "array.i_t_amperes[][]") for v in _nonempty_list(row, "array.i_t_amperes[]")]
-                for row in items
-            ]
+            out["i_t_amperes"] = _cx_rows(items, "array.i_t_amperes")
         else:
             out["i_t_amperes"] = [_cx(v, "array.i_t_amperes[]") for v in items]
     elif "synthetic" not in section:
@@ -330,10 +346,7 @@ def _normalize_array(section) -> dict:
                 _fail(f"array.strategies[{i}].kind must be 'explicit'")
             strategies.append({
                 "kind": "explicit",
-                "z_l_ohms": [
-                    [_cx(v, f"array.strategies[{i}].z_l_ohms[][]") for v in row]
-                    for row in _nonempty_list(strat.get("z_l_ohms"), f"array.strategies[{i}].z_l_ohms")
-                ],
+                "z_l_ohms": _cx_rows(strat.get("z_l_ohms"), f"array.strategies[{i}].z_l_ohms"),
             })
     out["strategies"] = strategies
     return out
@@ -373,14 +386,7 @@ def parse_scenario(path) -> Scenario:
     return Scenario(name, kind, data, path.parent)
 
 
-def _map_rows(items, worker, jobs: int) -> list:
-    if jobs <= 1:
-        return [worker(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, items))
-
-
-def _run_validate(scenario: Scenario, jobs: int):
+def _run_validate(scenario: Scenario):
     section = scenario.data["validate"]
     dims = None
     if "dims_m" in section:
@@ -403,7 +409,7 @@ def _run_validate(scenario: Scenario, jobs: int):
     return fields, rows, ok
 
 
-def _run_capacity(scenario: Scenario, jobs: int):
+def _run_capacity(scenario: Scenario):
     section = scenario.data["capacity"]
     power = section["power"]
     n0 = section["noise_density"]
@@ -419,11 +425,11 @@ def _run_capacity(scenario: Scenario, jobs: int):
             "eb_n0": shannon.eb_n0(spec) if power > 0 else None,
         }
 
-    rows = _map_rows(section["bandwidths"], worker, jobs)
+    rows = [worker(bandwidth) for bandwidth in section["bandwidths"]]
     return ["bandwidth", "capacity_bits", "capacity_bound_bits", "eb_n0"], rows, True
 
 
-def _run_link(scenario: Scenario, jobs: int):
+def _run_link(scenario: Scenario):
     section = scenario.data["link"]
     ampd = scenario.data["amplifier"]
     lnk = link_mod.SingleLink(
@@ -433,6 +439,7 @@ def _run_link(scenario: Scenario, jobs: int):
     )
     amp = link_mod.AmplifierNoiseModel(ampd["gain"], ampd["n_na_v2_per_hz"], ampd["temp_kelvin"])
     s_voc = link_mod._signal_voc_density(lnk)
+    unit = TheveninSource(1.0, lnk.z_r)  # divider and power per unit V_oc, scaled by s_voc
     ratio = None
     if lnk.z_r.real > 0 and amp.n_na > 0:
         ratio = link_mod.snr_ratio_oc_over_match(lnk, amp)
@@ -449,15 +456,16 @@ def _run_link(scenario: Scenario, jobs: int):
                 "annotations": "" if ratio is None else f"oc_over_match={fmt(ratio)}",
             }
             return row
-        den = lnk.z_r + z_l
-        if den == 0:
-            raise SingularCircuitError(f"load {label!r}: z_r + z_l = 0")
+        try:
+            divider = link_mod.divided_voltage(unit, z_l)
+        except SingularCircuitError as exc:
+            raise SingularCircuitError(f"load {label!r}: {exc}") from exc
         return {
             "label": label,
             "z_l_re_ohms": z_l.real,
             "z_l_im_ohms": z_l.imag,
-            "divider_mag": abs(z_l / den),
-            "extracted_power_w_per_hz": s_voc * z_l.real / (2.0 * abs(den) ** 2),
+            "divider_mag": abs(divider),
+            "extracted_power_w_per_hz": s_voc * link_mod.extracted_power(unit, z_l),
             "snr": link_mod.output_snr(lnk, amp, z_l),
             "annotations": "",
         }
@@ -469,7 +477,7 @@ def _run_link(scenario: Scenario, jobs: int):
             return describe(load["label"], lnk.z_r.conjugate())
         return describe(load["label"], _as_complex(load["z_l_ohms"]))
 
-    rows = _map_rows(section["loads"], worker, jobs)
+    rows = [worker(load) for load in section["loads"]]
     if "optimize" in section:
         opt = section["optimize"]
         grid = link_mod.GridSpec(
@@ -484,7 +492,7 @@ def _run_link(scenario: Scenario, jobs: int):
     return fields, rows, True
 
 
-def _run_noisefig(scenario: Scenario, jobs: int):
+def _run_noisefig(scenario: Scenario):
     section = scenario.data["noisefig"]
     gen = noisefig.SignalGenerator(
         _as_complex(section["v_s_volts"]), section["r_s_ohms"], section["temp_kelvin"]
@@ -506,7 +514,7 @@ def _run_noisefig(scenario: Scenario, jobs: int):
             "annotations": "",
         }
 
-    rows = _map_rows(section["r_l_sweep_ohms"], worker, jobs)
+    rows = [worker(r_l) for r_l in section["r_l_sweep_ohms"]]
     fields = ["r_l_ohms", "friis_gain", "output_snr", "noise_factor", "noise_figure_db", "annotations"]
     return fields, rows, True
 
@@ -515,7 +523,7 @@ def _optional_cx(canon):
     return None if canon == "inf" else _as_complex(canon)
 
 
-def _run_frontend(scenario: Scenario, jobs: int):
+def _run_frontend(scenario: Scenario):
     section = scenario.data["frontend"]
     if "netlist" in section:
         text = (scenario.base_dir / section["netlist"]).read_text()
@@ -540,8 +548,7 @@ def _run_frontend(scenario: Scenario, jobs: int):
     z_cm = _optional_cx(opamp_d["z_cm_ohms"])
     cc = section.get("constant_current")
 
-    def worker(item) -> dict:
-        topo, a = item
+    def worker(topo: str, a: float) -> dict:
         amp = frontend.OpAmpModel(a, z_id, z_cm, opamp_d["r_out_ohms"])
         if topo == "buffer":
             sol = frontend.solve_buffer(source, amp)
@@ -564,8 +571,7 @@ def _run_frontend(scenario: Scenario, jobs: int):
             "p_extracted_w": sol.p_extracted,
         }
 
-    items = [(topo, a) for topo in section["topologies"] for a in gains]
-    rows = _map_rows(items, worker, jobs)
+    rows = [worker(topo, a) for topo in section["topologies"] for a in gains]
     fields = [
         "topology", "open_loop_gain", "v_out_re", "v_out_im", "i_source_re",
         "i_source_im", "z_eff_re_ohms", "z_eff_im_ohms", "p_extracted_w",
@@ -573,7 +579,7 @@ def _run_frontend(scenario: Scenario, jobs: int):
     return fields, rows, True
 
 
-def _run_match(scenario: Scenario, jobs: int):
+def _run_match(scenario: Scenario):
     section = scenario.data["match"]
     ampd = scenario.data["amplifier"]
     linkd = section["link"]
@@ -599,7 +605,7 @@ def _run_match(scenario: Scenario, jobs: int):
             "annotations": "at_optimal" if exponent == 0 else "",
         }
 
-    rows = _map_rows([float(e) for e in exponents], worker, jobs)
+    rows = [worker(float(e)) for e in exponents]
     return ["turns_ratio", "snr", "annotations"], rows, True
 
 
@@ -614,7 +620,7 @@ def _strategy_label(canon) -> str:
     return canon if isinstance(canon, str) else "explicit"
 
 
-def _run_array(scenario: Scenario, jobs: int):
+def _run_array(scenario: Scenario):
     section = scenario.data["array"]
     if "synthetic" in section:
         syn = section["synthetic"]
@@ -633,34 +639,23 @@ def _run_array(scenario: Scenario, jobs: int):
         else:
             currents = np.array([_as_complex(v) for v in i_t])
         model = arrays.ArrayModel(zms, currents)
-    strategies = [(canon, _strategy_from_canon(canon)) for canon in section["strategies"]]
-    freqs = tuple(model.zms.grid)
-
-    def worker(item) -> dict:
-        fi, (canon, strategy) = item
-        sub_zms = arrays.ImpedanceMatrixSeries(
-            arrays.FrequencyGrid((freqs[fi],)),
-            model.zms.matrices[fi:fi + 1],
-            model.zms.dims,
-        )
-        sub = arrays.ArrayModel(sub_zms, model.i_t[fi:fi + 1])
-        volts = arrays.terminated_voltages(sub, strategy)[0]
-        power = arrays.sum_extracted_power(sub, strategy)[0]
-        ratio = arrays.coupling_offdiag_ratio(sub, strategy)[0]
-        notes = ["offdiag_ratio=" + fmt(ratio)]
-        if strategy.kind == "full_conjugate":
-            notes.append("time_reversal_caveat")
-        return {
-            "freq_hz": freqs[fi],
-            "strategy": _strategy_label(canon),
-            "sum_power_w": power,
-            "v_mag_volts": ";".join(fmt(abs(v)) for v in volts),
-            "v_phase_rad": ";".join(fmt(math.atan2(v.imag, v.real)) for v in volts),
-            "annotations": ";".join(notes),
-        }
-
-    items = [(fi, pair) for fi in range(len(freqs)) for pair in strategies]
-    rows = _map_rows(items, worker, jobs)
+    solved = []
+    for canon in section["strategies"]:
+        strategy = _strategy_from_canon(canon)
+        notes = ";time_reversal_caveat" if strategy.kind == "full_conjugate" else ""
+        solved.append((_strategy_label(canon), notes, arrays.terminate_array(model, strategy)))
+    rows = []
+    for fi, freq in enumerate(model.zms.grid):
+        for label, notes, result in solved:
+            volts = result.voltages[fi]
+            rows.append({
+                "freq_hz": freq,
+                "strategy": label,
+                "sum_power_w": result.power[fi],
+                "v_mag_volts": ";".join(fmt(abs(v)) for v in volts),
+                "v_phase_rad": ";".join(fmt(math.atan2(v.imag, v.real)) for v in volts),
+                "annotations": "offdiag_ratio=" + fmt(result.offdiag_ratio[fi]) + notes,
+            })
     fields = ["freq_hz", "strategy", "sum_power_w", "v_mag_volts", "v_phase_rad", "annotations"]
     return fields, rows, True
 
@@ -715,7 +710,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "text"), default="csv")
         p.add_argument("--dump-normalized", action="store_true",
                        help="print the normalized scenario instead of running")
-        p.add_argument("--jobs", type=int, default=1, help="sweep worker threads")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility (must be >= 1); has no effect")
     return parser
 
 
@@ -734,7 +730,7 @@ def main(argv=None) -> int:
         if args.dump_normalized:
             _write_text(args.out, json.dumps(scenario.data, indent=2, sort_keys=True) + "\n")
             return 0
-        fieldnames, rows, ok = _RUNNERS[args.command](scenario, args.jobs)
+        fieldnames, rows, ok = _RUNNERS[args.command](scenario)
         title = f"{scenario.name} {args.command}"
         _write_text(args.out, render_report(fieldnames, rows, args.format, title))
         if not ok:

@@ -1,51 +1,17 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-The scalar reference implementations below are compiled with ``numba.njit``
-when numba is importable and the environment variable ``RXFRONT_NO_NUMBA``
-is not set to ``1``; otherwise the vectorized numpy twins are used. Both
-paths evaluate the same per-element expressions; the grid kernel agrees
-bitwise, the batched solve kernel to reduction-order rounding.
-"""
+"""Vectorized SNR scoring of a rectangular load grid for the load optimizer."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("RXFRONT_NO_NUMBA", "") == "1"
-HAVE_NUMBA = False
-if not _DISABLED:
-    try:
-        from numba import njit
 
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
+def snr_grid(re_vals, im_vals, zr_re, zr_im, s_voc, gg, n_na, two_kt):
+    """Output SNR of a loaded receiver at every (Re, Im) load of the grid.
 
-
-def _snr_grid_scalar(re_vals, im_vals, zr_re, zr_im, s_voc, gg, n_na, two_kt):
-    # SNR of a loaded receiver over a rectangular load grid. gg is the squared
-    # voltage gain, s_voc the open-circuit signal voltage density, two_kt = 2kT.
-    # Singular grid points score -inf; zero total noise scores +inf (flagged).
-    out = np.empty((re_vals.size, im_vals.size))
-    for i in range(re_vals.size):
-        for j in range(im_vals.size):
-            dr = zr_re + re_vals[i]
-            di = zr_im + im_vals[j]
-            d2 = dr * dr + di * di
-            if d2 == 0.0:
-                out[i, j] = -np.inf
-                continue
-            w2 = (re_vals[i] * re_vals[i] + im_vals[j] * im_vals[j]) / d2
-            u2 = (zr_re * zr_re + zr_im * zr_im) / d2
-            noise = n_na + gg * u2 * two_kt * re_vals[i]
-            signal = gg * w2 * s_voc
-            out[i, j] = signal / noise if noise > 0.0 else np.inf
-    return out
-
-
-def _snr_grid_numpy(re_vals, im_vals, zr_re, zr_im, s_voc, gg, n_na, two_kt):
+    gg is the squared voltage gain, s_voc the open-circuit signal voltage
+    density and two_kt = 2kT. Singular grid points score -inf; zero total
+    noise scores +inf (flagged).
+    """
     re2 = re_vals[:, None]
     im2 = im_vals[None, :]
     dr = zr_re + re2
@@ -58,40 +24,3 @@ def _snr_grid_numpy(re_vals, im_vals, zr_re, zr_im, s_voc, gg, n_na, two_kt):
         signal = gg * w2 * s_voc
         out = np.where(noise > 0.0, signal / noise, np.inf)
     return np.where(d2 == 0.0, -np.inf, out)
-
-
-def _sum_power_batch_scalar(z_r, z_loads, v_oc):
-    # Sum extracted power 0.5*Re(I^H Z_L I), I = (Z_R + Z_L)^-1 V_oc, for a
-    # stack of candidate load matrices. Caller guarantees nonsingular sums.
-    n = z_loads.shape[0]
-    out = np.empty(n)
-    for p in range(n):
-        currents = np.linalg.solve(z_r + z_loads[p], v_oc)
-        acc = 0.0
-        through = z_loads[p] @ currents
-        for k in range(currents.size):
-            acc += (np.conj(currents[k]) * through[k]).real
-        out[p] = 0.5 * acc
-    return out
-
-
-def _sum_power_batch_numpy(z_r, z_loads, v_oc):
-    # stacked solve wants the rhs as (P, K, 1), not (P, K)
-    rhs = np.broadcast_to(v_oc[:, None], (z_loads.shape[0], v_oc.size, 1))
-    currents = np.linalg.solve(z_r[None, :, :] + z_loads, rhs)[:, :, 0]
-    through = np.einsum("pij,pj->pi", z_loads, currents)
-    return 0.5 * np.einsum("pi,pi->p", np.conj(currents), through).real
-
-
-if HAVE_NUMBA:
-    _snr_grid_jit = njit(cache=True)(_snr_grid_scalar)
-    _sum_power_batch_jit = njit(cache=True)(_sum_power_batch_scalar)
-    snr_grid = _snr_grid_jit
-    sum_power_batch = _sum_power_batch_jit
-    ACTIVE = "numba"
-else:
-    _snr_grid_jit = None
-    _sum_power_batch_jit = None
-    snr_grid = _snr_grid_numpy
-    sum_power_batch = _sum_power_batch_numpy
-    ACTIVE = "numpy"

@@ -7,6 +7,8 @@ compared without sharing code paths.
 
 import math
 
+import numpy as np
+
 K_BOLTZ = 1.380649e-23
 
 
@@ -151,3 +153,78 @@ def renumber_netlist(text):
             tokens[pos] = str(mapping[old])
         out.append(" ".join(tokens))
     return "\n".join(out), mapping
+
+
+def snr_grid_ref(re_vals, im_vals, zr_re, zr_im, s_voc, gg, n_na, two_kt):
+    """Grid SNR one load at a time; singular points -inf, noiseless +inf."""
+    out = np.empty((re_vals.size, im_vals.size))
+    for i in range(re_vals.size):
+        for j in range(im_vals.size):
+            dr = zr_re + re_vals[i]
+            di = zr_im + im_vals[j]
+            d2 = dr * dr + di * di
+            if d2 == 0.0:
+                out[i, j] = -np.inf
+                continue
+            w2 = (re_vals[i] * re_vals[i] + im_vals[j] * im_vals[j]) / d2
+            u2 = (zr_re * zr_re + zr_im * zr_im) / d2
+            noise = n_na + gg * u2 * two_kt * re_vals[i]
+            signal = gg * w2 * s_voc
+            out[i, j] = signal / noise if noise > 0.0 else np.inf
+    return out
+
+
+def sum_power_batch_ref(z_r, z_loads, v_oc):
+    """Sum extracted power 0.5 Re(I^H Z_L I) for each load in a stack, one
+    solve and one scalar accumulation per load."""
+    out = np.empty(z_loads.shape[0])
+    for p in range(z_loads.shape[0]):
+        currents = np.linalg.solve(z_r + z_loads[p], v_oc)
+        through = z_loads[p] @ currents
+        acc = 0.0
+        for k in range(currents.size):
+            acc += (np.conj(currents[k]) * through[k]).real
+        out[p] = 0.5 * acc
+    return out
+
+
+def load_matrix_ref(kind, z_r, z_l=None):
+    """Per-frequency load matrix for a termination kind (not open circuit)."""
+    if kind == "per_antenna_conjugate":
+        return np.diag(np.conj(np.diag(z_r)))
+    if kind == "full_conjugate":
+        return np.conj(z_r)
+    return np.asarray(z_l, dtype=np.complex128)
+
+
+def terminated_voltages_ref(z_r, v_oc, kind, z_l=None):
+    """Loop over frequencies: V = Z_L (Z_R + Z_L)^-1 V_oc, one 2-D solve each."""
+    out = np.empty_like(v_oc)
+    for fi in range(len(z_r)):
+        load = load_matrix_ref(kind, z_r[fi], z_l)
+        out[fi] = load @ np.linalg.solve(z_r[fi] + load, v_oc[fi])
+    return out
+
+
+def sum_extracted_power_ref(z_r, v_oc, kind, z_l=None):
+    """Loop over frequencies: 0.5 Re(I^H Z_L I)."""
+    out = np.empty(len(z_r))
+    for fi in range(len(z_r)):
+        load = load_matrix_ref(kind, z_r[fi], z_l)
+        currents = np.linalg.solve(z_r[fi] + load, v_oc[fi])
+        out[fi] = 0.5 * float(np.real(np.conj(currents) @ (load @ currents)))
+    return out
+
+
+def coupling_offdiag_ratio_ref(z_r, kind, z_l=None):
+    """Loop over frequencies: off-diagonal over diagonal Frobenius norm of
+    the divider Z_L (Z_R + Z_L)^-1."""
+    out = np.empty(len(z_r))
+    for fi in range(len(z_r)):
+        load = load_matrix_ref(kind, z_r[fi], z_l)
+        divider = load @ np.linalg.inv(z_r[fi] + load)
+        diag = np.diag(np.diag(divider))
+        diag_norm = np.linalg.norm(diag)
+        off_norm = np.linalg.norm(divider - diag)
+        out[fi] = math.inf if diag_norm == 0 else off_norm / diag_norm
+    return out

@@ -20,8 +20,14 @@ from rxfront.arrays import (
     open_circuit_voltages,
     perturbation_sum_powers,
     sum_extracted_power,
+    terminate_array,
     terminated_voltages,
     termination_matrix,
+)
+from oracles import (
+    coupling_offdiag_ratio_ref,
+    sum_extracted_power_ref,
+    terminated_voltages_ref,
 )
 
 
@@ -154,16 +160,20 @@ def test_perturbations_never_beat_full_conjugate():
 
 def test_ill_conditioned_termination_warns():
     # z_r self resistances spread over 13 decades: conjugate termination
-    # doubles them, leaving cond(Z_R + Z_L) ~ 1e13 past the warning bar
-    mats = np.array([[
-        [50.0 + 0j, 1e-8, 1e-8],
-        [1e-8, 1e-13 + 0j, 0.0],
-        [1e-8, 0.0, 1.0 + 0j],
-    ]])
-    zms = ImpedanceMatrixSeries(FrequencyGrid([1e6]), mats, dims=(1, 2))
+    # doubles them, leaving cond(Z_R + Z_L) ~ 1e13 past the warning bar.
+    # Frequencies 0 and 2 are ill-conditioned; each warns once, by index.
+    ill = [[50.0 + 0j, 1e-8, 1e-8], [1e-8, 1e-13 + 0j, 0.0], [1e-8, 0.0, 1.0 + 0j]]
+    fine = [[50.0 + 0j, 1.0, 1.0], [1.0, 40.0 + 0j, 0.0], [1.0, 0.0, 30.0 + 0j]]
+    zms = ImpedanceMatrixSeries(
+        FrequencyGrid([1e6, 2e6, 3e6]), np.array([ill, fine, ill]), dims=(1, 2)
+    )
     model = ArrayModel(zms, np.array([1 + 0j]))
-    with pytest.warns(RuntimeWarning):
-        terminated_voltages(model, TerminationStrategy.per_antenna_conjugate())
+    with pytest.warns(RuntimeWarning) as caught:
+        volts = terminated_voltages(model, TerminationStrategy.per_antenna_conjugate())
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 2
+    assert "frequency index 0:" in messages[0] and "frequency index 2:" in messages[1]
+    assert np.all(np.isfinite(volts))
 
 
 def test_current_vector_broadcasting():
@@ -194,3 +204,75 @@ def test_synthetic_rejects_bad_parameters():
         make_synthetic_model(1, 2, 50 + 5j, -1.0, 0.5, [1e6])
     with pytest.raises(ValidationError):
         make_synthetic_model(1, 2, 50 + 5j, 1.0, 1.5, [1e6])
+
+
+def _stacked_cases():
+    explicit = np.full((4, 4), 2.0 - 3.0j) + np.diag([73 + 10j, 75 - 5j, 80 + 0j, 70 + 20j])
+    for seed in (0, 1, 2):
+        model = make_synthetic_model(
+            1, 4, 50 + 5j, 6.0, 0.6, np.linspace(1e6, 3e6, 7), rng=np.random.default_rng(seed)
+        )
+        for kind in ("per_antenna_conjugate", "full_conjugate"):
+            yield model, TerminationStrategy(kind), kind, None
+        yield model, TerminationStrategy.explicit(explicit), "explicit", explicit
+
+
+def test_stacked_solve_matches_per_frequency_oracle():
+    for model, strategy, kind, z_l in _stacked_cases():
+        z_r = np.asarray(model.zms.z_r)
+        v_oc = open_circuit_voltages(model)
+        result = terminate_array(model, strategy)
+        # same LAPACK/BLAS calls per matrix as the loops, so equal bit for bit
+        assert np.array_equal(result.voltages, terminated_voltages_ref(z_r, v_oc, kind, z_l))
+        assert np.array_equal(result.power, sum_extracted_power_ref(z_r, v_oc, kind, z_l))
+        assert np.array_equal(result.offdiag_ratio, coupling_offdiag_ratio_ref(z_r, kind, z_l))
+        assert np.array_equal(terminated_voltages(model, strategy), result.voltages)
+        assert np.array_equal(sum_extracted_power(model, strategy), result.power)
+        assert np.array_equal(coupling_offdiag_ratio(model, strategy), result.offdiag_ratio)
+
+
+def test_termination_matrix_accepts_a_stack():
+    model = _model(n_rx=3)
+    z_r = np.asarray(model.zms.z_r)
+    for strategy in (
+        TerminationStrategy.per_antenna_conjugate(),
+        TerminationStrategy.full_conjugate(),
+        TerminationStrategy.explicit(np.eye(3) * 75.0),
+    ):
+        stack = termination_matrix(strategy, z_r)
+        assert stack.shape == z_r.shape
+        for fi in range(len(z_r)):
+            assert np.array_equal(stack[fi], termination_matrix(strategy, z_r[fi]))
+
+
+def test_singular_termination_names_the_frequency():
+    # At 2 MHz the receive port is lossless (z_r = 30j); the explicit load
+    # -30j cancels it and Z_R + Z_L = 0. At 1 MHz the sum is 50 + 0j.
+    mats = np.array([
+        [[50.0 + 0j, 5j], [5j, 50.0 + 30j]],
+        [[50.0 + 0j, 5j], [5j, 30j]],
+    ])
+    zms = ImpedanceMatrixSeries(FrequencyGrid([1e6, 2e6]), mats, dims=(1, 1))
+    model = ArrayModel(zms, np.array([1 + 0j]))
+    strategy = TerminationStrategy.explicit(np.array([[-30j]]))
+    for solve in (terminate_array, terminated_voltages, sum_extracted_power, coupling_offdiag_ratio):
+        with pytest.raises(SingularCircuitError, match="frequency index 1$"):
+            solve(model, strategy)
+
+
+def test_singular_termination_with_finite_condition_estimate():
+    # A rank-one passive Z_R shorted at 2 MHz: here the SVD gives cond ~ 4e16,
+    # not inf, and the stacked solve meets the exact zero pivot instead.
+    # Whichever guard trips, the error names index 1.
+    mats = np.zeros((2, 3, 3), dtype=complex)
+    mats[:, 0, 0] = 50.0
+    mats[:, 0, 1:] = mats[:, 1:, 0] = 5j
+    mats[0, 1:, 1:] = [[50.0, 5.0], [5.0, 40.0]]
+    mats[1, 1:, 1:] = [[50.0, 25.0], [25.0, 12.5]]
+    zms = ImpedanceMatrixSeries(FrequencyGrid([1e6, 2e6]), mats, dims=(1, 2))
+    model = ArrayModel(zms, np.array([1 + 0j]))
+    short = TerminationStrategy.explicit(np.zeros((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SingularCircuitError, match="frequency index 1$"):
+            terminate_array(model, short)

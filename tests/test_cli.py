@@ -271,3 +271,72 @@ def test_undefined_token_for_zero_power_ebn0(tmp_path, capsys):
     code, out, _ = run_cli(["capacity", "--scenario", str(scen)], capsys)
     assert code == 0
     assert out.strip().splitlines()[1].split(",")[3] == "undefined"
+
+
+def _array_csv_scenario(tmp_path, strategies, z_r_2mhz="0,30"):
+    # 1 tx + 1 rx; the receive port is 50+30j at 1 MHz and z_r_2mhz at 2 MHz
+    re, im = z_r_2mhz.split(",")
+    (tmp_path / "pair.csv").write_text("\n".join([
+        "freq_hz,row,col,re_ohms,im_ohms",
+        "1e6,0,0,50,0", "1e6,0,1,0,5", "1e6,1,1,50,30",
+        "2e6,0,0,50,0", "2e6,0,1,0,5", f"2e6,1,1,{re},{im}",
+    ]) + "\n")
+    scen = tmp_path / "array.json"
+    scen.write_text(json.dumps({"array": {
+        "impedance_csv": "pair.csv", "dims_m": 1, "dims_k": 1,
+        "i_t_amperes": [{"re": 1.0}], "strategies": strategies,
+    }}))
+    return scen
+
+
+def test_array_singular_termination_exits_3(tmp_path, capsys):
+    # lossless z_r = 30j at 2 MHz against an explicit load of -30j
+    explicit = {"kind": "explicit", "z_l_ohms": [[{"re": 0.0, "im": -30.0}]]}
+    scen = _array_csv_scenario(tmp_path, ["open_circuit", explicit])
+    code, _, err = run_cli(["array", "--scenario", str(scen)], capsys)
+    assert code == 3
+    assert "frequency index 1" in err
+
+
+def test_array_explicit_row_that_is_a_number_exits_2(tmp_path, capsys):
+    explicit = {"kind": "explicit", "z_l_ohms": [5]}
+    scen = _array_csv_scenario(tmp_path, [explicit], "50,30")
+    code, _, err = run_cli(["array", "--scenario", str(scen)], capsys)
+    assert code == 2
+    assert "z_l_ohms[] must be a non-empty list" in err
+
+
+def test_array_ragged_explicit_rows_exit_2(tmp_path, capsys):
+    cell = {"re": 75.0}
+    explicit = {"kind": "explicit", "z_l_ohms": [[cell, cell], [cell]]}
+    scen = _array_csv_scenario(tmp_path, [explicit], "50,30")
+    code, _, err = run_cli(["array", "--scenario", str(scen)], capsys)
+    assert code == 2
+    assert "same length" in err
+
+
+def test_negative_ratio_sweep_count_exits_2(tmp_path, capsys):
+    scen = tmp_path / "match.json"
+    scen.write_text(json.dumps({
+        "match": {
+            "link": {"z_r_ohms": {"re": 100}, "z_rt_ohms": {"re": 10}, "s_it_a2_per_hz": 1e-12},
+            "amp_input_resistance_ohms": 1e9,
+            "ratio_sweep": {"count": -3},
+        },
+        "amplifier": {"gain": 10, "n_na_v2_per_hz": 1e-12, "temp_kelvin": 290},
+    }))
+    code, _, err = run_cli(["match", "--scenario", str(scen)], capsys)
+    assert code == 2
+    assert "match.ratio_sweep.count must be >= 0" in err
+
+
+@pytest.mark.parametrize("sub,section", [
+    ("validate", {"impedance_csv": ["a"]}),
+    ("frontend", {"netlist": 5}),
+])
+def test_file_reference_must_be_a_string(tmp_path, capsys, sub, section):
+    scen = tmp_path / "ref.json"
+    scen.write_text(json.dumps({sub: section}))
+    code, _, err = run_cli([sub, "--scenario", str(scen)], capsys)
+    assert code == 2
+    assert "must be a string" in err
