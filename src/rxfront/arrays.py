@@ -302,6 +302,7 @@ def make_synthetic_model(
         raise ValidationError(f"need {n} self-impedances, got shape {selfs.shape}")
     if np.any(selfs.real <= 0):
         raise ValidationError("self-impedances must have positive real part")
+    grid = FrequencyGrid(frequencies)  # checked before the scaling divides by its first point
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -322,12 +323,11 @@ def make_synthetic_model(
     if base is None:
         raise NumericalError(f"no passive coupling draw in {max_tries} tries")
 
-    freqs = tuple(float(f) for f in frequencies)
-    f_ref = freqs[0]
-    mats = np.empty((len(freqs), n, n), dtype=np.complex128)
-    for fi, freq in enumerate(freqs):
+    f_ref = grid[0]
+    mats = np.empty((len(grid), n, n), dtype=np.complex128)
+    for fi, freq in enumerate(grid):
         mats[fi] = base.real + 1j * base.imag * (freq / f_ref)
-    zms = ImpedanceMatrixSeries(FrequencyGrid(freqs), mats, dims=(n_tx, n_rx))
+    zms = ImpedanceMatrixSeries(grid, mats, dims=(n_tx, n_rx))
     if i_t is None:
-        i_t = np.ones((len(freqs), n_tx), dtype=np.complex128)
+        i_t = np.ones((len(grid), n_tx), dtype=np.complex128)
     return ArrayModel(zms, i_t)

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,6 @@ from . import arrays, frontend, matching, mna, noisefig, shannon
 from . import link as link_mod
 from .core import (
     OPEN_CIRCUIT,
-    NumericalError,
     ParseError,
     SingularCircuitError,
     TheveninSource,
@@ -72,297 +72,238 @@ def fmt(value) -> str:
     return f"{x:.12g}"
 
 
+REQUIRED = object()  # field-table default: the key must be present
+OPTIONAL = object()  # field-table default: an absent key stays absent
+
+
 def _fail(message: str):
     raise ParseError(f"scenario: {message}")
 
 
-def _req(mapping: dict, key: str, context: str):
-    if not isinstance(mapping, dict) or key not in mapping:
-        _fail(f"missing {context}.{key}")
-    return mapping[key]
-
-
 def _num(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in (int, float):  # JSON numbers; bool is not one
         _fail(f"{context} must be a number")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
     if not math.isfinite(x):
         _fail(f"{context} must be finite")
     return x
 
 
-def _num_or_inf(value, context: str):
-    """Numbers that may be infinite stay the literal token "inf" when normalized."""
-    if value == "inf":
-        return "inf"
-    return _num(value, context)
-
-
-def _to_float(canon) -> float:
-    return math.inf if canon == "inf" else float(canon)
-
-
-def _int(value, context: str, minimum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+def _int(value, context: str, minimum: int = -(2**63)) -> int:
+    if type(value) is not int:
         _fail(f"{context} must be an integer")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         _fail(f"{context} must be >= {minimum}")
+    if value >= 2**63:
+        _fail(f"{context} must fit in a 64-bit integer")
     return value
 
 
-def _str(value, context: str) -> str:
-    if not isinstance(value, str):
-        _fail(f"{context} must be a string")
-    return value
+_count = partial(_int, minimum=0)
 
 
 def _cx(value, context: str) -> dict:
     if not isinstance(value, dict) or "re" not in value:
         _fail(f"{context} must be an object with re/im parts")
-    return {"re": _num(value["re"], f"{context}.re"), "im": _num(value.get("im", 0.0), f"{context}.im")}
+    return {"re": _num(value["re"], context + ".re"), "im": _num(value.get("im", 0), context + ".im")}
 
 
-def _cx_or_inf(value, context: str):
-    if value == "inf":
-        return "inf"
-    return _cx(value, context)
+def _typed(kind, noun: str):
+    def checker(value, context):
+        if not isinstance(value, kind):
+            _fail(f"{context} must be {noun}")
+        return value
+    return checker
 
 
-def _as_complex(canon) -> complex:
-    return complex(canon["re"], canon["im"])
+_str, _bool = _typed(str, "a string"), _typed(bool, "true or false")
 
 
-def _bool(value, context: str) -> bool:
-    if not isinstance(value, bool):
-        _fail(f"{context} must be true or false")
-    return value
-
-
-def _nonempty_list(value, context: str) -> list:
-    if not isinstance(value, list) or not value:
-        _fail(f"{context} must be a non-empty list")
-    return value
-
-
-def _cx_rows(value, context: str) -> list:
-    """Non-empty list of equal-length, non-empty rows of complex objects."""
-    rows = [
-        [_cx(v, f"{context}[][]") for v in _nonempty_list(row, f"{context}[]")]
-        for row in _nonempty_list(value, context)
-    ]
-    if len({len(row) for row in rows}) != 1:
-        _fail(f"{context} rows must all have the same length")
-    return rows
-
-
-def _amplifier(section, context: str) -> dict:
-    return {
-        "gain": _num(_req(section, "gain", context), f"{context}.gain"),
-        "n_na_v2_per_hz": _num(_req(section, "n_na_v2_per_hz", context), f"{context}.n_na_v2_per_hz"),
-        "temp_kelvin": _num(_req(section, "temp_kelvin", context), f"{context}.temp_kelvin"),
-    }
-
-
-def _link_fields(section, context: str) -> dict:
-    return {
-        "z_r_ohms": _cx(_req(section, "z_r_ohms", context), f"{context}.z_r_ohms"),
-        "z_rt_ohms": _cx(_req(section, "z_rt_ohms", context), f"{context}.z_rt_ohms"),
-        "s_it_a2_per_hz": _num(_req(section, "s_it_a2_per_hz", context), f"{context}.s_it_a2_per_hz"),
-    }
-
-
-def _normalize_validate(section) -> dict:
-    out = {
-        "impedance_csv": _str(_req(section, "impedance_csv", "validate"), "validate.impedance_csv"),
-        "tol": _num(section.get("tol", 1e-9), "validate.tol"),
-    }
-    if "dims_m" in section or "dims_k" in section:
-        out["dims_m"] = _int(_req(section, "dims_m", "validate"), "validate.dims_m")
-        out["dims_k"] = _int(_req(section, "dims_k", "validate"), "validate.dims_k")
-    return out
-
-
-def _normalize_capacity(section) -> dict:
-    return {
-        "power": _num(_req(section, "power", "capacity"), "capacity.power"),
-        "noise_density": _num(_req(section, "noise_density", "capacity"), "capacity.noise_density"),
-        "bandwidths": [
-            _num(b, "capacity.bandwidths[]")
-            for b in _nonempty_list(_req(section, "bandwidths", "capacity"), "capacity.bandwidths")
-        ],
-    }
-
-
-def _normalize_link(section) -> dict:
-    out = _link_fields(section, "link")
-    loads = section.get(
-        "loads",
-        [{"label": "open_circuit", "kind": "open_circuit"},
-         {"label": "conjugate_match", "kind": "conjugate_match"}],
-    )
-    canon_loads = []
-    for i, load in enumerate(_nonempty_list(loads, "link.loads")):
-        kind = _req(load, "kind", f"link.loads[{i}]")
-        if kind not in ("open_circuit", "conjugate_match", "explicit"):
-            _fail(f"link.loads[{i}].kind {kind!r} unknown")
-        canon = {"kind": kind, "label": str(load.get("label", kind))}
-        if kind == "explicit":
-            canon["z_l_ohms"] = _cx(_req(load, "z_l_ohms", f"link.loads[{i}]"), f"link.loads[{i}].z_l_ohms")
-        canon_loads.append(canon)
-    out["loads"] = canon_loads
-    if "optimize" in section:
-        opt = section["optimize"]
-        out["optimize"] = {
-            "r_max_ohms": _num(_req(opt, "r_max_ohms", "link.optimize"), "link.optimize.r_max_ohms"),
-            "x_max_ohms": _num(_req(opt, "x_max_ohms", "link.optimize"), "link.optimize.x_max_ohms"),
-            "n_re": _int(_req(opt, "n_re", "link.optimize"), "link.optimize.n_re"),
-            "n_im": _int(_req(opt, "n_im", "link.optimize"), "link.optimize.n_im"),
-            "include_open": _bool(opt.get("include_open", True), "link.optimize.include_open"),
-        }
-    return out
-
-
-def _normalize_noisefig(section) -> dict:
-    amp = _req(section, "amp", "noisefig")
-    return {
-        "v_s_volts": _cx(_req(section, "v_s_volts", "noisefig"), "noisefig.v_s_volts"),
-        "r_s_ohms": _num(_req(section, "r_s_ohms", "noisefig"), "noisefig.r_s_ohms"),
-        "temp_kelvin": _num(_req(section, "temp_kelvin", "noisefig"), "noisefig.temp_kelvin"),
-        "amp": {
-            "gain": _num(_req(amp, "gain", "noisefig.amp"), "noisefig.amp.gain"),
-            "n_na_v2_per_hz": _num(_req(amp, "n_na_v2_per_hz", "noisefig.amp"), "noisefig.amp.n_na_v2_per_hz"),
-            "r_out_ohms": _num(_req(amp, "r_out_ohms", "noisefig.amp"), "noisefig.amp.r_out_ohms"),
-        },
-        "r_l_sweep_ohms": [
-            _num_or_inf(r, "noisefig.r_l_sweep_ohms[]")
-            for r in _nonempty_list(
-                _req(section, "r_l_sweep_ohms", "noisefig"), "noisefig.r_l_sweep_ohms"
-            )
-        ],
-    }
-
-
-def _normalize_frontend(section) -> dict:
-    if "netlist" in section:
-        return {"netlist": _str(section["netlist"], "frontend.netlist")}
-    source = _req(section, "source", "frontend")
-    opamp = _req(section, "opamp", "frontend")
-    topologies = _nonempty_list(
-        section.get("topologies", ["buffer", "constant_current", "inside_out"]),
-        "frontend.topologies",
-    )
-    for topo in topologies:
-        if topo not in ("buffer", "constant_current", "inside_out"):
-            _fail(f"frontend.topologies entry {topo!r} unknown")
-    out = {
-        "source": {
-            "v_oc_volts": _cx(_req(source, "v_oc_volts", "frontend.source"), "frontend.source.v_oc_volts"),
-            "z_r_ohms": _cx(_req(source, "z_r_ohms", "frontend.source"), "frontend.source.z_r_ohms"),
-        },
-        "opamp": {
-            "open_loop_gain": _num_or_inf(
-                _req(opamp, "open_loop_gain", "frontend.opamp"), "frontend.opamp.open_loop_gain"
-            ),
-            "z_id_ohms": _cx_or_inf(opamp.get("z_id_ohms", "inf"), "frontend.opamp.z_id_ohms"),
-            "z_cm_ohms": _cx_or_inf(opamp.get("z_cm_ohms", "inf"), "frontend.opamp.z_cm_ohms"),
-            "r_out_ohms": _num(opamp.get("r_out_ohms", 0.0), "frontend.opamp.r_out_ohms"),
-        },
-        "topologies": list(topologies),
-    }
-    if "constant_current" in topologies:
-        cc = _req(section, "constant_current", "frontend")
-        out["constant_current"] = {
-            "v_c_volts": _cx(_req(cc, "v_c_volts", "frontend.constant_current"), "frontend.constant_current.v_c_volts"),
-            "r_c_ohms": _num_or_inf(_req(cc, "r_c_ohms", "frontend.constant_current"), "frontend.constant_current.r_c_ohms"),
-        }
-    if "gain_sweep" in section:
-        out["gain_sweep"] = [
-            _num(g, "frontend.gain_sweep[]")
-            for g in _nonempty_list(section["gain_sweep"], "frontend.gain_sweep")
-        ]
-    return out
-
-
-def _normalize_match(section) -> dict:
-    sweep = section.get("ratio_sweep", {})
-    return {
-        "link": _link_fields(_req(section, "link", "match"), "match.link"),
-        "amp_input_resistance_ohms": _num(
-            _req(section, "amp_input_resistance_ohms", "match"), "match.amp_input_resistance_ohms"
-        ),
-        "cancel_reactance": _bool(section.get("cancel_reactance", True), "match.cancel_reactance"),
-        "ratio_sweep": {
-            "count": _int(sweep.get("count", 51), "match.ratio_sweep.count", minimum=0),
-            "span_decades": _num(sweep.get("span_decades", 2.0), "match.ratio_sweep.span_decades"),
-        },
-    }
-
-
-def _normalize_array(section) -> dict:
+def _walk(table: dict, value, context: str) -> dict:
+    """Check one object against its field table and return the normalized copy."""
+    if not isinstance(value, dict):
+        _fail(f"{context} must be an object")
+    prefix = f"{context}." if context else ""
     out = {}
-    if "synthetic" in section:
-        syn = section["synthetic"]
-        out["synthetic"] = {
-            "n_tx": _int(_req(syn, "n_tx", "array.synthetic"), "array.synthetic.n_tx"),
-            "n_rx": _int(_req(syn, "n_rx", "array.synthetic"), "array.synthetic.n_rx"),
-            "self_ohms": _cx(_req(syn, "self_ohms", "array.synthetic"), "array.synthetic.self_ohms"),
-            "coupling_ohms": _num(_req(syn, "coupling_ohms", "array.synthetic"), "array.synthetic.coupling_ohms"),
-            "decay": _num(_req(syn, "decay", "array.synthetic"), "array.synthetic.decay"),
-            "frequencies_hz": [
-                _num(f, "array.synthetic.frequencies_hz[]")
-                for f in _nonempty_list(
-                    _req(syn, "frequencies_hz", "array.synthetic"), "array.synthetic.frequencies_hz"
-                )
-            ],
-            "seed": _int(syn.get("seed", 0), "array.synthetic.seed"),
-        }
-    else:
-        out["impedance_csv"] = _str(_req(section, "impedance_csv", "array"), "array.impedance_csv")
-        out["dims_m"] = _int(_req(section, "dims_m", "array"), "array.dims_m")
-        out["dims_k"] = _int(_req(section, "dims_k", "array"), "array.dims_k")
-    if "i_t_amperes" in section:
-        if "synthetic" in section:
-            _fail("array.i_t_amperes is only for CSV models")
-        items = _nonempty_list(section["i_t_amperes"], "array.i_t_amperes")
-        if isinstance(items[0], list):
-            out["i_t_amperes"] = _cx_rows(items, "array.i_t_amperes")
-        else:
-            out["i_t_amperes"] = [_cx(v, "array.i_t_amperes[]") for v in items]
-    elif "synthetic" not in section:
-        _fail("array needs i_t_amperes when loading from CSV")
-    strategies = []
-    for i, strat in enumerate(
-        _nonempty_list(
-            section.get("strategies", ["open_circuit", "per_antenna_conjugate", "full_conjugate"]),
-            "array.strategies",
-        )
-    ):
-        if isinstance(strat, str):
-            if strat not in ("open_circuit", "per_antenna_conjugate", "full_conjugate"):
-                _fail(f"array.strategies[{i}] {strat!r} unknown")
-            strategies.append(strat)
-        else:
-            if _req(strat, "kind", f"array.strategies[{i}]") != "explicit":
-                _fail(f"array.strategies[{i}].kind must be 'explicit'")
-            strategies.append({
-                "kind": "explicit",
-                "z_l_ohms": _cx_rows(strat.get("z_l_ohms"), f"array.strategies[{i}].z_l_ohms"),
-            })
-    out["strategies"] = strategies
+    for key, (check, default) in table.items():
+        item = value.get(key, default)
+        if item is REQUIRED:
+            _fail(f"missing {prefix}{key}")
+        if item is not OPTIONAL:
+            out[key] = check(item, prefix + key)
     return out
 
 
-_NORMALIZERS = {
-    "validate": _normalize_validate,
-    "capacity": _normalize_capacity,
-    "link": _normalize_link,
-    "noisefig": _normalize_noisefig,
-    "frontend": _normalize_frontend,
-    "match": _normalize_match,
-    "array": _normalize_array,
+def _obj(table: dict):
+    return partial(_walk, table)
+
+
+def _list_of(check):
+    def checker(value, context):
+        if not isinstance(value, list) or not value:
+            _fail(f"{context} must be a non-empty list")
+        item = f"{context}[]"
+        return [check(v, item) for v in value]
+    return checker
+
+
+def _rows_of(check):
+    """Non-empty list of equal-length, non-empty rows."""
+    list_of_rows = _list_of(_list_of(check))
+
+    def checker(value, context):
+        rows = list_of_rows(value, context)
+        if len({len(row) for row in rows}) != 1:
+            _fail(f"{context} rows must all have the same length")
+        return rows
+    return checker
+
+
+def _one_of(*choices):
+    def checker(value, context):
+        if not isinstance(value, str) or value not in choices:
+            _fail(f"{context} {value!r} unknown")
+        return value
+    return checker
+
+
+def _or_inf(check):
+    """Values that may be infinite stay the literal token "inf" when normalized."""
+    return lambda value, context: "inf" if value == "inf" else check(value, context)
+
+
+# One field table per scenario object: key -> (checker, default | REQUIRED |
+# OPTIONAL). A default is checked like a given value. The tables are the
+# reference for the scenario format; all are built once, at import.
+_cx_vector, _cx_matrix = _list_of(_cx), _rows_of(_cx)
+_AMPLIFIER = {
+    "gain": (_num, REQUIRED), "n_na_v2_per_hz": (_num, REQUIRED), "temp_kelvin": (_num, REQUIRED),
+}
+_LINK_FIELDS = {
+    "z_r_ohms": (_cx, REQUIRED), "z_rt_ohms": (_cx, REQUIRED), "s_it_a2_per_hz": (_num, REQUIRED),
+}
+_DIMS = {"dims_m": (_int, REQUIRED), "dims_k": (_int, REQUIRED)}
+_VALIDATE = {"impedance_csv": (_str, REQUIRED), "tol": (_num, 1e-9)}
+_VALIDATE_DIMS = {**_VALIDATE, **_DIMS}
+
+
+def _validate(value, context):
+    dims = isinstance(value, dict) and ("dims_m" in value or "dims_k" in value)  # a pair or neither
+    return _walk(_VALIDATE_DIMS if dims else _VALIDATE, value, context)
+
+
+_CAPACITY = {
+    "power": (_num, REQUIRED), "noise_density": (_num, REQUIRED),
+    "bandwidths": (_list_of(_num), REQUIRED),
+}
+_LOAD = {
+    "kind": (_one_of("open_circuit", "conjugate_match", "explicit"), REQUIRED),
+    "label": (_str, OPTIONAL),
+}
+_EXPLICIT_LOAD = {**_LOAD, "z_l_ohms": (_cx, REQUIRED)}
+
+
+def _load(value, context):
+    explicit = isinstance(value, dict) and value.get("kind") == "explicit"
+    out = _walk(_EXPLICIT_LOAD if explicit else _LOAD, value, context)
+    out.setdefault("label", out["kind"])
+    return out
+
+
+_LINK = {
+    **_LINK_FIELDS,
+    "loads": (_list_of(_load), [{"kind": "open_circuit"}, {"kind": "conjugate_match"}]),
+    "optimize": (_obj({
+        "r_max_ohms": (_num, REQUIRED), "x_max_ohms": (_num, REQUIRED),
+        "n_re": (_int, REQUIRED), "n_im": (_int, REQUIRED), "include_open": (_bool, True),
+    }), OPTIONAL),
+}
+_NOISEFIG = {
+    "v_s_volts": (_cx, REQUIRED), "r_s_ohms": (_num, REQUIRED), "temp_kelvin": (_num, REQUIRED),
+    "amp": (_obj({
+        "gain": (_num, REQUIRED), "n_na_v2_per_hz": (_num, REQUIRED),
+        "r_out_ohms": (_num, REQUIRED),
+    }), REQUIRED),
+    "r_l_sweep_ohms": (_list_of(_or_inf(_num)), REQUIRED),
+}
+_TOPOLOGIES = ("buffer", "constant_current", "inside_out")
+_NETLIST = {"netlist": (_str, REQUIRED)}
+_FRONTEND = {
+    "source": (_obj({"v_oc_volts": (_cx, REQUIRED), "z_r_ohms": (_cx, REQUIRED)}), REQUIRED),
+    "opamp": (_obj({
+        "open_loop_gain": (_or_inf(_num), REQUIRED), "z_id_ohms": (_or_inf(_cx), "inf"),
+        "z_cm_ohms": (_or_inf(_cx), "inf"), "r_out_ohms": (_num, 0.0),
+    }), REQUIRED),
+    "topologies": (_list_of(_one_of(*_TOPOLOGIES)), list(_TOPOLOGIES)),
+    "gain_sweep": (_list_of(_num), OPTIONAL),
+}
+_CONSTANT_CURRENT = {"constant_current": (_obj({
+    "v_c_volts": (_cx, REQUIRED), "r_c_ohms": (_or_inf(_num), REQUIRED),
+}), REQUIRED)}
+
+
+def _frontend(value, context):
+    if isinstance(value, dict) and "netlist" in value:
+        return _walk(_NETLIST, value, context)
+    out = _walk(_FRONTEND, value, context)
+    if "constant_current" in out["topologies"]:  # read only when that topology is listed
+        out.update(_walk(_CONSTANT_CURRENT, value, context))
+    return out
+
+
+_MATCH = {
+    "link": (_obj(_LINK_FIELDS), REQUIRED),
+    "amp_input_resistance_ohms": (_num, REQUIRED),
+    "cancel_reactance": (_bool, True),
+    "ratio_sweep": (_obj({"count": (_count, 51), "span_decades": (_num, 2.0)}), {}),
+}
+_STRATEGY_NAMES = ("open_circuit", "per_antenna_conjugate", "full_conjugate")
+_strategy_name = _one_of(*_STRATEGY_NAMES)
+_EXPLICIT_STRATEGY = {"kind": (_one_of("explicit"), REQUIRED), "z_l_ohms": (_cx_matrix, REQUIRED)}
+
+
+def _strategy(value, context):
+    if isinstance(value, str):
+        return _strategy_name(value, context)
+    return _walk(_EXPLICIT_STRATEGY, value, context)
+
+
+def _currents(value, context):
+    """One current vector for all frequencies, or one row per frequency."""
+    rows = isinstance(value, list) and value and isinstance(value[0], list)
+    return (_cx_matrix if rows else _cx_vector)(value, context)
+
+
+_STRATEGIES = {"strategies": (_list_of(_strategy), list(_STRATEGY_NAMES))}
+_ARRAY_SYNTHETIC = {
+    **_STRATEGIES,
+    "synthetic": (_obj({
+        "n_tx": (_int, REQUIRED), "n_rx": (_int, REQUIRED), "self_ohms": (_cx, REQUIRED),
+        "coupling_ohms": (_num, REQUIRED), "decay": (_num, REQUIRED),
+        "frequencies_hz": (_list_of(_num), REQUIRED), "seed": (_count, 0),
+    }), REQUIRED),
+    "i_t_amperes": (lambda value, context: _fail(f"{context} is only for CSV models"), OPTIONAL),
+}
+_ARRAY_CSV = {
+    **_STRATEGIES, **_DIMS, "impedance_csv": (_str, REQUIRED), "i_t_amperes": (_currents, REQUIRED),
 }
 
-_NEEDS_AMPLIFIER = ("link", "match")
+
+def _array(value, context):
+    synthetic = isinstance(value, dict) and "synthetic" in value
+    return _walk(_ARRAY_SYNTHETIC if synthetic else _ARRAY_CSV, value, context)
+
+
+_SECTIONS = {
+    "validate": _validate, "capacity": _obj(_CAPACITY), "link": _obj(_LINK),
+    "noisefig": _obj(_NOISEFIG), "frontend": _frontend, "match": _obj(_MATCH), "array": _array,
+}
+_SCENARIOS = {kind: {"name": (_str, OPTIONAL), kind: (check, REQUIRED)}
+              for kind, check in _SECTIONS.items()}
+_SCENARIOS["link"]["amplifier"] = _SCENARIOS["match"]["amplifier"] = (_obj(_AMPLIFIER), REQUIRED)
 
 
 def parse_scenario(path) -> Scenario:
@@ -371,7 +312,7 @@ def parse_scenario(path) -> Scenario:
     with open(path) as handle:
         try:
             raw = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         _fail("top level must be an object")
@@ -379,11 +320,9 @@ def parse_scenario(path) -> Scenario:
     if len(present) != 1:
         _fail(f"expected exactly one of {'/'.join(SUBCOMMANDS)} sections, found {present or 'none'}")
     kind = present[0]
-    name = str(raw.get("name", path.stem))
-    data = {"name": name, kind: _NORMALIZERS[kind](raw[kind])}
-    if kind in _NEEDS_AMPLIFIER:
-        data["amplifier"] = _amplifier(_req(raw, "amplifier", "scenario"), "amplifier")
-    return Scenario(name, kind, data, path.parent)
+    data = _walk(_SCENARIOS[kind], raw, "")
+    data.setdefault("name", path.stem)
+    return Scenario(data["name"], kind, data, path.parent)
 
 
 def _run_validate(scenario: Scenario):
@@ -517,6 +456,14 @@ def _run_noisefig(scenario: Scenario):
     rows = [worker(r_l) for r_l in section["r_l_sweep_ohms"]]
     fields = ["r_l_ohms", "friis_gain", "output_snr", "noise_factor", "noise_figure_db", "annotations"]
     return fields, rows, True
+
+
+def _to_float(canon) -> float:
+    return math.inf if canon == "inf" else float(canon)
+
+
+def _as_complex(canon) -> complex:
+    return complex(canon["re"], canon["im"])
 
 
 def _optional_cx(canon):
@@ -737,10 +684,10 @@ def main(argv=None) -> int:
             print(f"{args.command}: validation failed", file=sys.stderr)
             return 1
         return 0
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:  # a referenced CSV or netlist may not be UTF-8
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (SingularCircuitError, NumericalError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except ValidationError as exc:

@@ -151,16 +151,9 @@ def output_snr(link: SingleLink, amp: AmplifierNoiseModel, z_l) -> float:
 
 def snr_matched(link: SingleLink, amp: AmplifierNoiseModel) -> float:
     """Output SNR under the conjugate match z_l = conj(z_r)."""
-    zr = link.z_r
-    if zr.real <= 0:
+    if link.z_r.real <= 0:
         raise ValidationError("conjugate match is degenerate for Re(z_r) = 0")
-    # Matched divider: z_r + conj(z_r) = 2 Re z_r, so both the signal and
-    # Johnson divider factors reduce to |z_r|^2 / (2 Re z_r)^2.
-    q = (zr.real**2 + zr.imag**2) / (4.0 * zr.real**2)
-    g2 = amp.gain * amp.gain
-    signal = g2 * q * _signal_voc_density(link)
-    noise = amp.n_na + g2 * q * johnson_density(amp.temperature, zr.real)
-    return signal / noise
+    return output_snr(link, amp, link.z_r.conjugate())
 
 
 def snr_ratio_oc_over_match(link: SingleLink, amp: AmplifierNoiseModel) -> float:

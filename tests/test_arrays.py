@@ -206,6 +206,13 @@ def test_synthetic_rejects_bad_parameters():
         make_synthetic_model(1, 2, 50 + 5j, 1.0, 1.5, [1e6])
 
 
+@pytest.mark.parametrize("freqs", [[0.0, 1e6], [2e6, 1e6], []])
+def test_synthetic_checks_its_grid_before_scaling(freqs):
+    # reactances scale by freq / freqs[0]; a zero first point used to divide by zero
+    with pytest.raises(ValidationError):
+        make_synthetic_model(1, 2, 50 + 5j, 1.0, 0.5, freqs)
+
+
 def _stacked_cases():
     explicit = np.full((4, 4), 2.0 - 3.0j) + np.diag([73 + 10j, 75 - 5j, 80 + 0j, 70 + 20j])
     for seed in (0, 1, 2):

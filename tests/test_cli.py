@@ -190,6 +190,25 @@ def test_missing_file_exits_4(tmp_path, capsys):
     assert "i/o error" in err
 
 
+@pytest.mark.parametrize("payload", [b'{"name": "\xff"}', b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not_utf8", "nested_too_deep"])
+def test_unreadable_json_exits_2(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+    code, _, err = run_cli(["link", "--scenario", str(bad)], capsys)
+    assert code == 2
+    assert "invalid JSON" in err
+
+
+def test_referenced_csv_not_utf8_exits_2(tmp_path, capsys):
+    (tmp_path / "pair.csv").write_bytes(b"freq_hz,row,col,re_ohms,im_ohms\n1e6,0,0,\xff,0\n")
+    scen = tmp_path / "val.json"
+    scen.write_text(json.dumps({"validate": {"impedance_csv": "pair.csv"}}))
+    code, _, err = run_cli(["validate", "--scenario", str(scen)], capsys)
+    assert code == 2
+    assert "parse error" in err
+
+
 def test_invalid_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -340,3 +359,56 @@ def test_file_reference_must_be_a_string(tmp_path, capsys, sub, section):
     code, _, err = run_cli([sub, "--scenario", str(scen)], capsys)
     assert code == 2
     assert "must be a string" in err
+
+
+def _edited_example(tmp_path, name, path, value):
+    """Copy of scenarios/<name>.json with the field at ``path`` set to ``value``.
+
+    The subcommand of every example is the first word of its name.
+    """
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    scen = tmp_path / f"{name}.json"
+    scen.write_text(json.dumps(doc))
+    return scen
+
+
+@pytest.mark.parametrize("name,path,value", [
+    # OverflowError: |z_rt|^2 overflows a float
+    ("link_crossover", ("link", "z_rt_ohms", "re"), 1e308),
+    # ZeroDivisionError: an op-amp common-mode impedance of zero
+    ("frontend_buffer", ("frontend", "opamp", "z_cm_ohms"), {"re": 0}),
+    # LinAlgError: eigenvalues of a 1e308 self-impedance do not converge
+    ("array_synthetic", ("array", "synthetic", "self_ohms", "re"), 1e308),
+], ids=["overflow", "zero_division", "linalg"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numerical_failures_exit_3(tmp_path, capsys, name, path, value):
+    scen = _edited_example(tmp_path, name, path, value)
+    code, _, err = run_cli([name.split("_")[0], "--scenario", str(scen)], capsys)
+    assert code == 3
+    assert "numerical error" in err
+
+
+@pytest.mark.parametrize("name,path,value,message", [
+    ("array_synthetic", ("array",), None, "array must be an object"),
+    ("capacity_demo", ("capacity", "power"), 10**400, "capacity.power must be finite"),
+    ("link_crossover", ("link", "optimize", "n_re"), 2**63, "n_re must fit in a 64-bit integer"),
+    ("match_step_up", ("match", "ratio_sweep", "count"), 10**400, "must fit in a 64-bit integer"),
+    ("link_crossover", ("link", "loads", 0, "label"), None, "link.loads[].label must be a string"),
+    ("link_crossover", ("link", "loads", 0, "kind"), ["explicit"], "kind ['explicit'] unknown"),
+    ("capacity_demo", ("name",), 7, "name must be a string"),
+    ("array_synthetic", ("array", "synthetic", "seed"), -1, "seed must be >= 0"),
+    ("array_synthetic", ("array", "i_t_amperes"), [{"re": 1}], "only for CSV models"),
+    ("validate_pair", ("validate", "dims_k"), "1", "dims_k must be an integer"),
+], ids=["section_not_object", "number_beyond_float", "int_beyond_int64", "count_beyond_int64",
+        "label_not_string", "kind_unhashable", "name_not_string", "negative_seed",
+        "currents_for_synthetic", "dims_not_int"])
+def test_malformed_fields_exit_2(tmp_path, capsys, name, path, value, message):
+    scen = _edited_example(tmp_path, name, path, value)
+    for extra in ([], ["--dump-normalized"]):
+        code, _, err = run_cli([name.split("_")[0], "--scenario", str(scen), *extra], capsys)
+        assert code == 2
+        assert message in err
