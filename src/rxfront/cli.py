@@ -28,6 +28,7 @@ import numpy as np
 from . import arrays, frontend, matching, mna, noisefig, shannon
 from . import link as link_mod
 from .core import (
+    MAX_ARRAY_BYTES,
     OPEN_CIRCUIT,
     ParseError,
     SingularCircuitError,
@@ -35,6 +36,7 @@ from .core import (
     ToolkitError,
     ValidationError,
     load_impedance_csv,
+    stack_bytes,
     validate_passivity,
     validate_reciprocity,
 )
@@ -92,17 +94,29 @@ def _num(value, context: str) -> float:
     return x
 
 
-def _int(value, context: str, minimum: int = -(2**63)) -> int:
+def _int(value, context: str, minimum: int = -(2**63), maximum: int = 2**63 - 1) -> int:
     if type(value) is not int:
         _fail(f"{context} must be an integer")
     if value < minimum:
         _fail(f"{context} must be >= {minimum}")
     if value >= 2**63:
         _fail(f"{context} must fit in a 64-bit integer")
+    if value > maximum:
+        _fail(f"{context} must be <= {maximum}")
     return value
 
 
 _count = partial(_int, minimum=0)
+
+
+# Bytes a size field is charged per entry, against MAX_ARRAY_BYTES.
+_GRID_CELL_BYTES = 64  # the SNR grid kernel holds about seven float64 grids at once
+_REPORT_ROW_BYTES = 1024  # one report row as Python objects and text (about 330 B measured)
+
+
+def _check_size(context: str, nbytes: int) -> None:
+    if nbytes > MAX_ARRAY_BYTES:
+        _fail(f"{context} asks for {nbytes} bytes, over the {MAX_ARRAY_BYTES}-byte limit")
 
 
 def _cx(value, context: str) -> dict:
@@ -213,13 +227,22 @@ def _load(value, context):
     return out
 
 
+_OPTIMIZE = {
+    "r_max_ohms": (_num, REQUIRED), "x_max_ohms": (_num, REQUIRED),
+    "n_re": (_int, REQUIRED), "n_im": (_int, REQUIRED), "include_open": (_bool, True),
+}
+
+
+def _optimize(value, context):
+    out = _walk(_OPTIMIZE, value, context)
+    _check_size(context, max(out["n_re"], 0) * max(out["n_im"], 0) * _GRID_CELL_BYTES)
+    return out
+
+
 _LINK = {
     **_LINK_FIELDS,
     "loads": (_list_of(_load), [{"kind": "open_circuit"}, {"kind": "conjugate_match"}]),
-    "optimize": (_obj({
-        "r_max_ohms": (_num, REQUIRED), "x_max_ohms": (_num, REQUIRED),
-        "n_re": (_int, REQUIRED), "n_im": (_int, REQUIRED), "include_open": (_bool, True),
-    }), OPTIONAL),
+    "optimize": (_optimize, OPTIONAL),
 }
 _NOISEFIG = {
     "v_s_volts": (_cx, REQUIRED), "r_s_ohms": (_num, REQUIRED), "temp_kelvin": (_num, REQUIRED),
@@ -258,7 +281,10 @@ _MATCH = {
     "link": (_obj(_LINK_FIELDS), REQUIRED),
     "amp_input_resistance_ohms": (_num, REQUIRED),
     "cancel_reactance": (_bool, True),
-    "ratio_sweep": (_obj({"count": (_count, 51), "span_decades": (_num, 2.0)}), {}),
+    "ratio_sweep": (_obj({
+        "count": (partial(_count, maximum=MAX_ARRAY_BYTES // _REPORT_ROW_BYTES), 51),
+        "span_decades": (_num, 2.0),
+    }), {}),
 }
 _STRATEGY_NAMES = ("open_circuit", "per_antenna_conjugate", "full_conjugate")
 _strategy_name = _one_of(*_STRATEGY_NAMES)
@@ -277,14 +303,24 @@ def _currents(value, context):
     return (_cx_matrix if rows else _cx_vector)(value, context)
 
 
+_SYNTHETIC = {
+    "n_tx": (_int, REQUIRED), "n_rx": (_int, REQUIRED), "self_ohms": (_cx, REQUIRED),
+    "coupling_ohms": (_num, REQUIRED), "decay": (_num, REQUIRED),
+    "frequencies_hz": (_list_of(_num), REQUIRED), "seed": (_count, 0),
+}
+
+
+def _synthetic(value, context):
+    out = _walk(_SYNTHETIC, value, context)
+    ports = max(out["n_tx"], 0) + max(out["n_rx"], 0)
+    _check_size(context, stack_bytes(len(out["frequencies_hz"]), ports))
+    return out
+
+
 _STRATEGIES = {"strategies": (_list_of(_strategy), list(_STRATEGY_NAMES))}
 _ARRAY_SYNTHETIC = {
     **_STRATEGIES,
-    "synthetic": (_obj({
-        "n_tx": (_int, REQUIRED), "n_rx": (_int, REQUIRED), "self_ohms": (_cx, REQUIRED),
-        "coupling_ohms": (_num, REQUIRED), "decay": (_num, REQUIRED),
-        "frequencies_hz": (_list_of(_num), REQUIRED), "seed": (_count, 0),
-    }), REQUIRED),
+    "synthetic": (_synthetic, REQUIRED),
     "i_t_amperes": (lambda value, context: _fail(f"{context} is only for CSV models"), OPTIONAL),
 }
 _ARRAY_CSV = {

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,14 @@ DEFAULT_TOL = 1e-9
 """Default relative tolerance for reciprocity and passivity checks."""
 
 CSV_HEADER = ("freq_hz", "row", "col", "re_ohms", "im_ohms")
+
+MAX_ARRAY_BYTES = 2**31
+"""Largest array, in bytes, that an impedance CSV or a scenario size may ask for (2 GiB)."""
+
+
+def stack_bytes(n_freqs: int, n_ports: int) -> int:
+    """Bytes of an (F, N, N) complex128 impedance stack."""
+    return n_freqs * n_ports * n_ports * 16
 
 
 class ToolkitError(Exception):
@@ -221,16 +230,9 @@ def validate_reciprocity(zms: ImpedanceMatrixSeries, tol: float = DEFAULT_TOL) -
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    deviations = []
-    for mat in zms.matrices:
-        scale = float(np.max(np.abs(mat)))
-        if scale == 0.0:
-            deviations.append(0.0)
-            continue
-        deviations.append(float(np.max(np.abs(mat - mat.T))) / scale)
-    worst = int(np.argmax(deviations))
-    passed = deviations[worst] <= tol
-    return ValidationReport("reciprocity", passed, tol, tuple(deviations), worst)
+    mats = zms.matrices
+    scale = np.abs(mats).max(axis=(1, 2))
+    return _report("reciprocity", tol, np.abs(mats - mats.swapaxes(1, 2)).max(axis=(1, 2)), scale)
 
 
 def validate_passivity(zms: ImpedanceMatrixSeries, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -241,27 +243,41 @@ def validate_passivity(zms: ImpedanceMatrixSeries, tol: float = DEFAULT_TOL) -> 
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    deviations = []
-    for index, mat in enumerate(zms.matrices):
-        sym = (mat.real + mat.real.T) / 2.0
-        try:
-            eigs = np.linalg.eigvalsh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigenvalue solve failed at frequency index {index}") from exc
-        scale = float(np.max(np.abs(eigs)))
-        if scale == 0.0:
-            deviations.append(0.0)
-            continue
-        deviations.append(max(0.0, -float(eigs[0])) / scale)
+    real = zms.matrices.real
+    sym = (real + real.swapaxes(1, 2)) / 2.0
+    try:
+        eigs = np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:
+        index = next(i for i, mat in enumerate(sym) if not _eigvalsh_converges(mat))
+        raise NumericalError(f"eigenvalue solve failed at frequency index {index}") from exc
+    lowest = -eigs[:, 0]
+    return _report("passivity", tol, np.where(lowest > 0.0, lowest, 0.0), np.abs(eigs).max(axis=1))
+
+
+def _eigvalsh_converges(mat: np.ndarray) -> bool:
+    try:
+        np.linalg.eigvalsh(mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _report(check: str, tol: float, excess: np.ndarray, scale: np.ndarray) -> ValidationReport:
+    """Per-frequency deviation excess / scale, and 0 where the scale is 0."""
+    with np.errstate(invalid="ignore"):  # inf / inf is nan, as in scalar float division
+        deviations = np.divide(excess, scale, out=np.zeros_like(excess), where=scale != 0.0)
     worst = int(np.argmax(deviations))
-    passed = deviations[worst] <= tol
-    return ValidationReport("passivity", passed, tol, tuple(deviations), worst)
+    passed = bool(deviations[worst] <= tol)
+    return ValidationReport(check, passed, tol, tuple(deviations.tolist()), worst)
 
 
 def thevenin_from_link(z_rt, i_t, z_r) -> TheveninSource:
     """Thevenin equivalent of a driven link: v_oc = z_rt * i_t, series z_r."""
     v_oc = as_complex(z_rt, "z_rt") * as_complex(i_t, "i_t")
     return TheveninSource(v_oc, as_complex(z_r, "z_r"))
+
+
+_CSV_DTYPE = np.dtype([("freq", "f8"), ("row", "i8"), ("col", "i8"), ("re", "f8"), ("im", "f8")])
 
 
 def _parse_csv_row(lineno: int, row: list) -> tuple:
@@ -283,15 +299,46 @@ def _parse_csv_row(lineno: int, row: list) -> tuple:
     return freq, r, c, value
 
 
+def _read_fast(handle):
+    """Body columns from one numpy read, or None where the line-by-line rules must decide."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            body = np.loadtxt(handle, dtype=_CSV_DTYPE, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1)
+    except ValueError:  # also UnicodeDecodeError, which the line walk raises again
+        return None
+    freq, rows, cols = body["freq"], body["row"], body["col"]
+    values = np.empty(len(body), dtype=np.complex128)
+    values.real, values.imag = body["re"], body["im"]  # exact, signed zeros included
+    if not (len(body) and np.all(np.isfinite(freq) & (freq > 0)) and np.all((rows >= 0) & (cols >= 0))
+            and np.all(np.isfinite(values.view(float)))):
+        return None
+    return freq, rows, cols, values, 1 + int(max(rows.max(), cols.max()))
+
+
+def _read_lines(reader):
+    """Body columns from the per-line walk; raises the line-numbered ParseError."""
+    parsed = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        parsed.append(_parse_csv_row(lineno, row))
+    if not parsed:
+        return None
+    freq, rows, cols, values = zip(*parsed)
+    return np.array(freq), rows, cols, np.array(values, dtype=np.complex128), 1 + max(max(rows), max(cols))
+
+
 def load_impedance_csv(path, dims: tuple = None, mirror_tol: float = 1e-12) -> ImpedanceMatrixSeries:
     """Load an impedance-matrix series from sparse CSV.
 
     Format: header ``freq_hz,row,col,re_ohms,im_ohms``, one row per nonzero
     entry per frequency, 0-based indices. Missing entries are zero. A
     symmetric entry may be listed once (it is mirrored) or twice (the two
-    listings must agree to ``mirror_tol`` relative).
+    listings must agree to ``mirror_tol`` relative), and a repeated listing
+    of one cell must agree with the listing before it; the last one wins.
     """
-    entries = {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -300,35 +347,64 @@ def load_impedance_csv(path, dims: tuple = None, mirror_tol: float = 1e-12) -> I
             raise ParseError(f"{path}: empty file") from None
         if tuple(col.strip().lower() for col in header) != CSV_HEADER:
             raise ParseError(f"{path}: expected header {','.join(CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            freq, r, c, value = _parse_csv_row(lineno, row)
-            cell = entries.setdefault(freq, {})
-            if (r, c) in cell:
-                _check_mirror(cell[(r, c)], value, freq, r, c, mirror_tol, path)
-            cell[(r, c)] = value
-    if not entries:
+        columns = _read_fast(handle)
+        if columns is None:  # numpy is stricter than the per-line rules: let them decide
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)
+            columns = _read_lines(reader)
+    if columns is None:
         raise ParseError(f"{path}: no data rows")
-    freqs = sorted(entries)
-    n = 1 + max(max(max(r, c) for r, c in cell) for cell in entries.values())
-    mats = np.zeros((len(freqs), n, n), dtype=np.complex128)
-    for fi, freq in enumerate(freqs):
-        for (r, c), value in entries[freq].items():
-            mats[fi, r, c] = value
-        # Mirror entries listed once; cross-check entries listed twice.
-        for (r, c), value in entries[freq].items():
-            if r == c:
-                continue
-            if (c, r) in entries[freq]:
-                _check_mirror(entries[freq][(c, r)], value, freq, r, c, mirror_tol, path)
-            else:
-                mats[fi, c, r] = value
-    return ImpedanceMatrixSeries(FrequencyGrid(tuple(freqs)), mats, dims)
+    grid, mats = _assemble(*columns, mirror_tol, path)
+    return ImpedanceMatrixSeries(FrequencyGrid(tuple(grid.tolist())), mats, dims)
 
 
-def _check_mirror(a: complex, b: complex, freq: float, r: int, c: int, tol: float, path) -> None:
-    if abs(a - b) > tol * max(abs(a), abs(b)):
+def _assemble(freqs, rows, cols, values, n: int, tol: float, path) -> tuple:
+    """Sorted grid and (F, n, n) stack from sparse listings.
+
+    A repeated listing must agree with the one before it, and the last one
+    wins; a cell listed once is mirrored; a cell listed both ways must agree.
+    Conflicts are named in the order the line-by-line loader found them:
+    repeats in file order first, then mirror pairs by frequency and first listing.
+    """
+    grid, fi = np.unique(freqs, return_inverse=True)
+    if stack_bytes(len(grid), n) > MAX_ARRAY_BYTES:  # checked before anything is allocated
         raise ParseError(
-            f"{path}: conflicting entries for ({r},{c})/({c},{r}) at freq {freq:g}"
+            f"{path}: {len(grid)} frequencies x {n} ports exceed the {MAX_ARRAY_BYTES}-byte matrix limit"
         )
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+
+    def conflict(listing):
+        r, c = rows[listing], cols[listing]
+        raise ParseError(f"{path}: conflicting entries for ({r},{c})/({c},{r}) at freq {freqs[listing]:g}")
+
+    key = (fi * n + rows) * n + cols
+    order = np.argsort(key, kind="stable")
+    key, values = key[order], values[order]
+    new_cell = np.insert(key[1:] != key[:-1], 0, True)
+    repeat = np.flatnonzero(~new_cell)
+    bad = repeat[_conflicts(values[repeat - 1], values[repeat], tol)]
+    if len(bad):
+        conflict(order[bad].min())
+    first_listing = order[new_cell]
+    last = np.append(new_cell[1:], True)  # the last listing of each cell wins
+    key, values = key[last], values[last]
+    mats = np.zeros((len(grid), n, n), dtype=np.complex128)
+    flat = mats.reshape(-1)
+    flat[key] = values
+    cell_fi, rc = np.divmod(key, n * n)
+    r, c = np.divmod(rc, n)
+    mirror = (cell_fi * n + c) * n + r
+    at = np.minimum(np.searchsorted(key, mirror), len(key) - 1)
+    listed = key[at] == mirror
+    single = (r != c) & ~listed
+    flat[mirror[single]] = values[single]
+    pair = np.flatnonzero((r != c) & listed)
+    bad = pair[_conflicts(values[at[pair]], values[pair], tol)]
+    if len(bad):
+        conflict(first_listing[bad[np.lexsort((first_listing[bad], cell_fi[bad]))[0]]])
+    return grid, mats
+
+
+def _conflicts(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    return np.abs(a - b) > tol * np.maximum(np.abs(a), np.abs(b))

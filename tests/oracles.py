@@ -5,9 +5,19 @@ purpose in a different style than the package, so the two routes can be
 compared without sharing code paths.
 """
 
+import csv
 import math
 
 import numpy as np
+
+from rxfront.core import (
+    CSV_HEADER,
+    FrequencyGrid,
+    ImpedanceMatrixSeries,
+    NumericalError,
+    ParseError,
+    ValidationReport,
+)
 
 K_BOLTZ = 1.380649e-23
 
@@ -228,3 +238,98 @@ def coupling_offdiag_ratio_ref(z_r, kind, z_l=None):
         off_norm = np.linalg.norm(divider - diag)
         out[fi] = math.inf if diag_norm == 0 else off_norm / diag_norm
     return out
+
+
+# The impedance-CSV loader and the two validators as they were before the
+# stacked versions: one Python pass per line, one dict per frequency, one
+# matrix at a time.
+
+
+def _csv_row_ref(lineno, row):
+    if len(row) != 5:
+        raise ParseError(f"line {lineno}: expected 5 columns, got {len(row)}")
+    try:
+        freq = float(row[0])
+        r = int(row[1])
+        c = int(row[2])
+        value = complex(float(row[3]), float(row[4]))
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from exc
+    if not math.isfinite(freq) or freq <= 0:
+        raise ParseError(f"line {lineno}: freq_hz must be finite and positive")
+    if r < 0 or c < 0:
+        raise ParseError(f"line {lineno}: row/col indices must be nonnegative")
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ParseError(f"line {lineno}: impedance entries must be finite")
+    return freq, r, c, value
+
+
+def _mirror_ref(a, b, freq, r, c, tol, path):
+    if abs(a - b) > tol * max(abs(a), abs(b)):
+        raise ParseError(f"{path}: conflicting entries for ({r},{c})/({c},{r}) at freq {freq:g}")
+
+
+def load_impedance_csv_ref(path, dims=None, mirror_tol=1e-12):
+    """Sparse impedance CSV to an ImpedanceMatrixSeries, line by line."""
+    entries = {}
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        if tuple(col.strip().lower() for col in header) != CSV_HEADER:
+            raise ParseError(f"{path}: expected header {','.join(CSV_HEADER)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            freq, r, c, value = _csv_row_ref(lineno, row)
+            cell = entries.setdefault(freq, {})
+            if (r, c) in cell:
+                _mirror_ref(cell[(r, c)], value, freq, r, c, mirror_tol, path)
+            cell[(r, c)] = value
+    if not entries:
+        raise ParseError(f"{path}: no data rows")
+    freqs = sorted(entries)
+    n = 1 + max(max(max(r, c) for r, c in cell) for cell in entries.values())
+    mats = np.zeros((len(freqs), n, n), dtype=np.complex128)
+    for fi, freq in enumerate(freqs):
+        for (r, c), value in entries[freq].items():
+            mats[fi, r, c] = value
+        for (r, c), value in entries[freq].items():
+            if r == c:
+                continue
+            if (c, r) in entries[freq]:
+                _mirror_ref(entries[freq][(c, r)], value, freq, r, c, mirror_tol, path)
+            else:
+                mats[fi, c, r] = value
+    return ImpedanceMatrixSeries(FrequencyGrid(tuple(freqs)), mats, dims)
+
+
+def validate_reciprocity_ref(zms, tol=1e-9):
+    deviations = []
+    for mat in zms.matrices:
+        scale = float(np.max(np.abs(mat)))
+        if scale == 0.0:
+            deviations.append(0.0)
+            continue
+        deviations.append(float(np.max(np.abs(mat - mat.T))) / scale)
+    worst = int(np.argmax(deviations))
+    return ValidationReport("reciprocity", deviations[worst] <= tol, tol, tuple(deviations), worst)
+
+
+def validate_passivity_ref(zms, tol=1e-9):
+    deviations = []
+    for index, mat in enumerate(zms.matrices):
+        sym = (mat.real + mat.real.T) / 2.0
+        try:
+            eigs = np.linalg.eigvalsh(sym)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigenvalue solve failed at frequency index {index}") from exc
+        scale = float(np.max(np.abs(eigs)))
+        if scale == 0.0:
+            deviations.append(0.0)
+            continue
+        deviations.append(max(0.0, -float(eigs[0])) / scale)
+    worst = int(np.argmax(deviations))
+    return ValidationReport("passivity", deviations[worst] <= tol, tol, tuple(deviations), worst)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -207,6 +210,29 @@ def test_referenced_csv_not_utf8_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["validate", "--scenario", str(scen)], capsys)
     assert code == 2
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("index", [10**12, 10**23], ids=["beyond_memory", "beyond_int64"])
+def test_csv_port_index_beyond_the_size_limit_exits_2(tmp_path, capsys, index):
+    (tmp_path / "pair.csv").write_text(f"freq_hz,row,col,re_ohms,im_ohms\n1e6,{index},0,1,0\n")
+    scen = tmp_path / "val.json"
+    scen.write_text(json.dumps({"validate": {"impedance_csv": "pair.csv"}}))
+    code, _, err = run_cli(["validate", "--scenario", str(scen)], capsys)
+    assert code == 2
+    assert "byte matrix limit" in err
+
+
+def test_header_only_csv_exits_2_with_one_stderr_line(tmp_path):
+    (tmp_path / "empty.csv").write_text("freq_hz,row,col,re_ohms,im_ohms\n")
+    scen = tmp_path / "val.json"
+    scen.write_text(json.dumps({"validate": {"impedance_csv": "empty.csv"}}))
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "rxfront.cli", "validate", "--scenario", str(scen)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"parse error: {tmp_path / 'empty.csv'}: no data rows"]
 
 
 def test_invalid_json_exits_2(tmp_path, capsys):

@@ -1,0 +1,189 @@
+"""The stacked CSV loader and validators against their line-by-line oracles.
+
+Each generated file is a sparse impedance CSV with shuffled rows, repeated
+and mirrored listings, lines the loader skips, quoting and number spellings
+the numpy reader refuses, and at most a few faults. The loader must give the
+oracle's grid, dims and matrix bytes, or raise the same exception class; with
+at most one fault, the same message too.
+"""
+
+import math
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+from rxfront.core import (
+    FrequencyGrid,
+    ImpedanceMatrixSeries,
+    NumericalError,
+    ParseError,
+    load_impedance_csv,
+    validate_passivity,
+    validate_reciprocity,
+)
+
+from oracles import load_impedance_csv_ref, validate_passivity_ref, validate_reciprocity_ref
+
+HEADER = "freq_hz,row,col,re_ohms,im_ohms"
+# Lines that are not faults, all skipped; numpy refuses all but the first.
+HARMLESS = ["", ",,,,", "   ", " , , , , "]
+# One fault each.
+FAULTS = [
+    "nan,0,0,1,0", "1e6,0,0,nan,0", "1e6,0,0,1,inf", "1e6,-1,0,1,0", "1e6,0,-1,1,0",
+    "1e6,1.0,0,1,0", "1e6,0,0,1", "1e6,0,0,1,0,0", "1e6,zero,0,1,0", "0,0,0,1,0", "-1e6,0,0,1,0",
+]
+OFFSETS = [0.0, 1e-13, 1e-9]  # relative; only 1e-9 conflicts at the default 1e-12
+
+
+def _cell(rng, text, walk):
+    """One cell as written: plain, padded or quoted; with digit separators if ``walk``."""
+    pick = rng.integers(8)
+    if pick == 0:
+        return f'"{text}"'
+    if pick == 1:
+        return f" {text} "
+    digits = [i for i in range(1, len(text)) if text[i - 1].isdigit() and text[i].isdigit()]
+    if pick == 2 and walk and digits:
+        return text[:digits[0]] + "_" + text[digits[0]:]  # Python reads 1_000 as 1000; numpy refuses
+    return text
+
+
+def _line(rng, walk, freq, r, c, value):
+    cells = [repr(freq), str(r), str(c), repr(value.real), repr(value.imag)]
+    return ",".join(_cell(rng, cell, walk) for cell in cells)
+
+
+def _generate(rng):
+    """(text, fault count) of one random sparse CSV.
+
+    Half the files use only spellings numpy reads, so that the numpy read,
+    not the line walk, produces their columns.
+    """
+    walk = rng.random() < 0.5
+    n_freqs, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    freqs = rng.choice([1e6, 1.5e6, 2e6, 1_000.0, 2.5e6], size=n_freqs, replace=False)
+    lines, faults = [], 0
+    for freq in freqs.tolist():
+        for r in range(n):
+            for c in range(r, n):
+                if rng.random() < 0.3:
+                    continue  # missing cells are zero
+                value = complex(*np.round(rng.normal(scale=50.0, size=2), int(rng.integers(0, 17))))
+                lines.append(_line(rng, walk, freq, r, c, value))
+                if r != c and rng.random() < 0.4:  # the mirror, listed too
+                    offset = OFFSETS[rng.integers(len(OFFSETS))]
+                    faults += offset > 1e-12 and value != 0
+                    lines.append(_line(rng, walk, freq, c, r, value * (1 + offset)))
+                if rng.random() < 0.15:  # a repeated listing of the same cell
+                    offset = OFFSETS[rng.integers(len(OFFSETS))]
+                    faults += offset > 1e-12 and value != 0
+                    lines.append(_line(rng, walk, freq, r, c, value * (1 + offset)))
+    order = rng.permutation(len(lines))
+    lines = [lines[i] for i in order]
+    for _ in range(rng.integers(0, 3)):
+        harmless = HARMLESS[rng.integers(len(HARMLESS))] if walk else ""
+        lines.insert(int(rng.integers(len(lines) + 1)), harmless)
+    if rng.random() < 0.3:
+        lines.insert(int(rng.integers(len(lines) + 1)), FAULTS[rng.integers(len(FAULTS))])
+        faults += 1
+    ending = "" if rng.random() < 0.2 else "\n"
+    newline = "\r\n" if rng.random() < 0.2 else "\n"
+    return newline.join([HEADER, *lines]) + ending, faults
+
+
+def _outcome(loader, path):
+    try:
+        zms = loader(path, dims=None)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    return zms.grid.points, zms.dims, zms.matrices.tobytes()
+
+
+def test_loader_matches_line_by_line_oracle(tmp_path):
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "z.csv"
+    kinds = set()
+    for index in range(600):
+        text, faults = _generate(rng)
+        path.write_bytes(text.encode())
+        want, got = _outcome(load_impedance_csv_ref, path), _outcome(load_impedance_csv, path)
+        kinds.add(want[0] if isinstance(want[0], type) else "loaded")
+        if faults <= 1:
+            assert got == want, (index, text)
+        else:
+            assert got[0] == want[0], (index, text)
+    assert kinds == {"loaded", ParseError}  # both outcomes were exercised
+
+
+@pytest.mark.parametrize("text,message", [
+    (HEADER + "\n", "no data rows"),
+    (HEADER + "\n\n,,,,\n", "no data rows"),
+    (HEADER + "\n1e6,0,1,5,0\n1e6,1,0,5.01,0\n", "conflicting entries for (0,1)/(1,0) at freq 1e+06"),
+    (HEADER + "\n1e6,1,0,5,0\n1e6,0,1,5.01,0\n", "conflicting entries for (1,0)/(0,1) at freq 1e+06"),
+    (HEADER + "\n2e6,1,1,5,0\n1e6,0,0,1,0\n2e6,1,1,5.01,0\n", "conflicting entries for (1,1)/(1,1) at freq 2e+06"),
+    (HEADER + "\n1e6,0,0,1,0\n1e6,0,0,1_000,0\n", "conflicting entries for (0,0)/(0,0) at freq 1e+06"),
+    (HEADER + "\n1e6,0,0,1,0\n\n1e6,1.0,0,1,0\n", "line 4: invalid literal for int() with base 10: '1.0'"),
+    (HEADER + "\n1e6,0,0,1,0\n1e6,0,0,1", "line 3: expected 5 columns, got 4"),
+    # two faults: the first in file order is named, as the line walk found it
+    (HEADER + "\n1e6,1,1,5,0\n1e6,0,0,1,0\n1e6,1,1,6,0\n1e6,0,0,2,0\n",
+     "conflicting entries for (1,1)/(1,1) at freq 1e+06"),
+], ids=["header_only", "blank_only", "mirror", "mirror_listed_low_first", "repeat", "repeat_underscore",
+        "float_index", "four_columns", "two_repeats"])
+def test_fault_messages_match_oracle(tmp_path, text, message):
+    path = tmp_path / "z.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" must not escape
+        for loader in (load_impedance_csv_ref, load_impedance_csv):
+            with pytest.raises(ParseError, match=re.escape(message)):
+                loader(path)
+
+
+def test_accepted_spellings_load_like_the_oracle(tmp_path):
+    # each line needs the line walk (numpy refuses it) but is valid, so the file loads
+    path = tmp_path / "z.csv"
+    path.write_text("\n".join([HEADER, "1_000,0,0,50,0", "   ", ",,,,", '"1e3", 1 ,"1",-0.0,-0.0', "1e3,٣,0,7,0"]))
+    want, got = load_impedance_csv_ref(path), load_impedance_csv(path)
+    assert got.grid.points == want.grid.points == (1000.0,)
+    assert got.matrices.tobytes() == want.matrices.tobytes()
+
+
+def _report_fields(report):
+    return (report.check, report.passed, report.tol, report.worst_index,
+            np.array(report.deviations).tobytes())
+
+
+def _stacks():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 16):
+        mats = rng.normal(scale=40.0, size=(6, n, n)) + 1j * rng.normal(scale=40.0, size=(6, n, n))
+        yield mats  # asymmetric, mostly not passive
+        sym = (mats + mats.transpose(0, 2, 1)) / 2 + 4 * n * 40.0 * np.eye(n)
+        yield sym  # reciprocal and passive
+        sym[2] = 0.0  # an all-zero frequency
+        sym[4, 0, -1] *= 1 + 1e-10
+        yield sym
+    yield np.zeros((3, 4, 4))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.5])
+def test_stacked_validators_match_per_frequency_oracles(tol):
+    for mats in _stacks():
+        zms = ImpedanceMatrixSeries(FrequencyGrid(range(1, len(mats) + 1)), mats)
+        for fast, ref in ((validate_reciprocity, validate_reciprocity_ref),
+                          (validate_passivity, validate_passivity_ref)):
+            assert _report_fields(fast(zms, tol)) == _report_fields(ref(zms, tol))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_failed_stacked_eigensolve_names_its_frequency():
+    # finite entries whose symmetrized real part overflows to inf on the diagonal
+    mats = np.array([np.eye(3) * 50.0] * 3, dtype=complex) + 1.0
+    mats[1, 0, 0] = mats[1, 2, 2] = 1e308
+    zms = ImpedanceMatrixSeries(FrequencyGrid([1e6, 2e6, 3e6]), mats)
+    for validator in (validate_passivity, validate_passivity_ref):
+        with pytest.raises(NumericalError, match="eigenvalue solve failed at frequency index 1"):
+            validator(zms)
+    assert math.isfinite(float(np.abs(zms.matrices).max()))

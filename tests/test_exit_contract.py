@@ -5,9 +5,12 @@ list entry, at any depth) with a value from a pool of wrong types and extreme
 numbers, or deletes it. Every edit goes through the parser; a Hypothesis
 sample of them runs the subcommand with and without ``--dump-normalized``.
 
-Integers that fit in int64 but would allocate terabytes as a size (say
-``n_re: 2**40``) are left out of the pool: the parser accepts them, and the
-run would exhaust memory rather than exit.
+A size field that fits in int64 but would allocate terabytes (say
+``n_re: 2**40``) is a parse error: each size is charged against
+``core.MAX_ARRAY_BYTES``, and a parse-only test sets every size field to
+``2**40`` and ``2**62``. Such sizes stay out of the pool all the same, so
+that a size check that lets one through shows as a failed test rather than
+as a run that exhausts memory.
 """
 
 import copy
@@ -76,6 +79,22 @@ def test_every_single_field_edit_normalizes_or_is_a_parse_error(workdir):
                 pass
             except Exception as exc:
                 raise AssertionError(f"{name}: {path} = {value!r}") from exc
+
+
+SIZE_FIELDS = [
+    ("link_crossover", ("link", "optimize", "n_re")),
+    ("link_crossover", ("link", "optimize", "n_im")),
+    ("match_step_up", ("match", "ratio_sweep", "count")),
+    ("array_synthetic", ("array", "synthetic", "n_tx")),
+    ("array_synthetic", ("array", "synthetic", "n_rx")),
+]
+
+
+@pytest.mark.parametrize("value", [2**40, 2**62], ids=["2**40", "2**62"])
+@pytest.mark.parametrize("name,path", SIZE_FIELDS, ids=[".".join(path[1:]) for _, path in SIZE_FIELDS])
+def test_oversized_size_field_is_a_parse_error(workdir, name, path, value):
+    with pytest.raises(ParseError, match="must be <=|byte limit"):
+        cli.parse_scenario(_write_edit(workdir, name, path, value))
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

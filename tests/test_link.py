@@ -23,7 +23,7 @@ from rxfront.link import (
     snr_ratio_oc_over_match,
 )
 
-from oracles import output_snr_ref, snr_ratio_ref
+from oracles import K_BOLTZ, output_snr_ref, snr_ratio_ref
 
 
 def test_extracted_power_matched_example():
@@ -103,9 +103,12 @@ def test_snr_matched_equals_output_snr_at_conjugate():
         z_r = complex(rng.uniform(0.1, 200), rng.uniform(-200, 200))
         link = SingleLink(z_r, complex(rng.normal(), rng.normal()), 1e-12)
         amp = AmplifierNoiseModel(rng.uniform(1, 40), 10.0 ** rng.uniform(-12, -7), 290.0)
-        assert math.isclose(
-            snr_matched(link, amp), output_snr(link, amp, z_r.conjugate()), rel_tol=1e-12
-        )
+        # at z_l = conj(z_r) both dividers have magnitude^2 |z_r|^2 / (4 R^2)
+        div2 = abs(z_r) ** 2 / (4.0 * z_r.real**2)
+        s_voc = abs(link.z_rt) ** 2 * link.s_it
+        thermal = 2.0 * K_BOLTZ * amp.temperature * z_r.real
+        want = amp.gain**2 * s_voc * div2 / (amp.n_na + amp.gain**2 * div2 * thermal)
+        assert math.isclose(snr_matched(link, amp), want, rel_tol=1e-12)
 
 
 def test_snr_ratio_closed_form_matches_reference():
