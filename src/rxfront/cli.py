@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +110,9 @@ _count = partial(_int, minimum=0)
 
 
 # Bytes a size field is charged per entry, against MAX_ARRAY_BYTES.
-_GRID_CELL_BYTES = 64  # the SNR grid kernel holds about seven float64 grids at once
+# The grid is scored in row blocks, so n_re*n_im no longer sets memory; the
+# cap, unchanged so the same grids are accepted, bounds the optimizer's work.
+_GRID_CELL_BYTES = 64
 _REPORT_ROW_BYTES = 1024  # one report row as Python objects and text (about 330 B measured)
 
 
@@ -368,20 +370,16 @@ def _run_validate(scenario: Scenario):
         dims = (section["dims_m"], section["dims_k"])
     zms = load_impedance_csv(scenario.base_dir / section["impedance_csv"], dims)
     tol = section["tol"]
-    rows = []
-    ok = True
-    for report in (validate_reciprocity(zms, tol), validate_passivity(zms, tol)):
-        ok = ok and report.passed
-        for fi, freq in enumerate(zms.grid):
-            rows.append({
-                "check": report.check,
-                "freq_hz": freq,
-                "deviation": report.deviations[fi],
-                "tol": tol,
-                "passed": "pass" if report.deviations[fi] <= tol else "fail",
-            })
-    fields = ["check", "freq_hz", "deviation", "tol", "passed"]
-    return fields, rows, ok
+    reports = (validate_reciprocity(zms, tol), validate_passivity(zms, tol))
+    deviations = [d for report in reports for d in report.deviations]
+    columns = {
+        "check": [report.check for report in reports for _ in zms.grid],
+        "freq_hz": np.array(zms.grid.points * len(reports)),
+        "deviation": np.array(deviations),
+        "tol": np.full(len(deviations), tol),
+        "passed": ["pass" if d <= tol else "fail" for d in deviations],
+    }
+    return columns, all(report.passed for report in reports)
 
 
 def _run_capacity(scenario: Scenario):
@@ -401,7 +399,7 @@ def _run_capacity(scenario: Scenario):
         }
 
     rows = [worker(bandwidth) for bandwidth in section["bandwidths"]]
-    return ["bandwidth", "capacity_bits", "capacity_bound_bits", "eb_n0"], rows, True
+    return _columns(["bandwidth", "capacity_bits", "capacity_bound_bits", "eb_n0"], rows), True
 
 
 def _run_link(scenario: Scenario):
@@ -418,53 +416,59 @@ def _run_link(scenario: Scenario):
     ratio = None
     if lnk.z_r.real > 0 and amp.n_na > 0:
         ratio = link_mod.snr_ratio_oc_over_match(lnk, amp)
+    loads = section["loads"]
+    labels = [load["label"] for load in loads]
+    is_open = np.array([load["kind"] == "open_circuit" for load in loads])
+    z = np.array([
+        lnk.z_r.conjugate() if load["kind"] == "conjugate_match" else _as_complex(load["z_l_ohms"])
+        for load in loads if load["kind"] != "open_circuit"
+    ], dtype=np.complex128)
 
-    def describe(label: str, z_l) -> dict:
-        if z_l is OPEN_CIRCUIT:
-            row = {
-                "label": label,
-                "z_l_re_ohms": "inf",
-                "z_l_im_ohms": "inf",
-                "divider_mag": 1.0,
-                "extracted_power_w_per_hz": 0.0,
-                "snr": link_mod.output_snr(lnk, amp, OPEN_CIRCUIT),
-                "annotations": "" if ratio is None else f"oc_over_match={fmt(ratio)}",
-            }
-            return row
-        try:
-            divider = link_mod.divided_voltage(unit, z_l)
-        except SingularCircuitError as exc:
-            raise SingularCircuitError(f"load {label!r}: {exc}") from exc
-        return {
-            "label": label,
-            "z_l_re_ohms": z_l.real,
-            "z_l_im_ohms": z_l.imag,
-            "divider_mag": abs(divider),
-            "extracted_power_w_per_hz": s_voc * link_mod.extracted_power(unit, z_l),
-            "snr": link_mod.output_snr(lnk, amp, z_l),
-            "annotations": "",
-        }
+    def measure(z):
+        """Divider magnitude, extracted power and SNR of each finite load."""
+        divider = link_mod.divided_voltage(unit, z)
+        return (
+            np.hypot(divider.real, divider.imag),  # abs() of each divider, to the last bit
+            s_voc * link_mod.extracted_power(unit, z),
+            link_mod.output_snr(lnk, amp, z),
+        )
 
-    def worker(load: dict) -> dict:
-        if load["kind"] == "open_circuit":
-            return describe(load["label"], OPEN_CIRCUIT)
-        if load["kind"] == "conjugate_match":
-            return describe(load["label"], lnk.z_r.conjugate())
-        return describe(load["label"], _as_complex(load["z_l_ohms"]))
-
-    rows = [worker(load) for load in section["loads"]]
+    try:
+        measured = measure(z)
+    except SingularCircuitError as exc:
+        measure(z[:exc.index])  # a failure of an earlier load is reported first
+        finite_labels = [label for label, is_oc in zip(labels, is_open) if not is_oc]
+        raise SingularCircuitError(f"load {finite_labels[exc.index]!r}: {exc}") from exc
     if "optimize" in section:
         opt = section["optimize"]
         grid = link_mod.GridSpec(
             opt["r_max_ohms"], opt["x_max_ohms"], opt["n_re"], opt["n_im"], opt["include_open"]
         )
         best, _ = link_mod.optimize_load(lnk, amp, grid)
-        rows.append(describe("optimal", OPEN_CIRCUIT if best is OPEN_CIRCUIT else complex(best)))
-    fields = [
-        "label", "z_l_re_ohms", "z_l_im_ohms", "divider_mag",
-        "extracted_power_w_per_hz", "snr", "annotations",
-    ]
-    return fields, rows, True
+        labels.append("optimal")
+        is_open = np.append(is_open, best is OPEN_CIRCUIT)
+        if best is not OPEN_CIRCUIT:
+            z_best = np.array([complex(best)])
+            z = np.append(z, z_best)
+            measured = [np.append(column, value) for column, value in zip(measured, measure(z_best))]
+    divider, power, snr = measured
+
+    def column(open_value: float, values) -> np.ndarray:
+        out = np.full(len(labels), open_value)
+        out[~is_open] = values
+        return out
+
+    note = "" if ratio is None else f"oc_over_match={fmt(ratio)}"
+    columns = {
+        "label": labels,
+        "z_l_re_ohms": column(math.inf, z.real),  # an open circuit prints inf
+        "z_l_im_ohms": column(math.inf, z.imag),
+        "divider_mag": column(1.0, divider),
+        "extracted_power_w_per_hz": column(0.0, power),
+        "snr": column(link_mod.output_snr(lnk, amp, OPEN_CIRCUIT), snr),
+        "annotations": [note if is_oc else "" for is_oc in is_open.tolist()],
+    }
+    return columns, True
 
 
 def _run_noisefig(scenario: Scenario):
@@ -491,7 +495,7 @@ def _run_noisefig(scenario: Scenario):
 
     rows = [worker(r_l) for r_l in section["r_l_sweep_ohms"]]
     fields = ["r_l_ohms", "friis_gain", "output_snr", "noise_factor", "noise_figure_db", "annotations"]
-    return fields, rows, True
+    return _columns(fields, rows), True
 
 
 def _to_float(canon) -> float:
@@ -519,7 +523,7 @@ def _run_frontend(scenario: Scenario):
             if el.kind in ("V", "E"):
                 value = solution.branch_currents[el.name]
                 rows.append({"kind": "branch", "name": el.name, "value_re": value.real, "value_im": value.imag})
-        return ["kind", "name", "value_re", "value_im"], rows, True
+        return _columns(["kind", "name", "value_re", "value_im"], rows), True
 
     source_d = section["source"]
     source = frontend.TheveninSource(
@@ -559,7 +563,7 @@ def _run_frontend(scenario: Scenario):
         "topology", "open_loop_gain", "v_out_re", "v_out_im", "i_source_re",
         "i_source_im", "z_eff_re_ohms", "z_eff_im_ohms", "p_extracted_w",
     ]
-    return fields, rows, True
+    return _columns(fields, rows), True
 
 
 def _run_match(scenario: Scenario):
@@ -589,7 +593,7 @@ def _run_match(scenario: Scenario):
         }
 
     rows = [worker(float(e)) for e in exponents]
-    return ["turns_ratio", "snr", "annotations"], rows, True
+    return _columns(["turns_ratio", "snr", "annotations"], rows), True
 
 
 def _strategy_from_canon(canon) -> arrays.TerminationStrategy:
@@ -640,7 +644,7 @@ def _run_array(scenario: Scenario):
                 "annotations": "offdiag_ratio=" + fmt(result.offdiag_ratio[fi]) + notes,
             })
     fields = ["freq_hz", "strategy", "sum_power_w", "v_mag_volts", "v_phase_rad", "annotations"]
-    return fields, rows, True
+    return _columns(fields, rows), True
 
 
 _RUNNERS = {
@@ -654,20 +658,34 @@ _RUNNERS = {
 }
 
 
-def render_report(fieldnames: list, rows: list, fmt_kind: str, title: str) -> str:
-    """Render rows as CSV or structured text; both carry identical fields."""
+def _columns(fieldnames: list, rows: list) -> dict:
+    """Report columns from the rows of a runner that computes one row at a time."""
+    return {name: [row[name] for row in rows] for name in fieldnames}
+
+
+def _cells(column) -> list:
+    """One column's report cells. A float array is formatted in one pass;
+    fmt renders only the cells .12g would render otherwise (0, -0.0, nan, inf)."""
+    if isinstance(column, np.ndarray):
+        return [f"{x:.12g}" if x and x - x == 0.0 else fmt(x) for x in column.tolist()]
+    return [fmt(value) for value in column]
+
+
+def render_report(columns: dict, fmt_kind: str, title: str) -> str:
+    """Render report columns (name -> list of values or float array) as CSV
+    or structured text; both carry identical fields."""
+    names = list(columns)
+    rows = zip(*(_cells(columns[name]) for name in names))
     if fmt_kind == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([fmt(row[name]) for name in fieldnames])
+        writer.writerow(names)
+        writer.writerows(rows)
         return buffer.getvalue()
     lines = [f"report: {title}"]
     for index, row in enumerate(rows, start=1):
         lines.append(f"row {index}:")
-        for name in fieldnames:
-            lines.append(f"  {name}: {fmt(row[name])}")
+        lines.extend(f"  {name}: {cell}" for name, cell in zip(names, row))
     return "\n".join(lines) + "\n"
 
 
@@ -679,6 +697,7 @@ def _write_text(out_path, payload: str) -> None:
         handle.write(payload)
 
 
+@cache  # built once per process: parsing arguments leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rxfront",
@@ -713,9 +732,9 @@ def main(argv=None) -> int:
         if args.dump_normalized:
             _write_text(args.out, json.dumps(scenario.data, indent=2, sort_keys=True) + "\n")
             return 0
-        fieldnames, rows, ok = _RUNNERS[args.command](scenario)
+        columns, ok = _RUNNERS[args.command](scenario)
         title = f"{scenario.name} {args.command}"
-        _write_text(args.out, render_report(fieldnames, rows, args.format, title))
+        _write_text(args.out, render_report(columns, args.format, title))
         if not ok:
             print(f"{args.command}: validation failed", file=sys.stderr)
             return 1

@@ -342,17 +342,20 @@ def load_impedance_csv(path, dims: tuple = None, mirror_tol: float = 1e-12) -> I
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if tuple(col.strip().lower() for col in header) != CSV_HEADER:
-            raise ParseError(f"{path}: expected header {','.join(CSV_HEADER)}")
-        columns = _read_fast(handle)
-        if columns is None:  # numpy is stricter than the per-line rules: let them decide
-            handle.seek(0)
-            reader = csv.reader(handle)
-            next(reader)
-            columns = _read_lines(reader)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file") from None
+            if tuple(col.strip().lower() for col in header) != CSV_HEADER:
+                raise ParseError(f"{path}: expected header {','.join(CSV_HEADER)}")
+            columns = _read_fast(handle)
+            if columns is None:  # numpy is stricter than the per-line rules: let them decide
+                handle.seek(0)
+                reader = csv.reader(handle)
+                next(reader)
+                columns = _read_lines(reader)
+        except csv.Error as exc:  # a cell over the csv module's field size limit, say
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
     if columns is None:
         raise ParseError(f"{path}: no data rows")
     grid, mats = _assemble(*columns, mirror_tol, path)

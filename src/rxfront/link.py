@@ -4,16 +4,24 @@ The load termination is either a finite complex impedance or the
 distinguished ``OPEN_CIRCUIT`` marker, which selects exact open-circuit
 formulas instead of a large-impedance approximation. All spectral densities
 are two-sided; thermal noise of a resistance R is 2kTR, not 4kTR.
+
+``divided_voltage``, ``extracted_power`` and ``output_snr`` also take an
+array of finite loads and return an array. Each element has the bits the
+one-load call gives: squares use the C library's ``pow``, as Python's
+``x**2`` does, and complex division is spelled out as CPython performs it.
+A bad load raises the error the one-load call raises, for the first bad
+load in load order; the error's ``index`` is that load's position in the
+flattened array.
 """
 
 from __future__ import annotations
 
+import errno
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .core import (
     BOLTZMANN,
     OPEN_CIRCUIT,
@@ -88,18 +96,85 @@ def _signal_voc_density(link: SingleLink) -> float:
     return (link.z_rt.real**2 + link.z_rt.imag**2) * link.s_it
 
 
-def extracted_power(source: TheveninSource, z_in) -> float:
-    """Average power delivered into z_in, in watts; OPEN_CIRCUIT yields 0."""
+def _loads(z_in, name: str) -> tuple:
+    """(loads as complex128, whether one scalar load came in)."""
+    if np.ndim(z_in) == 0:
+        return np.complex128(as_complex(z_in, name)), True
+    z = np.asarray(z_in, dtype=np.complex128)
+    if not np.isfinite(z).all():
+        raise ValidationError(f"{name} must be finite")
+    return z, False
+
+
+def _square(x) -> tuple:
+    """x**2 as Python floats compute it, with the C library's pow (which can
+    differ from x*x in the last bit), and where it overflowed from a finite
+    x, which Python raises."""
+    sq = np.float_power(x, 2.0)
+    return sq, np.isinf(sq) & np.isfinite(x)
+
+
+def _denominator(z_series: complex, re, im) -> tuple:
+    """|z_series + z|^2 for the loads re + j*im (float arrays that broadcast),
+    where z_series + z = 0 (singular), and where a square overflowed."""
+    den_re, den_im = z_series.real + re, z_series.imag + im
+    (re2, over_re), (im2, over_im) = _square(den_re), _square(den_im)
+    return re2 + im2, (den_re == 0.0) & (den_im == 0.0), over_re | over_im
+
+
+def _quotient(a_re, a_im, b_re, b_im) -> tuple:
+    """Real and imaginary parts of a / b (b nonzero) as CPython divides
+    complex numbers: Smith's method, scaling by the larger of |b.real| and
+    |b.imag|. numpy's own complex division can differ in the last bit."""
+    by_re = np.abs(b_re) >= np.abs(b_im)
+    ratio = np.where(by_re, b_im / b_re, b_re / b_im)
+    denom = np.where(by_re, b_re + b_im * ratio, b_re * ratio + b_im)
+    re = np.where(by_re, a_re + a_im * ratio, a_re * ratio + a_im) / denom
+    im = np.where(by_re, a_im - a_re * ratio, a_im * ratio - a_re) / denom
+    return re, im
+
+
+def _first_failure(*checks) -> None:
+    """Raise the error of the first load, in load order, that fails a check.
+
+    Checks are (mask, error) pairs in the order the formula meets them for
+    one load, so a load that fails two raises the earlier one.
+    """
+    hits = [(int(np.argmax(mask)), rank) for rank, (mask, _) in enumerate(checks) if np.any(mask)]
+    if hits:
+        index, rank = min(hits)
+        error = checks[rank][1]
+        error.index = index
+        raise error
+
+
+def _float_errors(over, d2) -> tuple:
+    """The checks Python float arithmetic makes itself: a square that
+    overflows, and a division by |z_series + z|^2 = 0 (an underflow)."""
+    return (
+        (over, OverflowError(errno.ERANGE, "Numerical result out of range")),
+        (d2 == 0.0, ZeroDivisionError("float division by zero")),
+    )
+
+
+def extracted_power(source: TheveninSource, z_in):
+    """Average power delivered into z_in, in watts; OPEN_CIRCUIT yields 0.
+
+    z_in may be an array of loads; see the module docstring.
+    """
     if z_in is OPEN_CIRCUIT:
         return 0.0
-    z = as_complex(z_in, "z_in")
-    if z.real < 0:
-        raise ValidationError("z_in must have nonnegative real part")
-    den = source.z_series + z
-    if den == 0:
-        raise SingularCircuitError("z_series + z_in = 0: divider is singular")
-    v2 = source.v_oc.real**2 + source.v_oc.imag**2
-    return v2 * z.real / (2.0 * (den.real**2 + den.imag**2))
+    z, scalar = _loads(z_in, "z_in")
+    with np.errstate(all="ignore"):
+        d2, singular, over = _denominator(source.z_series, z.real, z.imag)
+        _first_failure(
+            (z.real < 0.0, ValidationError("z_in must have nonnegative real part")),
+            (singular, SingularCircuitError("z_series + z_in = 0: divider is singular")),
+            *_float_errors(over, d2),
+        )
+        v2 = source.v_oc.real**2 + source.v_oc.imag**2
+        power = v2 * z.real / (2.0 * d2)
+    return float(power) if scalar else power
 
 
 def max_available_power(source: TheveninSource) -> float:
@@ -110,43 +185,67 @@ def max_available_power(source: TheveninSource) -> float:
     return v2 / (8.0 * source.z_series.real)
 
 
-def divided_voltage(source: TheveninSource, z_in) -> complex:
-    """Load-node voltage v_oc * z_in / (z_series + z_in); OPEN_CIRCUIT yields v_oc."""
+def divided_voltage(source: TheveninSource, z_in):
+    """Load-node voltage v_oc * z_in / (z_series + z_in); OPEN_CIRCUIT yields v_oc.
+
+    z_in may be an array of loads; see the module docstring.
+    """
     if z_in is OPEN_CIRCUIT:
         return source.v_oc
-    z = as_complex(z_in, "z_in")
-    den = source.z_series + z
-    if den == 0:
-        raise SingularCircuitError("z_series + z_in = 0: divider is singular")
-    return source.v_oc * z / den
+    z, scalar = _loads(z_in, "z_in")
+    v, zs = source.v_oc, source.z_series
+    den_re, den_im = zs.real + z.real, zs.imag + z.imag
+    _first_failure(
+        ((den_re == 0.0) & (den_im == 0.0), SingularCircuitError("z_series + z_in = 0: divider is singular")),
+    )
+    with np.errstate(all="ignore"):
+        re, im = _quotient(v.real * z.real - v.imag * z.imag, v.real * z.imag + v.imag * z.real,
+                           den_re, den_im)
+    if scalar:
+        return complex(re, im)
+    out = np.empty(z.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
 
 
-def output_snr(link: SingleLink, amp: AmplifierNoiseModel, z_l) -> float:
+def _snr(link: SingleLink, amp: AmplifierNoiseModel, re, im) -> tuple:
+    """Output SNR of the loads re + j*im (float arrays that broadcast), each
+    element with the bits of the one-load formula; zero total noise gives inf.
+
+    Also returns |z_r + z_l|^2, where z_r + z_l = 0, and where a square
+    overflowed. The caller decides what a bad load means.
+    """
+    g2 = amp.gain * amp.gain
+    s_voc = _signal_voc_density(link)
+    d2, singular, over = _denominator(link.z_r, re, im)
+    (re2, over_re), (im2, over_im) = _square(re), _square(im)
+    w2 = (re2 + im2) / d2
+    u2 = (link.z_r.real**2 + link.z_r.imag**2) / d2
+    noise = amp.n_na + g2 * u2 * (2.0 * BOLTZMANN * amp.temperature * re)  # 2kTR as johnson_density
+    snr = np.where(noise == 0.0, np.inf, g2 * w2 * s_voc / noise)
+    return snr, d2, singular, over | over_re | over_im
+
+
+def output_snr(link: SingleLink, amp: AmplifierNoiseModel, z_l):
     """Amplifier-output SNR for load z_l; exact open-circuit path for OPEN_CIRCUIT.
 
     Signal and the load's Johnson noise both pass through the divider formed
     with z_r; amplifier noise n_na adds at the output. Zero total noise gives
-    math.inf (flagged result), not an exception.
+    math.inf (flagged result), not an exception. z_l may be an array of
+    loads; see the module docstring.
     """
-    g2 = amp.gain * amp.gain
-    s_voc = _signal_voc_density(link)
     if z_l is OPEN_CIRCUIT:
-        if amp.n_na == 0:
-            return math.inf
-        return g2 * s_voc / amp.n_na
-    z = as_complex(z_l, "z_l")
-    if z.real < 0:
-        raise ValidationError("z_l must have nonnegative real part")
-    den = link.z_r + z
-    if den == 0:
-        raise SingularCircuitError("z_r + z_l = 0: divider is singular")
-    d2 = den.real**2 + den.imag**2
-    w2 = (z.real**2 + z.imag**2) / d2
-    u2 = (link.z_r.real**2 + link.z_r.imag**2) / d2
-    noise = amp.n_na + g2 * u2 * johnson_density(amp.temperature, z.real)
-    if noise == 0:
-        return math.inf
-    return g2 * w2 * s_voc / noise
+        g2, s_voc = amp.gain * amp.gain, _signal_voc_density(link)
+        return math.inf if amp.n_na == 0 else g2 * s_voc / amp.n_na
+    z, scalar = _loads(z_l, "z_l")
+    with np.errstate(all="ignore"):
+        snr, d2, singular, over = _snr(link, amp, z.real, z.imag)
+    _first_failure(
+        (z.real < 0.0, ValidationError("z_l must have nonnegative real part")),
+        (singular, SingularCircuitError("z_r + z_l = 0: divider is singular")),
+        *_float_errors(over, d2),
+    )
+    return float(snr) if scalar else snr
 
 
 def snr_matched(link: SingleLink, amp: AmplifierNoiseModel) -> float:
@@ -172,12 +271,16 @@ def snr_ratio_oc_over_match(link: SingleLink, amp: AmplifierNoiseModel) -> float
     return 4.0 * zr.real**2 / mag2 + g2 * johnson_density(amp.temperature, zr.real) / amp.n_na
 
 
+GRID_BLOCK_ROWS = 64
+"""Grid rows scored at once, so the optimizer's temporaries hold
+GRID_BLOCK_ROWS x n_im cells whatever n_re is."""
+
+
 def optimize_load(link: SingleLink, amp: AmplifierNoiseModel, search: GridSpec) -> tuple:
     """Exhaustive SNR maximization over the load grid plus OPEN_CIRCUIT.
 
     Returns (load, snr) where load is a ComplexImpedance or OPEN_CIRCUIT.
-    Ties break toward larger |z_l|, then toward OPEN_CIRCUIT. The grid is
-    scored by the batch kernel; the winner is re-evaluated with output_snr.
+    Ties break toward larger |z_l|, then toward OPEN_CIRCUIT.
     """
     has_grid = search.n_re > 0 and search.n_im > 0
     if not has_grid and not search.include_open:
@@ -186,23 +289,10 @@ def optimize_load(link: SingleLink, amp: AmplifierNoiseModel, search: GridSpec) 
     if has_grid:
         re_vals = np.linspace(0.0, search.r_max, search.n_re)
         im_vals = np.linspace(-search.x_max, search.x_max, search.n_im)
-        scores = kernels.snr_grid(
-            re_vals,
-            im_vals,
-            link.z_r.real,
-            link.z_r.imag,
-            _signal_voc_density(link),
-            amp.gain * amp.gain,
-            amp.n_na,
-            2.0 * BOLTZMANN * amp.temperature,
-        )
-        top = scores.max()
-        if top > -math.inf:
-            ii, jj = np.nonzero(scores == top)
-            abs2 = re_vals[ii] ** 2 + im_vals[jj] ** 2
-            pick = int(np.argmax(abs2))
-            z_best = ComplexImpedance(float(re_vals[ii[pick]]), float(im_vals[jj[pick]]))
-            best_finite = (z_best, output_snr(link, amp, z_best))
+        winner = _grid_winner(link, amp, re_vals, im_vals)
+        if winner is not None:
+            snr, i, j = winner
+            best_finite = (ComplexImpedance(float(re_vals[i]), float(im_vals[j])), snr)
     if search.include_open:
         snr_oc = output_snr(link, amp, OPEN_CIRCUIT)
         if best_finite is None or snr_oc >= best_finite[1]:
@@ -210,3 +300,38 @@ def optimize_load(link: SingleLink, amp: AmplifierNoiseModel, search: GridSpec) 
     if best_finite is None:
         raise NumericalError("every grid candidate is singular")
     return best_finite
+
+
+def _grid_scores(link: SingleLink, amp: AmplifierNoiseModel, re, im) -> np.ndarray:
+    """output_snr of every grid load re[i] + j*im[j], by the same formula;
+    singular loads score -inf."""
+    with np.errstate(all="ignore"):
+        scores, d2, _, _ = _snr(link, amp, re[:, None], im)
+    scores[d2 == 0.0] = -np.inf
+    return scores
+
+
+def _grid_winner(link: SingleLink, amp: AmplifierNoiseModel, re_vals, im_vals):
+    """(snr, i, j) of the best grid load re_vals[i] + j*im_vals[j], or None.
+
+    Rows are scored GRID_BLOCK_ROWS at a time. Ties go to the larger
+    |z_l|^2, then to the first cell in C order. A NaN score anywhere (a grid
+    whose squares overflow) leaves no winner, and so does a grid of
+    singular loads only.
+    """
+    best = None  # (snr, |z_l|^2, i, j)
+    for start in range(0, re_vals.size, GRID_BLOCK_ROWS):
+        re = re_vals[start:start + GRID_BLOCK_ROWS]
+        scores = _grid_scores(link, amp, re, im_vals)
+        top = scores.max()
+        if np.isnan(top):
+            return None
+        if top == -np.inf:
+            continue
+        ii, jj = np.nonzero(scores == top)
+        abs2 = re[ii] ** 2 + im_vals[jj] ** 2
+        k = int(np.argmax(abs2))
+        cell = (float(top), float(abs2[k]), start + int(ii[k]), int(jj[k]))
+        if best is None or cell[:2] > best[:2]:
+            best = cell
+    return None if best is None else (best[0], best[2], best[3])

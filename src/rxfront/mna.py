@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, ParseError, SingularCircuitError
+from .core import MAX_ARRAY_BYTES, NumericalError, ParseError, SingularCircuitError
 
 RESIDUAL_TOL = 1e-10
+_LISTED_GAPS = 20  # a parse error lists the skipped node indices up to this many
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,16 @@ class LinearNetlist:
         if not self.elements:
             raise ParseError("netlist has no elements")
         top = max(nodes)
-        missing = sorted(set(range(top + 1)) - nodes)
-        if missing:
-            raise ParseError(f"netlist skips node indices {missing}")
+        skipped = top + 1 - len(nodes)  # decided without building range(top + 1)
+        if skipped > _LISTED_GAPS:
+            raise ParseError(f"netlist skips {skipped} node indices below {top}")
+        if skipped:
+            raise ParseError(f"netlist skips node indices {sorted(set(range(top + 1)) - nodes)}")
+        sources = sum(el.kind in ("V", "E") for el in self.elements)
+        if (top + sources) ** 2 * 16 > MAX_ARRAY_BYTES:  # the complex MNA matrix, before it exists
+            raise ParseError(
+                f"netlist with {top} nodes and {sources} sources exceeds the {MAX_ARRAY_BYTES}-byte matrix limit"
+            )
         object.__setattr__(self, "elements", tuple(self.elements))
 
     @property

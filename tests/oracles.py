@@ -12,11 +12,16 @@ import numpy as np
 
 from rxfront.core import (
     CSV_HEADER,
+    OPEN_CIRCUIT,
     FrequencyGrid,
     ImpedanceMatrixSeries,
     NumericalError,
     ParseError,
+    SingularCircuitError,
+    ValidationError,
     ValidationReport,
+    as_complex,
+    johnson_density,
 )
 
 K_BOLTZ = 1.380649e-23
@@ -47,6 +52,55 @@ def output_snr_ref(z_r, z_l, gain, n_na, temperature, s_voc):
     u = z_r / (z_r + z_l)
     noise = n_na + gain**2 * abs(u) ** 2 * 2.0 * K_BOLTZ * temperature * z_l.real
     return gain**2 * abs(w) ** 2 * s_voc / noise
+
+
+# The single-link divider, power and SNR as they were before they took load
+# arrays: one load per call, in Python floats and complex numbers.
+
+
+def divided_voltage_scalar(source, z_in):
+    if z_in is OPEN_CIRCUIT:
+        return source.v_oc
+    z = as_complex(z_in, "z_in")
+    den = source.z_series + z
+    if den == 0:
+        raise SingularCircuitError("z_series + z_in = 0: divider is singular")
+    return source.v_oc * z / den
+
+
+def extracted_power_scalar(source, z_in):
+    if z_in is OPEN_CIRCUIT:
+        return 0.0
+    z = as_complex(z_in, "z_in")
+    if z.real < 0:
+        raise ValidationError("z_in must have nonnegative real part")
+    den = source.z_series + z
+    if den == 0:
+        raise SingularCircuitError("z_series + z_in = 0: divider is singular")
+    v2 = source.v_oc.real**2 + source.v_oc.imag**2
+    return v2 * z.real / (2.0 * (den.real**2 + den.imag**2))
+
+
+def output_snr_scalar(link, amp, z_l):
+    g2 = amp.gain * amp.gain
+    s_voc = (link.z_rt.real**2 + link.z_rt.imag**2) * link.s_it
+    if z_l is OPEN_CIRCUIT:
+        if amp.n_na == 0:
+            return math.inf
+        return g2 * s_voc / amp.n_na
+    z = as_complex(z_l, "z_l")
+    if z.real < 0:
+        raise ValidationError("z_l must have nonnegative real part")
+    den = link.z_r + z
+    if den == 0:
+        raise SingularCircuitError("z_r + z_l = 0: divider is singular")
+    d2 = den.real**2 + den.imag**2
+    w2 = (z.real**2 + z.imag**2) / d2
+    u2 = (link.z_r.real**2 + link.z_r.imag**2) / d2
+    noise = amp.n_na + g2 * u2 * johnson_density(amp.temperature, z.real)
+    if noise == 0:
+        return math.inf
+    return g2 * w2 * s_voc / noise
 
 
 def snr_ratio_ref(z_r, gain, n_na, temperature):

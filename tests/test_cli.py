@@ -438,3 +438,57 @@ def test_malformed_fields_exit_2(tmp_path, capsys, name, path, value, message):
         code, _, err = run_cli([name.split("_")[0], "--scenario", str(scen), *extra], capsys)
         assert code == 2
         assert message in err
+
+
+def test_csv_cell_over_the_field_limit_exits_2(tmp_path, capsys):
+    # the csv module refuses cells over 131,072 characters
+    cell = "1" * 200_000
+    (tmp_path / "pair.csv").write_text(f"freq_hz,row,col,re_ohms,im_ohms\n1e6,0,0,1,0\n1e6,1,1,{cell},0\n")
+    scen = tmp_path / "val.json"
+    scen.write_text(json.dumps({"validate": {"impedance_csv": "pair.csv"}}))
+    code, _, err = run_cli(["validate", "--scenario", str(scen)], capsys)
+    assert code == 2
+    assert "pair.csv: line 3: field larger than field limit" in err
+
+
+def _load(label, re, im):
+    return {"label": label, "kind": "explicit", "z_l_ohms": {"re": re, "im": im}}
+
+
+@pytest.mark.parametrize("loads,code,message", [
+    ([_load("ok", 50, 0), _load("s", -5, -37), _load("n", -1, 0)], 3,
+     "load 's': z_series + z_in = 0: divider is singular"),
+    ([_load("ok", 50, 0), _load("n", -1, 0), _load("s", -5, -37)], 1,
+     "z_in must have nonnegative real part"),
+    ([_load("ok", 50, 0), _load("s", -5, -37)], 3, "load 's': z_series"),  # singular and negative
+], ids=["singular_first", "negative_first", "singular_and_negative"])
+def test_link_reports_the_first_bad_load(tmp_path, capsys, loads, code, message):
+    scen = tmp_path / "link.json"
+    scen.write_text(json.dumps({
+        "link": {"z_r_ohms": {"re": 5, "im": 37}, "z_rt_ohms": {"re": 10}, "s_it_a2_per_hz": 1e-12,
+                 "loads": loads},
+        "amplifier": {"gain": 10, "n_na_v2_per_hz": 1e-9, "temp_kelvin": 290},
+    }))
+    got, _, err = run_cli(["link", "--scenario", str(scen)], capsys)
+    assert got == code
+    assert message in err
+
+
+EXAMPLES = [path.stem for path in sorted(SCENARIOS.glob("*.json"))]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_example_reports_match_the_benchmark_references(tmp_path, name):
+    out = tmp_path / "report.csv"
+    assert cli.main([name.split("_")[0], "--scenario", str(SCENARIOS / f"{name}.json"), "--out", str(out)]) == 0
+    assert out.read_text() == (SCENARIOS.parent / "perfbench" / "reference" / f"{name}.csv").read_text()
+
+
+@pytest.mark.parametrize("scenario", [SCENARIOS / f"{name}.json" for name in EXAMPLES]
+                         + sorted(GOLDEN.glob("*.json")), ids=lambda path: path.stem)
+def test_text_reports_match_goldens(tmp_path, scenario):
+    out = tmp_path / "report.txt"
+    argv = [scenario.stem.split("_")[0], "--scenario", str(scenario), "--format", "text", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert out.read_text() == (GOLDEN / "text" / f"{scenario.stem}.txt").read_text()

@@ -2,15 +2,16 @@
 
 An edit takes one shipped scenario and replaces one field (any object key or
 list entry, at any depth) with a value from a pool of wrong types and extreme
-numbers, or deletes it. Every edit goes through the parser; a Hypothesis
-sample of them runs the subcommand with and without ``--dump-normalized``.
+numbers, or deletes it. Every edit goes through the parser, and through the
+subcommand with and without ``--dump-normalized``.
 
 A size field that fits in int64 but would allocate terabytes (say
 ``n_re: 2**40``) is a parse error: each size is charged against
 ``core.MAX_ARRAY_BYTES``, and a parse-only test sets every size field to
 ``2**40`` and ``2**62``. Such sizes stay out of the pool all the same, so
 that a size check that lets one through shows as a failed test rather than
-as a run that exhausts memory.
+as a run that exhausts memory. The same holds for a netlist node index
+such as 10**20, which is tested on the netlist parser alone.
 """
 
 import copy
@@ -20,10 +21,8 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from rxfront import cli
+from rxfront import cli, mna
 from rxfront.core import ParseError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -97,15 +96,22 @@ def test_oversized_size_field_is_a_parse_error(workdir, name, path, value):
         cli.parse_scenario(_write_edit(workdir, name, path, value))
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(edit=st.sampled_from(EDITS), value=st.sampled_from(POOL))
-def test_single_field_edit_exits_0_to_4(workdir, edit, value):
-    name, path = edit
-    scenario = _write_edit(workdir, name, path, value)
-    subcommand = name.split("_")[0]  # each example's subcommand is the first word of its name
-    for extra in ([], ["--dump-normalized"]):
-        argv = [subcommand, "--scenario", str(scenario), "--out", str(workdir / "report"), *extra]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = cli.main(argv)
-        assert code in (0, 1, 2, 3, 4), (edit, value, extra)
+def test_single_field_edit_exits_0_to_4(workdir):
+    # every edit x the whole pool through main(), with and without --dump-normalized
+    for name, path in EDITS:
+        subcommand = name.split("_")[0]  # each example's subcommand is the first word of its name
+        for value in POOL:
+            scenario = _write_edit(workdir, name, path, value)
+            for extra in ([], ["--dump-normalized"]):
+                argv = [subcommand, "--scenario", str(scenario), "--out", str(workdir / "report"), *extra]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    code = cli.main(argv)
+                assert code in (0, 1, 2, 3, 4), (name, path, value, extra)
+
+
+@pytest.mark.parametrize("index", [10**8, 10**20], ids=["1e8", "1e20"])
+def test_huge_netlist_node_index_is_a_parse_error(index):
+    # parse only, as for the size fields: the check must come before any allocation
+    with pytest.raises(ParseError, match=f"skips {index - 2} node indices below {index}"):
+        mna.parse_netlist(f"V1 1 0 1 0\nZ1 {index} 0 1 0\n")

@@ -23,7 +23,14 @@ from rxfront.link import (
     snr_ratio_oc_over_match,
 )
 
-from oracles import K_BOLTZ, output_snr_ref, snr_ratio_ref
+from oracles import (
+    K_BOLTZ,
+    divided_voltage_scalar,
+    extracted_power_scalar,
+    output_snr_ref,
+    output_snr_scalar,
+    snr_ratio_ref,
+)
 
 
 def test_extracted_power_matched_example():
@@ -180,3 +187,82 @@ def test_model_validation():
         AmplifierNoiseModel(10.0, -1e-9, 290.0)
     with pytest.raises(ValidationError):
         AmplifierNoiseModel(10.0, 1e-9, 0.0)
+
+
+def _bits(values):
+    """float64 bit patterns, so -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _array_cases():
+    rng = np.random.default_rng(41)
+    for z_r in (5 + 37j, 37j, 50.0, 1e-3 + 1e3j):  # 37j: a lossless receiver
+        z = rng.uniform(0.0, 500.0, 3000) + 1j * rng.uniform(-500.0, 500.0, 3000)
+        z[:300] = 1j * z[:300].imag  # R = 0 loads
+        z[300:330] = z[300:330].real * 1e-9 - 1j * z_r.imag  # X_l = -X_r: near singular if R_r = 0
+        for amp in (AmplifierNoiseModel(10.0, 1e-9, 290.0), AmplifierNoiseModel(3.3, 0.0, 77.0)):
+            yield SingleLink(z_r, 3 - 2j, 1e-12), amp, TheveninSource(0.7 - 1.3j, z_r), z
+
+
+def test_array_loads_match_the_scalar_formulas_bit_for_bit():
+    for lnk, amp, source, z in _array_cases():
+        loads = z.tolist()
+        divider = divided_voltage(source, z)
+        want = np.array([divided_voltage_scalar(source, load) for load in loads])
+        assert np.array_equal(_bits(divider.real), _bits(want.real))
+        assert np.array_equal(_bits(divider.imag), _bits(want.imag))
+        # abs() of a Python complex is hypot, which np.abs does not always match
+        assert np.array_equal(_bits(np.hypot(divider.real, divider.imag)), _bits([abs(v) for v in want]))
+        want = [extracted_power_scalar(source, load) for load in loads]
+        assert np.array_equal(_bits(extracted_power(source, z)), _bits(want))
+        want = [output_snr_scalar(lnk, amp, load) for load in loads]
+        assert np.array_equal(_bits(output_snr(lnk, amp, z)), _bits(want))
+        # one load in: a Python scalar out, with the same bits
+        load = loads[7]
+        assert type(output_snr(lnk, amp, load)) is float
+        assert type(extracted_power(source, load)) is float
+        assert type(divided_voltage(source, load)) is complex
+        assert _bits(output_snr(lnk, amp, load)) == _bits(output_snr_scalar(lnk, amp, load))
+        assert divided_voltage(source, load) == divided_voltage_scalar(source, load)
+
+
+def _error(call, *args) -> Exception:
+    try:
+        call(*args)
+    except Exception as exc:  # whatever is raised, to compare with the scalar formula
+        return exc
+    raise AssertionError(f"{call.__name__} raised nothing")
+
+
+def test_array_errors_are_the_first_bad_loads():
+    link = SingleLink(5 + 37j, 10.0, 1e-12)
+    amp = AmplifierNoiseModel(10.0, 1e-9, 290.0)
+    unit = TheveninSource(1.0, 5 + 37j)
+    cases = [
+        # (loads, index of the first bad load)
+        ([50.0, -5 - 37j, -1.0, 1e200], 1),  # negative and singular: the scalar order decides
+        ([50.0, 20.0, 1e200, -1.0], 2),  # |z_l|^2 overflows
+        ([50.0, -1.0, -5 - 37j], 1),
+    ]
+    calls = [(output_snr, output_snr_scalar, (link, amp)),
+             (extracted_power, extracted_power_scalar, (unit,))]
+    for loads, first in cases:
+        for array_call, scalar_call, args in calls:
+            want = _error(scalar_call, *args, loads[first])
+            got = _error(array_call, *args, np.array(loads))
+            assert (type(got), str(got), got.index) == (type(want), str(want), first)
+    got = _error(divided_voltage, unit, np.array([50.0, -1.0, -5 - 37j]))
+    assert (type(got), got.index) == (SingularCircuitError, 2)
+
+
+def test_divider_underflow_is_a_division_by_zero_as_in_python_floats():
+    # |z_r + z_l| ~ 1e-170 is not zero, but its square underflows to 0
+    link = SingleLink(37j, 1.0, 1e-12)
+    amp = AmplifierNoiseModel(10.0, 1e-9, 290.0)
+    load = complex(1e-170, -37.0)
+    with pytest.raises(ZeroDivisionError):
+        output_snr_scalar(link, amp, load)
+    with pytest.raises(ZeroDivisionError):
+        output_snr(link, amp, np.array([1.0, load]))
+    with pytest.raises(ZeroDivisionError):
+        extracted_power(TheveninSource(1.0, 37j), load)

@@ -140,3 +140,15 @@ def test_voltage_lookup_unknown_node():
         sol.voltage(9)
     with pytest.raises(KeyError):
         sol.element_current("Z9")
+
+
+def test_netlist_over_the_matrix_size_limit_is_a_parse_error():
+    # 11,600 contiguous nodes: an MNA matrix of 11,600^2 complex entries (2.15 GB)
+    text = "\n".join(f"Z{i} {i} {i - 1} 1 0" for i in range(1, 11_601))
+    with pytest.raises(ParseError, match="byte matrix limit"):
+        parse_netlist(text)
+
+
+def test_a_few_skipped_node_indices_are_listed():
+    with pytest.raises(ParseError, match=r"skips node indices \[2, 3\]"):
+        parse_netlist("V1 1 0 1 0\nZ1 4 0 1 0\n")
