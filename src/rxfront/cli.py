@@ -110,9 +110,6 @@ _count = partial(_int, minimum=0)
 
 
 # Bytes a size field is charged per entry, against MAX_ARRAY_BYTES.
-# The grid is scored in row blocks, so n_re*n_im no longer sets memory; the
-# cap, unchanged so the same grids are accepted, bounds the optimizer's work.
-_GRID_CELL_BYTES = 64
 _REPORT_ROW_BYTES = 1024  # one report row as Python objects and text (about 330 B measured)
 
 
@@ -229,22 +226,15 @@ def _load(value, context):
     return out
 
 
-_OPTIMIZE = {
+_OPTIMIZE = {  # n_re, n_im: sizes of the grid the exact search replaced; no effect
     "r_max_ohms": (_num, REQUIRED), "x_max_ohms": (_num, REQUIRED),
     "n_re": (_int, REQUIRED), "n_im": (_int, REQUIRED), "include_open": (_bool, True),
 }
 
-
-def _optimize(value, context):
-    out = _walk(_OPTIMIZE, value, context)
-    _check_size(context, max(out["n_re"], 0) * max(out["n_im"], 0) * _GRID_CELL_BYTES)
-    return out
-
-
 _LINK = {
     **_LINK_FIELDS,
     "loads": (_list_of(_load), [{"kind": "open_circuit"}, {"kind": "conjugate_match"}]),
-    "optimize": (_optimize, OPTIONAL),
+    "optimize": (_obj(_OPTIMIZE), OPTIONAL),
 }
 _NOISEFIG = {
     "v_s_volts": (_cx, REQUIRED), "r_s_ohms": (_num, REQUIRED), "temp_kelvin": (_num, REQUIRED),
@@ -441,10 +431,8 @@ def _run_link(scenario: Scenario):
         raise SingularCircuitError(f"load {finite_labels[exc.index]!r}: {exc}") from exc
     if "optimize" in section:
         opt = section["optimize"]
-        grid = link_mod.GridSpec(
-            opt["r_max_ohms"], opt["x_max_ohms"], opt["n_re"], opt["n_im"], opt["include_open"]
-        )
-        best, _ = link_mod.optimize_load(lnk, amp, grid)
+        search = link_mod.SearchBox(opt["r_max_ohms"], opt["x_max_ohms"], opt["include_open"])
+        best, _ = link_mod.optimize_load(lnk, amp, search)
         labels.append("optimal")
         is_open = np.append(is_open, best is OPEN_CIRCUIT)
         if best is not OPEN_CIRCUIT:

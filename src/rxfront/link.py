@@ -12,6 +12,9 @@ one-load call gives: squares use the C library's ``pow``, as Python's
 A bad load raises the error the one-load call raises, for the first bad
 load in load order; the error's ``index`` is that load's position in the
 flattened array.
+
+``optimize_load`` finds the exact SNR-optimal load in a box of passive
+loads from its corners and the stationary points along its edges.
 """
 
 from __future__ import annotations
@@ -72,23 +75,19 @@ class AmplifierNoiseModel:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Load search grid: Re in [0, r_max] (n_re points), Im in [-x_max, x_max]
-    (n_im points), optionally including the open-circuit candidate."""
+class SearchBox:
+    """Passive loads searched for the best SNR: Re in [0, r_max] and Im in
+    [-x_max, x_max], optionally with the open-circuit candidate."""
 
     r_max: float
     x_max: float
-    n_re: int
-    n_im: int
     include_open: bool = True
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.r_max) and math.isfinite(self.x_max)):
-            raise ValidationError("grid bounds must be finite")
+            raise ValidationError("search bounds must be finite")
         if self.r_max < 0 or self.x_max < 0:
-            raise ValidationError("grid bounds must be nonnegative")
-        if self.n_re < 0 or self.n_im < 0:
-            raise ValidationError("grid sizes must be nonnegative")
+            raise ValidationError("search bounds must be nonnegative")
 
 
 def _signal_voc_density(link: SingleLink) -> float:
@@ -271,67 +270,67 @@ def snr_ratio_oc_over_match(link: SingleLink, amp: AmplifierNoiseModel) -> float
     return 4.0 * zr.real**2 / mag2 + g2 * johnson_density(amp.temperature, zr.real) / amp.n_na
 
 
-GRID_BLOCK_ROWS = 64
-"""Grid rows scored at once, so the optimizer's temporaries hold
-GRID_BLOCK_ROWS x n_im cells whatever n_re is."""
-
-
-def optimize_load(link: SingleLink, amp: AmplifierNoiseModel, search: GridSpec) -> tuple:
-    """Exhaustive SNR maximization over the load grid plus OPEN_CIRCUIT.
+def optimize_load(link: SingleLink, amp: AmplifierNoiseModel, search: SearchBox) -> tuple:
+    """Exact SNR maximization over the search box plus OPEN_CIRCUIT.
 
     Returns (load, snr) where load is a ComplexImpedance or OPEN_CIRCUIT.
-    Ties break toward larger |z_l|, then toward OPEN_CIRCUIT.
+    With c = 2kT g^2 |z_r|^2 the SNR is proportional to N / D, N = |z_l|^2
+    and D = n_na |z_r + z_l|^2 + c R. At a stationary point with R > 0 the
+    Hessian of N - SNR * D is 2 (1 - SNR n_na) I: a minimum if SNR < 1/n_na,
+    and at R < 0 if SNR > 1/n_na. So the maximum is at a corner of the box or
+    at a stationary point of an edge. Candidates are scored by output_snr's
+    formula, dropping singular and overflowing ones; ties go to the larger
+    |z_l|, then the earlier candidate, then OPEN_CIRCUIT. A lossless z_r whose
+    resonance -j X_r lies in the box has unbounded SNR: NumericalError.
     """
-    has_grid = search.n_re > 0 and search.n_im > 0
-    if not has_grid and not search.include_open:
-        raise ValidationError("search grid is empty and open circuit is excluded")
+    z_r = link.z_r
+    if z_r.real == 0.0 and z_r.imag != 0.0 and abs(z_r.imag) <= search.x_max and amp.n_na > 0:
+        raise NumericalError(f"output SNR is unbounded toward the lossless resonance z_l = {-z_r.imag!r}j")
+    re, im = _candidates(link, amp, search)
+    with np.errstate(all="ignore"):
+        snr, d2, _, over = _snr(link, amp, re, im)
+    keep = (d2 != 0.0) & ~over & ~np.isnan(snr)
     best_finite = None
-    if has_grid:
-        re_vals = np.linspace(0.0, search.r_max, search.n_re)
-        im_vals = np.linspace(-search.x_max, search.x_max, search.n_im)
-        winner = _grid_winner(link, amp, re_vals, im_vals)
-        if winner is not None:
-            snr, i, j = winner
-            best_finite = (ComplexImpedance(float(re_vals[i]), float(im_vals[j])), snr)
+    if keep.any():
+        snr, re, im = snr[keep], re[keep], im[keep]
+        ties = np.flatnonzero(snr == snr.max())
+        k = ties[np.argmax(re[ties] ** 2 + im[ties] ** 2)]
+        best_finite = (ComplexImpedance(float(re[k]), float(im[k])), float(snr[k]))
     if search.include_open:
         snr_oc = output_snr(link, amp, OPEN_CIRCUIT)
         if best_finite is None or snr_oc >= best_finite[1]:
             return OPEN_CIRCUIT, snr_oc
     if best_finite is None:
-        raise NumericalError("every grid candidate is singular")
+        raise NumericalError("every candidate load is singular or overflows")
     return best_finite
 
 
-def _grid_scores(link: SingleLink, amp: AmplifierNoiseModel, re, im) -> np.ndarray:
-    """output_snr of every grid load re[i] + j*im[j], by the same formula;
-    singular loads score -inf."""
+def _candidates(link: SingleLink, amp: AmplifierNoiseModel, search: SearchBox) -> tuple:
+    """Re and Im of the box's corners (each twice) and the SNR's stationary
+    points on its edges: R = 0 and R = r_max along t = X, X = -x_max and
+    X = x_max along t = R. On each edge N = t^2 + foot^2 and D / n_na =
+    t^2 + q1 t + q0. With n_na = 0, kappa = c / n_na is inf, and only the
+    corners and the R = 0 edge's roots survive; R = 0 loads then score inf."""
+    r, x = search.r_max, search.x_max
+    re_r, im_r = np.float64(link.z_r.real), np.float64(link.z_r.imag)
+    fixed_re = np.array([True, True, False, False])
+    foot = np.array([0.0, r, -x, x])  # the coordinate each edge holds fixed
+    lo, hi = np.array([-x, -x, 0.0, 0.0]), np.array([x, x, r, r])
     with np.errstate(all="ignore"):
-        scores, d2, _, _ = _snr(link, amp, re[:, None], im)
-    scores[d2 == 0.0] = -np.inf
-    return scores
+        abs2 = re_r**2 + im_r**2
+        kappa = 2.0 * BOLTZMANN * amp.temperature * amp.gain * amp.gain * abs2 / amp.n_na
+        q1 = np.array([2.0 * im_r, 2.0 * im_r, 2.0 * re_r + kappa, 2.0 * re_r + kappa])
+        q0 = np.array([abs2, (re_r + r) ** 2 + im_r**2 + kappa * r,
+                       re_r**2 + (im_r - x) ** 2, re_r**2 + (im_r + x) ** 2])
+        t = np.stack([lo, hi, *_stationary_points(foot**2, q1, q0)])
+    on_edge = (lo <= t) & (t <= hi)
+    return np.where(fixed_re, foot, t)[on_edge], np.where(fixed_re, t, foot)[on_edge]
 
 
-def _grid_winner(link: SingleLink, amp: AmplifierNoiseModel, re_vals, im_vals):
-    """(snr, i, j) of the best grid load re_vals[i] + j*im_vals[j], or None.
-
-    Rows are scored GRID_BLOCK_ROWS at a time. Ties go to the larger
-    |z_l|^2, then to the first cell in C order. A NaN score anywhere (a grid
-    whose squares overflow) leaves no winner, and so does a grid of
-    singular loads only.
-    """
-    best = None  # (snr, |z_l|^2, i, j)
-    for start in range(0, re_vals.size, GRID_BLOCK_ROWS):
-        re = re_vals[start:start + GRID_BLOCK_ROWS]
-        scores = _grid_scores(link, amp, re, im_vals)
-        top = scores.max()
-        if np.isnan(top):
-            return None
-        if top == -np.inf:
-            continue
-        ii, jj = np.nonzero(scores == top)
-        abs2 = re[ii] ** 2 + im_vals[jj] ** 2
-        k = int(np.argmax(abs2))
-        cell = (float(top), float(abs2[k]), start + int(ii[k]), int(jj[k]))
-        if best is None or cell[:2] > best[:2]:
-            best = cell
-    return None if best is None else (best[0], best[2], best[3])
+def _stationary_points(p0, q1, q0) -> tuple:
+    """Both roots of d/dt (t^2 + p0) / (t^2 + q1 t + q0), NaN or inf where
+    none exists, by the stable quadratic formula. On the edge R = 0 (p0 = 0,
+    q1 = 2 X_r, q0 = |z_r|^2) they are 0 and exactly -|z_r|^2 / X_r."""
+    a, b, c = q1, 2.0 * (q0 - p0), -p0 * q1
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+    return q / a, c / q

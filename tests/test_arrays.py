@@ -27,6 +27,7 @@ from rxfront.arrays import (
 from oracles import (
     coupling_offdiag_ratio_ref,
     sum_extracted_power_ref,
+    sum_power_batch_ref,
     terminated_voltages_ref,
 )
 
@@ -283,3 +284,26 @@ def test_singular_termination_with_finite_condition_estimate():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(SingularCircuitError, match="frequency index 1$"):
             terminate_array(model, short)
+
+
+def _batch_case(seed, k=4, p=16):
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(30, 70, size=k)
+    z_r = np.diag(base).astype(np.complex128)
+    z_r += 2.0 * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    z_r = (z_r + z_r.T) / 2.0
+    z_r += np.eye(k) * (abs(np.linalg.eigvalsh((z_r.real + z_r.real.T) / 2).min()) + 5.0)
+    v_oc = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    loads = np.conj(z_r)[None, :, :] + 0.1 * (
+        rng.standard_normal((p, k, k)) + 1j * rng.standard_normal((p, k, k))
+    )
+    return z_r, loads, v_oc
+
+
+def test_batch_paths_agree():
+    # the stacked perturbation solve against one solve per load
+    for seed in range(5):
+        z_r, loads, v_oc = _batch_case(seed)
+        a = sum_power_batch_ref(z_r, loads, v_oc)
+        b = perturbation_sum_powers(z_r, np.zeros_like(z_r), v_oc, loads)
+        assert np.allclose(a, b, rtol=1e-12, atol=1e-300)

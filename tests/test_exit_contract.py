@@ -3,12 +3,14 @@
 An edit takes one shipped scenario and replaces one field (any object key or
 list entry, at any depth) with a value from a pool of wrong types and extreme
 numbers, or deletes it. Every edit goes through the parser, and through the
-subcommand with and without ``--dump-normalized``.
+subcommand with and without ``--dump-normalized``. A file-level edit does the
+same to one token or line of a file a scenario references (the impedance CSV
+or the netlist), and runs the scenarios that read it.
 
 A size field that fits in int64 but would allocate terabytes (say
-``n_re: 2**40``) is a parse error: each size is charged against
+``count: 2**40``) is a parse error: each size is charged against
 ``core.MAX_ARRAY_BYTES``, and a parse-only test sets every size field to
-``2**40`` and ``2**62``. Such sizes stay out of the pool all the same, so
+``2**40`` and ``2**62``. Such sizes stay out of the pools all the same, so
 that a size check that lets one through shows as a failed test rather than
 as a run that exhausts memory. The same holds for a netlist node index
 such as 10**20, which is tested on the netlist parser alone.
@@ -81,8 +83,6 @@ def test_every_single_field_edit_normalizes_or_is_a_parse_error(workdir):
 
 
 SIZE_FIELDS = [
-    ("link_crossover", ("link", "optimize", "n_re")),
-    ("link_crossover", ("link", "optimize", "n_im")),
     ("match_step_up", ("match", "ratio_sweep", "count")),
     ("array_synthetic", ("array", "synthetic", "n_tx")),
     ("array_synthetic", ("array", "synthetic", "n_rx")),
@@ -94,6 +94,22 @@ SIZE_FIELDS = [
 def test_oversized_size_field_is_a_parse_error(workdir, name, path, value):
     with pytest.raises(ParseError, match="must be <=|byte limit"):
         cli.parse_scenario(_write_edit(workdir, name, path, value))
+
+
+def test_grid_sizes_have_no_effect(workdir, tmp_path):
+    # link.optimize.n_re/n_im size nothing since the load search is exact:
+    # 2**62 of each parses and gives the shipped report
+    doc = copy.deepcopy(DOCS["link_crossover"])
+    doc["link"]["optimize"].update(n_re=2**62, n_im=2**62)
+    scenario = workdir / "huge_grid.json"
+    scenario.write_text(json.dumps(doc))
+    assert cli.parse_scenario(scenario).data["link"]["optimize"]["n_re"] == 2**62
+    reports = []
+    for path in (scenario, SCENARIOS / "link_crossover.json"):
+        out = tmp_path / f"{path.stem}.csv"
+        assert cli.main(["link", "--scenario", str(path), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_single_field_edit_exits_0_to_4(workdir):
@@ -115,3 +131,40 @@ def test_huge_netlist_node_index_is_a_parse_error(index):
     # parse only, as for the size fields: the check must come before any allocation
     with pytest.raises(ParseError, match=f"skips {index - 2} node indices below {index}"):
         mna.parse_netlist(f"V1 1 0 1 0\nZ1 {index} 0 1 0\n")
+
+
+# A file-level edit replaces one token of one line with a value from
+# TOKEN_POOL or deletes it, or deletes or repeats one line. The pool holds no
+# large integer: a port or node index is a size.
+TOKEN_POOL = ["", "x", "-1", "0", "2", "0.5", "-1e300", "1e-300", "nan", "inf", "1+2j", DELETE]
+FILE_READERS = {"coupled_pair.csv": (",", ["validate_pair", "array_pair"]),
+                "divider.cir": (" ", ["frontend_netlist"])}
+
+
+def _file_edits(text: str, sep: str):
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        yield lines[:i] + lines[i + 1:]
+        yield lines[:i + 1] + lines[i:]
+        tokens = line.split(sep)
+        for j in range(len(tokens)):
+            for value in TOKEN_POOL:
+                edited = tokens[:j] + ([] if value is DELETE else [value]) + tokens[j + 1:]
+                yield lines[:i] + [sep.join(edited)] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("referenced", sorted(FILE_READERS))
+def test_file_token_edit_exits_0_to_4(tmp_path, referenced):
+    sep, names = FILE_READERS[referenced]
+    for name in names:
+        (tmp_path / f"{name}.json").write_text(json.dumps(DOCS[name]))
+    target = tmp_path / referenced
+    for lines in _file_edits((SCENARIOS / referenced).read_text(), sep):
+        target.write_text("\n".join(lines) + "\n")
+        for name in names:
+            argv = [name.split("_")[0], "--scenario", str(tmp_path / f"{name}.json"),
+                    "--out", str(tmp_path / "report")]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = cli.main(argv)
+            assert code in (0, 1, 2, 3, 4), (referenced, lines, name)

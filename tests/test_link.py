@@ -1,8 +1,12 @@
+import csv
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from rxfront import cli
 from rxfront.core import (
     OPEN_CIRCUIT,
     NumericalError,
@@ -12,7 +16,7 @@ from rxfront.core import (
 )
 from rxfront.link import (
     AmplifierNoiseModel,
-    GridSpec,
+    SearchBox,
     SingleLink,
     divided_voltage,
     extracted_power,
@@ -29,6 +33,7 @@ from oracles import (
     extracted_power_scalar,
     output_snr_ref,
     output_snr_scalar,
+    snr_grid_ref,
     snr_ratio_ref,
 )
 
@@ -141,7 +146,7 @@ def test_snr_matched_rejects_lossless_source():
 def test_optimize_load_prefers_open_when_amp_noise_dominates():
     link = SingleLink(50.0, 10.0, 1e-12)
     amp = AmplifierNoiseModel(10.0, 1e-9, 290.0)  # Johnson term tiny vs n_na
-    best, snr = optimize_load(link, amp, GridSpec(200.0, 200.0, 41, 41))
+    best, snr = optimize_load(link, amp, SearchBox(200.0, 200.0))
     assert best is OPEN_CIRCUIT
     assert snr == output_snr(link, amp, OPEN_CIRCUIT)
 
@@ -150,7 +155,7 @@ def test_optimize_load_can_beat_open_for_reactive_source():
     # nearly reactive source: matched load wins by about |Z|^2 / (4 Re^2)
     link = SingleLink(1 + 100j, 10.0, 1e-12)
     amp = AmplifierNoiseModel(10.0, 1e-9, 290.0)
-    best, snr = optimize_load(link, amp, GridSpec(5.0, 120.0, 21, 121))
+    best, snr = optimize_load(link, amp, SearchBox(5.0, 120.0))
     assert best is not OPEN_CIRCUIT
     assert snr > output_snr(link, amp, OPEN_CIRCUIT)
 
@@ -158,22 +163,114 @@ def test_optimize_load_can_beat_open_for_reactive_source():
 def test_optimize_load_respects_include_open_flag():
     link = SingleLink(50.0, 10.0, 1e-12)
     amp = AmplifierNoiseModel(10.0, 1e-9, 290.0)
-    best, _ = optimize_load(link, amp, GridSpec(100.0, 0.0, 11, 1, include_open=False))
+    best, _ = optimize_load(link, amp, SearchBox(100.0, 0.0, include_open=False))
     assert best is not OPEN_CIRCUIT
 
 
-def test_optimize_load_empty_search_is_an_error():
+def test_search_box_validation():
+    with pytest.raises(ValidationError):
+        SearchBox(-1.0, 0.0)
+    with pytest.raises(ValidationError):
+        SearchBox(1.0, math.inf)
+
+
+def _run_optimum(tmp_path, z_r, box) -> tuple:
+    """Exit code of ``rxfront link`` with an optimize section, and its optimal row."""
+    scenario = {
+        "name": "optimum",
+        "link": {
+            "z_r_ohms": {"re": z_r.real, "im": z_r.imag},
+            "z_rt_ohms": {"re": 10, "im": 0},
+            "s_it_a2_per_hz": 1e-12,
+            "loads": [{"kind": "open_circuit"}],
+            "optimize": {**box, "n_re": 3, "n_im": 3},
+        },
+        "amplifier": {"gain": 10, "n_na_v2_per_hz": 1e-9, "temp_kelvin": 290},
+    }
+    path, out = tmp_path / "optimum.json", tmp_path / "optimum.csv"
+    path.write_text(json.dumps(scenario))
+    code = cli.main(["link", "--scenario", str(path), "--out", str(out)])
+    if code != 0:
+        return code, None
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert rows[-1]["label"] == "optimal"
+    return code, rows[-1]
+
+
+def test_optimal_load_is_lossless_and_exact(tmp_path):
+    # the open circuit's SNR grows by |z_r|^2 / R_r^2 at z_l = -j |z_r|^2 / X_r,
+    # a load that extracts no power
+    z_r = 5 + 37j
+    _, row = _run_optimum(tmp_path, z_r, {"r_max_ohms": 500, "x_max_ohms": 500})
+    assert row["z_l_re_ohms"] == "0" and row["extracted_power_w_per_hz"] == "0"
+    snr_oc = 10.0**2 * 10.0**2 * 1e-12 / 1e-9
+    assert math.isclose(float(row["snr"]), snr_oc * abs(z_r) ** 2 / z_r.real**2, rel_tol=1e-12)
+    link, amp = SingleLink(z_r, 10.0, 1e-12), AmplifierNoiseModel(10.0, 1e-9, 290.0)
+    best, _ = optimize_load(link, amp, SearchBox(500.0, 500.0))
+    assert complex(best) == complex(0.0, -(z_r.real * z_r.real + z_r.imag * z_r.imag) / z_r.imag)
+
+
+def test_optimize_load_beats_every_grid_cell():
+    rng = np.random.default_rng(43)
+    for case in range(40):
+        link = SingleLink(complex(rng.uniform(0.1, 200), rng.uniform(-300, 300)),
+                          complex(rng.normal(), rng.normal()), 10.0 ** rng.uniform(-14, -10))
+        amp = AmplifierNoiseModel(rng.uniform(0.5, 50), 10.0 ** rng.uniform(-14, -6), rng.uniform(30, 600))
+        r_max, x_max = (rng.uniform(0, 500) if case % 5 else 0.0 for _ in range(2))
+        best, snr = optimize_load(link, amp, SearchBox(r_max, x_max, include_open=False))
+        z = complex(best)
+        assert 0.0 <= z.real <= r_max and abs(z.imag) <= x_max
+        assert snr == output_snr(link, amp, z)
+        s_voc = abs(link.z_rt) ** 2 * link.s_it
+        grid = snr_grid_ref(np.linspace(0.0, r_max, 31), np.linspace(-x_max, x_max, 31),
+                            link.z_r.real, link.z_r.imag, s_voc, amp.gain**2, amp.n_na,
+                            2.0 * K_BOLTZ * amp.temperature)
+        assert snr >= grid.max() * (1.0 - 1e-12), case
+
+
+AMP = AmplifierNoiseModel(10.0, 1e-9, 290.0)
+NOISELESS = AmplifierNoiseModel(10.0, 0.0, 290.0)
+
+
+def test_optimize_load_with_resistive_receiver():
+    # X_r = 0: no load beats the open circuit; without it, a corner wins
     link = SingleLink(50.0, 10.0, 1e-12)
-    amp = AmplifierNoiseModel(10.0, 1e-9, 290.0)
-    with pytest.raises(ValidationError):
-        optimize_load(link, amp, GridSpec(0.0, 0.0, 0, 0, include_open=False))
+    assert optimize_load(link, AMP, SearchBox(200.0, 100.0))[0] is OPEN_CIRCUIT
+    best, _ = optimize_load(link, AMP, SearchBox(200.0, 100.0, include_open=False))
+    assert complex(best) in {complex(r, x) for r in (0.0, 200.0) for x in (-100.0, 100.0)}
 
 
-def test_grid_spec_validation():
-    with pytest.raises(ValidationError):
-        GridSpec(-1.0, 0.0, 5, 5)
-    with pytest.raises(ValidationError):
-        GridSpec(1.0, 1.0, -2, 5)
+def test_lossless_resonance_in_the_box_is_unbounded(tmp_path):
+    with pytest.raises(NumericalError, match="unbounded"):
+        optimize_load(SingleLink(37j, 10.0, 1e-12), AMP, SearchBox(0.0, 37.0))
+    assert _run_optimum(tmp_path, 37j, {"r_max_ohms": 0, "x_max_ohms": 40}) == (3, None)
+    # a resonance outside the box leaves a bounded SNR
+    best, _ = optimize_load(SingleLink(37j, 10.0, 1e-12), AMP, SearchBox(10.0, 36.0, include_open=False))
+    assert complex(best) == -36j
+
+
+def test_optimize_load_with_noiseless_amplifier():
+    # n_na = 0: every R = 0 load scores inf, and the usual ties decide
+    link = SingleLink(5 + 37j, 10.0, 1e-12)
+    assert optimize_load(link, NOISELESS, SearchBox(10.0, 20.0)) == (OPEN_CIRCUIT, math.inf)
+    best, snr = optimize_load(link, NOISELESS, SearchBox(10.0, 20.0, include_open=False))
+    assert (complex(best), snr) == (-20j, math.inf)
+
+
+def test_zero_width_box_holds_one_load():
+    link = SingleLink(5 + 37j, 10.0, 1e-12)
+    best, snr = optimize_load(link, AMP, SearchBox(0.0, 0.0, include_open=False))
+    assert (complex(best), snr) == (0j, 0.0)
+    assert optimize_load(link, AMP, SearchBox(0.0, 0.0))[0] is OPEN_CIRCUIT
+    # z_r = 0 and z_l = 0: the only load is singular
+    with pytest.raises(NumericalError, match="every candidate load is singular"):
+        optimize_load(SingleLink(0.0, 10.0, 1e-12), NOISELESS, SearchBox(0.0, 0.0, include_open=False))
+
+
+def test_candidates_whose_squares_overflow_are_dropped():
+    # the corners at R = 2e154 overflow; the R = 0 edge's optimum remains
+    best, _ = optimize_load(SingleLink(5 + 37j, 10.0, 1e-12), AMP, SearchBox(2e154, 500.0, include_open=False))
+    assert complex(best) == complex(0.0, -(25.0 + 37.0 * 37.0) / 37.0)
 
 
 def test_model_validation():
