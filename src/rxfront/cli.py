@@ -21,12 +21,9 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache, partial
+from numbers import Integral
 from pathlib import Path
 
-import numpy as np
-
-from . import arrays, frontend, matching, mna, noisefig, shannon
-from . import link as link_mod
 from .core import (
     MAX_ARRAY_BYTES,
     OPEN_CIRCUIT,
@@ -62,7 +59,7 @@ def fmt(value) -> str:
         return "undefined"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, Integral)):  # numpy integers too
         return str(int(value))
     x = float(value)
     if math.isnan(x):
@@ -354,6 +351,8 @@ def parse_scenario(path) -> Scenario:
 
 
 def _run_validate(scenario: Scenario):
+    import numpy as np
+
     section = scenario.data["validate"]
     dims = None
     if "dims_m" in section:
@@ -373,6 +372,8 @@ def _run_validate(scenario: Scenario):
 
 
 def _run_capacity(scenario: Scenario):
+    from . import shannon
+
     section = scenario.data["capacity"]
     power = section["power"]
     n0 = section["noise_density"]
@@ -393,6 +394,10 @@ def _run_capacity(scenario: Scenario):
 
 
 def _run_link(scenario: Scenario):
+    import numpy as np
+
+    from . import link as link_mod
+
     section = scenario.data["link"]
     ampd = scenario.data["amplifier"]
     lnk = link_mod.SingleLink(
@@ -460,6 +465,8 @@ def _run_link(scenario: Scenario):
 
 
 def _run_noisefig(scenario: Scenario):
+    from . import noisefig
+
     section = scenario.data["noisefig"]
     gen = noisefig.SignalGenerator(
         _as_complex(section["v_s_volts"]), section["r_s_ohms"], section["temp_kelvin"]
@@ -501,6 +508,8 @@ def _optional_cx(canon):
 def _run_frontend(scenario: Scenario):
     section = scenario.data["frontend"]
     if "netlist" in section:
+        from . import mna
+
         text = (scenario.base_dir / section["netlist"]).read_text()
         solution = mna.mna_solve(mna.parse_netlist(text))
         rows = []
@@ -512,6 +521,8 @@ def _run_frontend(scenario: Scenario):
                 value = solution.branch_currents[el.name]
                 rows.append({"kind": "branch", "name": el.name, "value_re": value.real, "value_im": value.imag})
         return _columns(["kind", "name", "value_re", "value_im"], rows), True
+
+    from . import frontend
 
     source_d = section["source"]
     source = frontend.TheveninSource(
@@ -555,6 +566,11 @@ def _run_frontend(scenario: Scenario):
 
 
 def _run_match(scenario: Scenario):
+    import numpy as np
+
+    from . import link as link_mod
+    from . import matching
+
     section = scenario.data["match"]
     ampd = scenario.data["amplifier"]
     linkd = section["link"]
@@ -584,18 +600,11 @@ def _run_match(scenario: Scenario):
     return _columns(["turns_ratio", "snr", "annotations"], rows), True
 
 
-def _strategy_from_canon(canon) -> arrays.TerminationStrategy:
-    if isinstance(canon, str):
-        return arrays.TerminationStrategy(canon)
-    z_l = [[_as_complex(v) for v in row] for row in canon["z_l_ohms"]]
-    return arrays.TerminationStrategy.explicit(np.array(z_l, dtype=np.complex128))
-
-
-def _strategy_label(canon) -> str:
-    return canon if isinstance(canon, str) else "explicit"
-
-
 def _run_array(scenario: Scenario):
+    import numpy as np
+
+    from . import arrays
+
     section = scenario.data["array"]
     if "synthetic" in section:
         syn = section["synthetic"]
@@ -614,25 +623,40 @@ def _run_array(scenario: Scenario):
         else:
             currents = np.array([_as_complex(v) for v in i_t])
         model = arrays.ArrayModel(zms, currents)
-    solved = []
+    labels, notes, solved = [], [], []
     for canon in section["strategies"]:
-        strategy = _strategy_from_canon(canon)
-        notes = ";time_reversal_caveat" if strategy.kind == "full_conjugate" else ""
-        solved.append((_strategy_label(canon), notes, arrays.terminate_array(model, strategy)))
-    rows = []
-    for fi, freq in enumerate(model.zms.grid):
-        for label, notes, result in solved:
-            volts = result.voltages[fi]
-            rows.append({
-                "freq_hz": freq,
-                "strategy": label,
-                "sum_power_w": result.power[fi],
-                "v_mag_volts": ";".join(fmt(abs(v)) for v in volts),
-                "v_phase_rad": ";".join(fmt(math.atan2(v.imag, v.real)) for v in volts),
-                "annotations": "offdiag_ratio=" + fmt(result.offdiag_ratio[fi]) + notes,
-            })
-    fields = ["freq_hz", "strategy", "sum_power_w", "v_mag_volts", "v_phase_rad", "annotations"]
-    return _columns(fields, rows), True
+        if isinstance(canon, str):
+            label, strategy = canon, arrays.TerminationStrategy(canon)
+        else:
+            z_l = np.array([[_as_complex(v) for v in row] for row in canon["z_l_ohms"]], dtype=np.complex128)
+            label, strategy = "explicit", arrays.TerminationStrategy.explicit(z_l)
+        labels.append(label)
+        notes.append(";time_reversal_caveat" if strategy.kind == "full_conjugate" else "")
+        solved.append(arrays.terminate_array(model, strategy))
+
+    def flat(field: str) -> np.ndarray:
+        """One result field over the report rows, frequency-major then strategy (then port)."""
+        return np.stack([getattr(result, field) for result in solved], axis=1).reshape(-1)
+
+    def per_row(column) -> list:
+        """K cells of a port column joined into each row's one cell."""
+        cells = _cells(column)
+        return [";".join(cells[i:i + n_rx]) for i in range(0, len(cells), n_rx)]
+
+    n_freqs, n_rx = solved[0].voltages.shape
+    volts = flat("voltages")
+    re, im = volts.real, volts.imag
+    phases = list(map(math.atan2, im.tolist(), re.tolist()))  # np.arctan2 can differ in the last bit
+    columns = {
+        "freq_hz": np.repeat(model.zms.grid.as_array(), len(solved)),
+        "strategy": labels * n_freqs,
+        "sum_power_w": flat("power"),
+        "v_mag_volts": per_row(np.hypot(re, im)),  # abs() of each voltage, to the last bit
+        "v_phase_rad": per_row(np.array(phases)),
+        "annotations": [f"offdiag_ratio={cell}{note}"
+                        for cell, note in zip(_cells(flat("offdiag_ratio")), notes * n_freqs)],
+    }
+    return columns, True
 
 
 _RUNNERS = {
@@ -652,11 +676,11 @@ def _columns(fieldnames: list, rows: list) -> dict:
 
 
 def _cells(column) -> list:
-    """One column's report cells. A float array is formatted in one pass;
-    fmt renders only the cells .12g would render otherwise (0, -0.0, nan, inf)."""
-    if isinstance(column, np.ndarray):
-        return [f"{x:.12g}" if x and x - x == 0.0 else fmt(x) for x in column.tolist()]
-    return [fmt(value) for value in column]
+    """One column's report cells: a list cell by cell, a float array in one
+    pass; fmt renders only the cells .12g would render otherwise (0, -0.0, nan, inf)."""
+    if isinstance(column, list):
+        return [fmt(value) for value in column]
+    return [f"{x:.12g}" if x and x - x == 0.0 else fmt(x) for x in column.tolist()]
 
 
 def render_report(columns: dict, fmt_kind: str, title: str) -> str:
@@ -705,6 +729,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numerical_errors() -> tuple:
+    """ArithmeticError, and numpy's LinAlgError once numpy is loaded (a run
+    that never loaded it cannot raise it, and need not import it to say so)."""
+    numpy = sys.modules.get("numpy")
+    return (ArithmeticError,) if numpy is None else (ArithmeticError, numpy.linalg.LinAlgError)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -730,7 +761,7 @@ def main(argv=None) -> int:
     except (ParseError, UnicodeDecodeError) as exc:  # a referenced CSV or netlist may not be UTF-8
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except _numerical_errors() as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except ValidationError as exc:

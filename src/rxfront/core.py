@@ -1,4 +1,9 @@
-"""Shared numeric types, impedance-matrix validation, and Thevenin construction."""
+"""Shared numeric types, impedance-matrix validation, and Thevenin construction.
+
+The scalar types need no numpy. The matrix-stack code (``ImpedanceMatrixSeries``,
+the validators and the CSV loader) imports it where it runs, so a closed-form
+call never loads it.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +11,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 BOLTZMANN = 1.380649e-23
 """Boltzmann constant in J/K (exact SI value)."""
@@ -140,6 +143,8 @@ class FrequencyGrid:
         return self.points[index]
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.points, dtype=float)
 
     def omega(self) -> np.ndarray:
@@ -160,6 +165,8 @@ class ImpedanceMatrixSeries:
     dims: tuple = None
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         mats = np.array(self.matrices, dtype=np.complex128, copy=True)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValidationError(f"matrices must have shape (F, N, N), got {mats.shape}")
@@ -230,6 +237,8 @@ def validate_reciprocity(zms: ImpedanceMatrixSeries, tol: float = DEFAULT_TOL) -
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
+    import numpy as np
+
     mats = zms.matrices
     scale = np.abs(mats).max(axis=(1, 2))
     return _report("reciprocity", tol, np.abs(mats - mats.swapaxes(1, 2)).max(axis=(1, 2)), scale)
@@ -243,6 +252,8 @@ def validate_passivity(zms: ImpedanceMatrixSeries, tol: float = DEFAULT_TOL) -> 
     """
     if tol <= 0:
         raise ValidationError("tol must be positive")
+    import numpy as np
+
     real = zms.matrices.real
     sym = (real + real.swapaxes(1, 2)) / 2.0
     try:
@@ -255,6 +266,8 @@ def validate_passivity(zms: ImpedanceMatrixSeries, tol: float = DEFAULT_TOL) -> 
 
 
 def _eigvalsh_converges(mat: np.ndarray) -> bool:
+    import numpy as np
+
     try:
         np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError:
@@ -264,6 +277,8 @@ def _eigvalsh_converges(mat: np.ndarray) -> bool:
 
 def _report(check: str, tol: float, excess: np.ndarray, scale: np.ndarray) -> ValidationReport:
     """Per-frequency deviation excess / scale, and 0 where the scale is 0."""
+    import numpy as np
+
     with np.errstate(invalid="ignore"):  # inf / inf is nan, as in scalar float division
         deviations = np.divide(excess, scale, out=np.zeros_like(excess), where=scale != 0.0)
     worst = int(np.argmax(deviations))
@@ -277,7 +292,7 @@ def thevenin_from_link(z_rt, i_t, z_r) -> TheveninSource:
     return TheveninSource(v_oc, as_complex(z_r, "z_r"))
 
 
-_CSV_DTYPE = np.dtype([("freq", "f8"), ("row", "i8"), ("col", "i8"), ("re", "f8"), ("im", "f8")])
+_CSV_DTYPE = [("freq", "f8"), ("row", "i8"), ("col", "i8"), ("re", "f8"), ("im", "f8")]  # a numpy dtype spec
 
 
 def _parse_csv_row(lineno: int, row: list) -> tuple:
@@ -301,6 +316,8 @@ def _parse_csv_row(lineno: int, row: list) -> tuple:
 
 def _read_fast(handle):
     """Body columns from one numpy read, or None where the line-by-line rules must decide."""
+    import numpy as np
+
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
@@ -319,6 +336,8 @@ def _read_fast(handle):
 
 def _read_lines(reader):
     """Body columns from the per-line walk; raises the line-numbered ParseError."""
+    import numpy as np
+
     parsed = []
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
@@ -370,6 +389,8 @@ def _assemble(freqs, rows, cols, values, n: int, tol: float, path) -> tuple:
     Conflicts are named in the order the line-by-line loader found them:
     repeats in file order first, then mirror pairs by frequency and first listing.
     """
+    import numpy as np
+
     grid, fi = np.unique(freqs, return_inverse=True)
     if stack_bytes(len(grid), n) > MAX_ARRAY_BYTES:  # checked before anything is allocated
         raise ParseError(
@@ -410,4 +431,6 @@ def _assemble(freqs, rows, cols, values, n: int, tol: float, path) -> tuple:
 
 
 def _conflicts(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    import numpy as np
+
     return np.abs(a - b) > tol * np.maximum(np.abs(a), np.abs(b))

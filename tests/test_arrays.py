@@ -1,9 +1,12 @@
+import csv
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from rxfront import cli
 from rxfront.core import (
     FrequencyGrid,
     ImpedanceMatrixSeries,
@@ -307,3 +310,41 @@ def test_batch_paths_agree():
         a = sum_power_batch_ref(z_r, loads, v_oc)
         b = perturbation_sum_powers(z_r, np.zeros_like(z_r), v_oc, loads)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-300)
+
+
+def test_array_report_matches_the_row_by_row_rendering(tmp_path):
+    # The report is built column by column; each row must carry the bytes the
+    # per-row rendering gives: fmt(abs(v)) and fmt(math.atan2(v.imag, v.real))
+    # per port, joined with ';'.
+    freqs = [float(f) for f in np.linspace(1e6, 9e6, 40)]
+    n_rx = 5
+    z_l = [[{"re": 50.0 if i == j else 2.0, "im": 10.0 if i == j else -1.0} for j in range(n_rx)]
+           for i in range(n_rx)]
+    names = ["open_circuit", "per_antenna_conjugate", "full_conjugate"]
+    synthetic = {"n_tx": 2, "n_rx": n_rx, "self_ohms": {"re": 50, "im": 5}, "coupling_ohms": 8,
+                 "decay": 0.3, "frequencies_hz": freqs, "seed": 7}
+    scenario = tmp_path / "array.json"
+    scenario.write_text(json.dumps({"array": {
+        "synthetic": synthetic, "strategies": [*names, {"kind": "explicit", "z_l_ohms": z_l}],
+    }}))
+    out = tmp_path / "array.csv"
+    assert cli.main(["array", "--scenario", str(scenario), "--out", str(out)]) == 0
+
+    model = make_synthetic_model(2, n_rx, 50 + 5j, 8.0, 0.3, freqs, rng=np.random.default_rng(7))
+    explicit = np.array([[complex(c["re"], c["im"]) for c in row] for row in z_l])
+    strategies = [*((name, TerminationStrategy(name)) for name in names),
+                  ("explicit", TerminationStrategy.explicit(explicit))]
+    solved = [(label, terminate_array(model, strategy)) for label, strategy in strategies]
+    expected = [["freq_hz", "strategy", "sum_power_w", "v_mag_volts", "v_phase_rad", "annotations"]]
+    for fi, freq in enumerate(freqs):
+        for label, result in solved:
+            volts = result.voltages[fi]
+            note = ";time_reversal_caveat" if label == "full_conjugate" else ""
+            expected.append([
+                cli.fmt(freq), label, cli.fmt(result.power[fi]),
+                ";".join(cli.fmt(abs(v)) for v in volts),
+                ";".join(cli.fmt(math.atan2(v.imag, v.real)) for v in volts),
+                "offdiag_ratio=" + cli.fmt(result.offdiag_ratio[fi]) + note,
+            ])
+    with open(out, newline="") as handle:
+        assert list(csv.reader(handle)) == expected

@@ -1,0 +1,105 @@
+"""What each entry point loads: the package namespace resolves on first use,
+and the closed-form subcommands run without numpy. Each check runs in a fresh
+interpreter, so modules imported by other tests do not hide a regression."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SUBMODULES = ("core", "shannon", "link", "noisefig", "mna", "frontend", "matching", "arrays")
+
+
+def _fresh(code: str):
+    """Run ``code`` in a new interpreter with src/ on the path; return the JSON it prints."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+LOADED = "json.dumps(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('rxfront')))"
+
+
+def test_cli_import_loads_only_core():
+    assert _fresh(f"import json, sys, rxfront.cli; print({LOADED})") == ["rxfront", "rxfront.cli", "rxfront.core"]
+
+
+@pytest.mark.parametrize("command, scenario, module", [
+    ("capacity", "capacity_demo", "rxfront.shannon"),
+    ("noisefig", "noisefig_sweep", "rxfront.noisefig"),
+])
+def test_closed_form_subcommands_run_without_numpy(tmp_path, command, scenario, module):
+    out = tmp_path / "report.csv"
+    argv = [command, "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"), "--out", str(out)]
+    loaded = _fresh(f"import json, sys, rxfront.cli; assert rxfront.cli.main({argv!r}) == 0; print({LOADED})")
+    assert loaded == sorted(["rxfront", "rxfront.cli", "rxfront.core", module])
+    assert out.read_text().startswith("bandwidth," if command == "capacity" else "r_l_ohms,")
+
+
+def test_closed_form_failures_keep_their_exit_codes_without_numpy(tmp_path):
+    # main's numerical-error clause names numpy's LinAlgError only once numpy is
+    # loaded; every other exit must come out as it does in a run that loads it.
+    def edited(name, section, key, value):
+        doc = json.loads((ROOT / "scenarios" / f"{name}.json").read_text())
+        doc[section][key] = value
+        path = tmp_path / f"{name}-{key}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    calls = [
+        ["capacity", "--scenario", edited("capacity_demo", "capacity", "bandwidths", [-1.0])],  # 1
+        ["capacity", "--scenario", edited("capacity_demo", "capacity", "power", "1")],  # 2
+        ["noisefig", "--scenario", edited("noisefig_sweep", "noisefig", "v_s_volts", {"re": 1e200})],  # 3
+        ["noisefig", "--scenario", str(tmp_path / "missing.json")],  # 4
+    ]
+    codes, loaded = _fresh(f"""
+import contextlib, io, json, sys, rxfront.cli
+with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+    codes = [rxfront.cli.main(argv) for argv in {calls!r}]
+print(json.dumps([codes, "numpy" in sys.modules]))
+""")
+    assert (codes, loaded) == ([1, 2, 3, 4], False)
+
+
+def test_every_public_name_is_its_submodules_object():
+    mismatched, missing_from_dir = _fresh(f"""
+import importlib, json, rxfront
+listed = set(dir(rxfront))
+missing = sorted(set(rxfront.__all__) - listed)
+subs = [importlib.import_module("rxfront." + name) for name in {SUBMODULES!r}]
+bad = []
+for name in rxfront.__all__:
+    owners = [sub for sub in subs if name in vars(sub)]
+    if name != "__version__" and not owners:
+        bad.append(name)
+    bad += [name for sub in owners if getattr(rxfront, name) is not vars(sub)[name]]
+print(json.dumps([bad, missing]))
+""")
+    assert mismatched == [] and missing_from_dir == []
+
+
+def test_star_import_binds_every_public_name():
+    assert _fresh("""
+import json, rxfront
+scope = {}
+exec("from rxfront import *", scope)
+print(json.dumps(sorted(set(rxfront.__all__) - set(scope))))
+""") == []
+
+
+def test_unknown_names_raise_attribute_error_and_submodules_still_import():
+    assert _fresh("""
+import json, rxfront
+try:
+    rxfront.no_such_name
+    raised = False
+except AttributeError:
+    raised = True
+from rxfront import arrays
+print(json.dumps([raised, hasattr(rxfront, "kernels"), arrays.__name__]))
+""") == [True, False, "rxfront.arrays"]

@@ -363,3 +363,22 @@ def test_divider_underflow_is_a_division_by_zero_as_in_python_floats():
         output_snr(link, amp, np.array([1.0, load]))
     with pytest.raises(ZeroDivisionError):
         extracted_power(TheveninSource(1.0, 37j), load)
+
+
+def test_optimal_load_extracts_no_power_on_random_links():
+    # Whenever the lossless optimum -j |z_r|^2 / X_r fits in the box, the
+    # SNR-optimal load is that lossless load: R = 0, no power extracted, and
+    # the open circuit's SNR raised by |z_r|^2 / R_r^2.
+    rng = np.random.default_rng(59)
+    for case in range(2000):
+        r_r, x_r = rng.uniform(0.1, 200), rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 300)
+        link = SingleLink(complex(r_r, x_r), complex(rng.normal(), rng.normal()), 10.0 ** rng.uniform(-14, -10))
+        amp = AmplifierNoiseModel(rng.uniform(0.5, 50), 10.0 ** rng.uniform(-14, -6), rng.uniform(30, 600))
+        abs2 = r_r * r_r + x_r * x_r
+        x_max = abs2 / abs(x_r) * (1.0 if case % 10 == 0 else rng.uniform(1.0, 4.0))
+        r_max = 0.0 if case % 7 == 0 else rng.uniform(0, 500)
+        best, snr = optimize_load(link, amp, SearchBox(r_max, x_max, include_open=case % 2 == 0))
+        assert best is not OPEN_CIRCUIT and best.re == 0.0, case
+        assert extracted_power(TheveninSource(1.0, link.z_r), best) == 0.0, case
+        snr_oc = output_snr(link, amp, OPEN_CIRCUIT)
+        assert math.isclose(snr, snr_oc * abs2 / (r_r * r_r), rel_tol=1e-12), case
