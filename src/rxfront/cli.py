@@ -14,13 +14,13 @@ singular-circuit error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import gc
 import json
 import math
 import sys
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import chain, repeat
 from numbers import Integral
 from pathlib import Path
 
@@ -28,7 +28,6 @@ from .core import (
     MAX_ARRAY_BYTES,
     OPEN_CIRCUIT,
     ParseError,
-    SingularCircuitError,
     TheveninSource,
     ToolkitError,
     ValidationError,
@@ -75,31 +74,38 @@ REQUIRED = object()  # field-table default: the key must be present
 OPTIONAL = object()  # field-table default: an absent key stays absent
 
 
-def _fail(message: str):
-    raise ParseError(f"scenario: {message}")
+class _Invalid(Exception):
+    """A scenario field failed its check. The checkers know only the value;
+    each enclosing level prepends its part of the field's path (".key",
+    "[]", ".re") as the error propagates, so a valid field builds no string.
+    The message is head + path (without its leading ".") + tail."""
+
+    def __init__(self, tail: str, head: str = "", path: str = ""):
+        super().__init__(tail)
+        self.tail, self.head, self.path = tail, head, path
 
 
-def _num(value, context: str) -> float:
+def _num(value) -> float:
     if type(value) not in (int, float):  # JSON numbers; bool is not one
-        _fail(f"{context} must be a number")
+        raise _Invalid(" must be a number")
     try:
         x = float(value)
     except OverflowError:  # an integer beyond the float range
         x = math.inf
     if not math.isfinite(x):
-        _fail(f"{context} must be finite")
+        raise _Invalid(" must be finite")
     return x
 
 
-def _int(value, context: str, minimum: int = -(2**63), maximum: int = 2**63 - 1) -> int:
+def _int(value, minimum: int = -(2**63), maximum: int = 2**63 - 1) -> int:
     if type(value) is not int:
-        _fail(f"{context} must be an integer")
+        raise _Invalid(" must be an integer")
     if value < minimum:
-        _fail(f"{context} must be >= {minimum}")
+        raise _Invalid(f" must be >= {minimum}")
     if value >= 2**63:
-        _fail(f"{context} must fit in a 64-bit integer")
+        raise _Invalid(" must fit in a 64-bit integer")
     if value > maximum:
-        _fail(f"{context} must be <= {maximum}")
+        raise _Invalid(f" must be <= {maximum}")
     return value
 
 
@@ -110,21 +116,28 @@ _count = partial(_int, minimum=0)
 _REPORT_ROW_BYTES = 1024  # one report row as Python objects and text (about 330 B measured)
 
 
-def _check_size(context: str, nbytes: int) -> None:
+def _check_size(nbytes: int) -> None:
     if nbytes > MAX_ARRAY_BYTES:
-        _fail(f"{context} asks for {nbytes} bytes, over the {MAX_ARRAY_BYTES}-byte limit")
+        raise _Invalid(f" asks for {nbytes} bytes, over the {MAX_ARRAY_BYTES}-byte limit")
 
 
-def _cx(value, context: str) -> dict:
+def _cx(value) -> dict:
     if not isinstance(value, dict) or "re" not in value:
-        _fail(f"{context} must be an object with re/im parts")
-    return {"re": _num(value["re"], context + ".re"), "im": _num(value.get("im", 0), context + ".im")}
+        raise _Invalid(" must be an object with re/im parts")
+    part = ".re"
+    try:
+        re = _num(value["re"])
+        part = ".im"
+        return {"re": re, "im": _num(value.get("im", 0))}
+    except _Invalid as exc:
+        exc.path = part + exc.path
+        raise
 
 
 def _typed(kind, noun: str):
-    def checker(value, context):
+    def checker(value):
         if not isinstance(value, kind):
-            _fail(f"{context} must be {noun}")
+            raise _Invalid(" must be " + noun)
         return value
     return checker
 
@@ -132,18 +145,21 @@ def _typed(kind, noun: str):
 _str, _bool = _typed(str, "a string"), _typed(bool, "true or false")
 
 
-def _walk(table: dict, value, context: str) -> dict:
+def _walk(table: dict, value) -> dict:
     """Check one object against its field table and return the normalized copy."""
     if not isinstance(value, dict):
-        _fail(f"{context} must be an object")
-    prefix = f"{context}." if context else ""
+        raise _Invalid(" must be an object")
     out = {}
-    for key, (check, default) in table.items():
-        item = value.get(key, default)
-        if item is REQUIRED:
-            _fail(f"missing {prefix}{key}")
-        if item is not OPTIONAL:
-            out[key] = check(item, prefix + key)
+    try:
+        for key, (check, default) in table.items():
+            item = value.get(key, default)
+            if item is REQUIRED:
+                raise _Invalid("", "missing ")
+            if item is not OPTIONAL:
+                out[key] = check(item)
+    except _Invalid as exc:
+        exc.path = "." + key + exc.path
+        raise
     return out
 
 
@@ -152,11 +168,14 @@ def _obj(table: dict):
 
 
 def _list_of(check):
-    def checker(value, context):
+    def checker(value):
         if not isinstance(value, list) or not value:
-            _fail(f"{context} must be a non-empty list")
-        item = f"{context}[]"
-        return [check(v, item) for v in value]
+            raise _Invalid(" must be a non-empty list")
+        try:
+            return [check(v) for v in value]
+        except _Invalid as exc:
+            exc.path = "[]" + exc.path
+            raise
     return checker
 
 
@@ -164,25 +183,25 @@ def _rows_of(check):
     """Non-empty list of equal-length, non-empty rows."""
     list_of_rows = _list_of(_list_of(check))
 
-    def checker(value, context):
-        rows = list_of_rows(value, context)
+    def checker(value):
+        rows = list_of_rows(value)
         if len({len(row) for row in rows}) != 1:
-            _fail(f"{context} rows must all have the same length")
+            raise _Invalid(" rows must all have the same length")
         return rows
     return checker
 
 
 def _one_of(*choices):
-    def checker(value, context):
+    def checker(value):
         if not isinstance(value, str) or value not in choices:
-            _fail(f"{context} {value!r} unknown")
+            raise _Invalid(" " + repr(value) + " unknown")  # the repr may hold braces
         return value
     return checker
 
 
 def _or_inf(check):
     """Values that may be infinite stay the literal token "inf" when normalized."""
-    return lambda value, context: "inf" if value == "inf" else check(value, context)
+    return lambda value: "inf" if value == "inf" else check(value)
 
 
 # One field table per scenario object: key -> (checker, default | REQUIRED |
@@ -200,9 +219,9 @@ _VALIDATE = {"impedance_csv": (_str, REQUIRED), "tol": (_num, 1e-9)}
 _VALIDATE_DIMS = {**_VALIDATE, **_DIMS}
 
 
-def _validate(value, context):
+def _validate(value):
     dims = isinstance(value, dict) and ("dims_m" in value or "dims_k" in value)  # a pair or neither
-    return _walk(_VALIDATE_DIMS if dims else _VALIDATE, value, context)
+    return _walk(_VALIDATE_DIMS if dims else _VALIDATE, value)
 
 
 _CAPACITY = {
@@ -216,9 +235,9 @@ _LOAD = {
 _EXPLICIT_LOAD = {**_LOAD, "z_l_ohms": (_cx, REQUIRED)}
 
 
-def _load(value, context):
+def _load(value):
     explicit = isinstance(value, dict) and value.get("kind") == "explicit"
-    out = _walk(_EXPLICIT_LOAD if explicit else _LOAD, value, context)
+    out = _walk(_EXPLICIT_LOAD if explicit else _LOAD, value)
     out.setdefault("label", out["kind"])
     return out
 
@@ -257,12 +276,12 @@ _CONSTANT_CURRENT = {"constant_current": (_obj({
 }), REQUIRED)}
 
 
-def _frontend(value, context):
+def _frontend(value):
     if isinstance(value, dict) and "netlist" in value:
-        return _walk(_NETLIST, value, context)
-    out = _walk(_FRONTEND, value, context)
+        return _walk(_NETLIST, value)
+    out = _walk(_FRONTEND, value)
     if "constant_current" in out["topologies"]:  # read only when that topology is listed
-        out.update(_walk(_CONSTANT_CURRENT, value, context))
+        out.update(_walk(_CONSTANT_CURRENT, value))
     return out
 
 
@@ -280,16 +299,16 @@ _strategy_name = _one_of(*_STRATEGY_NAMES)
 _EXPLICIT_STRATEGY = {"kind": (_one_of("explicit"), REQUIRED), "z_l_ohms": (_cx_matrix, REQUIRED)}
 
 
-def _strategy(value, context):
+def _strategy(value):
     if isinstance(value, str):
-        return _strategy_name(value, context)
-    return _walk(_EXPLICIT_STRATEGY, value, context)
+        return _strategy_name(value)
+    return _walk(_EXPLICIT_STRATEGY, value)
 
 
-def _currents(value, context):
+def _currents(value):
     """One current vector for all frequencies, or one row per frequency."""
     rows = isinstance(value, list) and value and isinstance(value[0], list)
-    return (_cx_matrix if rows else _cx_vector)(value, context)
+    return (_cx_matrix if rows else _cx_vector)(value)
 
 
 _SYNTHETIC = {
@@ -299,27 +318,31 @@ _SYNTHETIC = {
 }
 
 
-def _synthetic(value, context):
-    out = _walk(_SYNTHETIC, value, context)
+def _synthetic(value):
+    out = _walk(_SYNTHETIC, value)
     ports = max(out["n_tx"], 0) + max(out["n_rx"], 0)
-    _check_size(context, stack_bytes(len(out["frequencies_hz"]), ports))
+    _check_size(stack_bytes(len(out["frequencies_hz"]), ports))
     return out
+
+
+def _csv_models_only(value):
+    raise _Invalid(" is only for CSV models")
 
 
 _STRATEGIES = {"strategies": (_list_of(_strategy), list(_STRATEGY_NAMES))}
 _ARRAY_SYNTHETIC = {
     **_STRATEGIES,
     "synthetic": (_synthetic, REQUIRED),
-    "i_t_amperes": (lambda value, context: _fail(f"{context} is only for CSV models"), OPTIONAL),
+    "i_t_amperes": (_csv_models_only, OPTIONAL),
 }
 _ARRAY_CSV = {
     **_STRATEGIES, **_DIMS, "impedance_csv": (_str, REQUIRED), "i_t_amperes": (_currents, REQUIRED),
 }
 
 
-def _array(value, context):
+def _array(value):
     synthetic = isinstance(value, dict) and "synthetic" in value
-    return _walk(_ARRAY_SYNTHETIC if synthetic else _ARRAY_CSV, value, context)
+    return _walk(_ARRAY_SYNTHETIC if synthetic else _ARRAY_CSV, value)
 
 
 _SECTIONS = {
@@ -340,12 +363,17 @@ def parse_scenario(path) -> Scenario:
         except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        _fail("top level must be an object")
+        raise ParseError("scenario: top level must be an object")
     present = [key for key in SUBCOMMANDS if key in raw]
     if len(present) != 1:
-        _fail(f"expected exactly one of {'/'.join(SUBCOMMANDS)} sections, found {present or 'none'}")
+        raise ParseError(
+            f"scenario: expected exactly one of {'/'.join(SUBCOMMANDS)} sections, found {present or 'none'}"
+        )
     kind = present[0]
-    data = _walk(_SCENARIOS[kind], raw, "")
+    try:
+        data = _walk(_SCENARIOS[kind], raw)
+    except _Invalid as exc:
+        raise ParseError(f"scenario: {exc.head}{exc.path[1:]}{exc.tail}") from None
     data.setdefault("name", path.stem)
     return Scenario(data["name"], kind, data, path.parent)
 
@@ -428,12 +456,20 @@ def _run_link(scenario: Scenario):
             link_mod.output_snr(lnk, amp, z),
         )
 
-    try:
-        measured = measure(z)
-    except SingularCircuitError as exc:
-        measure(z[:exc.index])  # a failure of an earlier load is reported first
-        finite_labels = [label for label, is_oc in zip(labels, is_open) if not is_oc]
-        raise SingularCircuitError(f"load {finite_labels[exc.index]!r}: {exc}") from exc
+    def measure_named(z):
+        """measure(z), with an error of one load relabelled by that load's
+        label; the earliest bad load is reported first."""
+        try:
+            return measure(z)
+        except (ToolkitError, ArithmeticError) as exc:
+            if not hasattr(exc, "index"):
+                raise
+            measure_named(z[:exc.index])
+            finite_labels = [label for label, is_oc in zip(labels, is_open.tolist()) if not is_oc]
+            # args[-1]: the message without OverflowError's errno
+            raise type(exc)(f"load {finite_labels[exc.index]!r}: {exc.args[-1]}") from exc
+
+    measured = measure_named(z)
     if "optimize" in section:
         opt = section["optimize"]
         search = link_mod.SearchBox(opt["r_max_ohms"], opt["x_max_ohms"], opt["include_open"])
@@ -677,25 +713,35 @@ def _columns(fieldnames: list, rows: list) -> dict:
 
 def _cells(column) -> list:
     """One column's report cells: a list cell by cell, a float array in one
-    pass; fmt renders only the cells .12g would render otherwise (0, -0.0, nan, inf)."""
+    .12g pass; fmt then renders the cells .12g renders otherwise (0, -0.0, nan)."""
     if isinstance(column, list):
         return [fmt(value) for value in column]
-    return [f"{x:.12g}" if x and x - x == 0.0 else fmt(x) for x in column.tolist()]
+    values = column.tolist()
+    cells = list(map(format, values, repeat(".12g")))
+    for i in ((column == 0.0) | (column != column)).nonzero()[0].tolist():
+        cells[i] = fmt(values[i])
+    return cells
+
+
+def _quoted(cell: str) -> str:
+    """A string cell as CSV writes it (RFC 4180): in double quotes, with
+    inner quotes doubled, when it holds a comma, a quote or a line break."""
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def render_report(columns: dict, fmt_kind: str, title: str) -> str:
     """Render report columns (name -> list of values or float array) as CSV
     or structured text; both carry identical fields."""
     names = list(columns)
-    rows = zip(*(_cells(columns[name]) for name in names))
-    if fmt_kind == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(names)
-        writer.writerows(rows)
-        return buffer.getvalue()
+    cells = [_cells(columns[name]) for name in names]
+    if fmt_kind == "csv":  # float cells never need quoting; list columns may hold strings
+        cells = [map(_quoted, column) if isinstance(columns[name], list) else column
+                 for name, column in zip(names, cells)]
+        return "\n".join(map(",".join, chain((names,), zip(*cells)))) + "\n"
     lines = [f"report: {title}"]
-    for index, row in enumerate(rows, start=1):
+    for index, row in enumerate(zip(*cells), start=1):
         lines.append(f"row {index}:")
         lines.extend(f"  {name}: {cell}" for name, cell in zip(names, row))
     return "\n".join(lines) + "\n"
@@ -737,6 +783,16 @@ def _numerical_errors() -> tuple:
 
 
 def main(argv=None) -> int:
+    gc_enabled = gc.isenabled()
+    gc.disable()  # the scenario tree and the report columns hold no reference cycles
+    try:
+        return _main(argv)
+    finally:
+        if gc_enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

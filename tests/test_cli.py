@@ -1,3 +1,6 @@
+import csv
+import gc
+import io
 import json
 import math
 import os
@@ -429,9 +432,21 @@ def test_numerical_failures_exit_3(tmp_path, capsys, name, path, value):
     ("array_synthetic", ("array", "synthetic", "seed"), -1, "seed must be >= 0"),
     ("array_synthetic", ("array", "i_t_amperes"), [{"re": 1}], "only for CSV models"),
     ("validate_pair", ("validate", "dims_k"), "1", "dims_k must be an integer"),
+    ("array_pair", ("array", "strategies"), [{"kind": "explicit", "z_l_ohms": [[{"re": None}]]}],
+     "scenario: array.strategies[].z_l_ohms[][].re must be a number"),
+    ("link_crossover", ("link", "loads"), [{"kind": "explicit"}], "scenario: missing link.loads[].z_l_ohms"),
+    ("link_crossover", ("link", "loads", 2, "z_l_ohms", "im"), "0",
+     "scenario: link.loads[].z_l_ohms.im must be a number"),
+    ("array_pair", ("array", "strategies"), [{"kind": "explicit", "z_l_ohms": [[{"re": 1}], []]}],
+     "scenario: array.strategies[].z_l_ohms[] must be a non-empty list"),
+    ("array_pair", ("array", "strategies"), [{"kind": "explicit", "z_l_ohms": [[{"re": 1}], [{"re": 1}] * 2]}],
+     "scenario: array.strategies[].z_l_ohms rows must all have the same length"),
+    ("link_crossover", ("link", "loads", 0, "kind"), "{0}", "scenario: link.loads[].kind '{0}' unknown"),
+    ("link_crossover", ("link", "loads", 0, "kind"), {"{x}": 1}, "scenario: link.loads[].kind {'{x}': 1} unknown"),
 ], ids=["section_not_object", "number_beyond_float", "int_beyond_int64", "count_beyond_int64",
         "label_not_string", "kind_unhashable", "name_not_string", "negative_seed",
-        "currents_for_synthetic", "dims_not_int"])
+        "currents_for_synthetic", "dims_not_int", "nested_matrix_part", "missing_nested_key", "imaginary_part",
+        "empty_matrix_row", "ragged_matrix_rows", "kind_repr_with_braces", "kind_dict_with_braces"])
 def test_malformed_fields_exit_2(tmp_path, capsys, name, path, value, message):
     scen = _edited_example(tmp_path, name, path, value)
     for extra in ([], ["--dump-normalized"]):
@@ -459,9 +474,12 @@ def _load(label, re, im):
     ([_load("ok", 50, 0), _load("s", -5, -37), _load("n", -1, 0)], 3,
      "load 's': z_series + z_in = 0: divider is singular"),
     ([_load("ok", 50, 0), _load("n", -1, 0), _load("s", -5, -37)], 1,
-     "z_in must have nonnegative real part"),
+     "load 'n': z_in must have nonnegative real part"),
     ([_load("ok", 50, 0), _load("s", -5, -37)], 3, "load 's': z_series"),  # singular and negative
-], ids=["singular_first", "negative_first", "singular_and_negative"])
+    ([_load("ok", 50, 0), _load("n", -1, 0)], 1, "load 'n': z_in must have nonnegative real part"),
+    ([_load("ok", 50, 0), _load("big", 1e200, 0), _load("n", -1, 0)], 3,
+     "load 'big': Numerical result out of range\n"),
+], ids=["singular_first", "negative_first", "singular_and_negative", "negative", "overflow"])
 def test_link_reports_the_first_bad_load(tmp_path, capsys, loads, code, message):
     scen = tmp_path / "link.json"
     scen.write_text(json.dumps({
@@ -472,6 +490,61 @@ def test_link_reports_the_first_bad_load(tmp_path, capsys, loads, code, message)
     got, _, err = run_cli(["link", "--scenario", str(scen)], capsys)
     assert got == code
     assert message in err
+
+
+LABELS = ["a,b", 'say "hi"', "two\nlines", "", " lead", "ünïcødé", "{}", "{0}", "plain"]
+
+
+def _labelled_link(tmp_path, labels):
+    scen = tmp_path / "labels.json"
+    scen.write_text(json.dumps({
+        "link": {"z_r_ohms": {"re": 50}, "z_rt_ohms": {"re": 10}, "s_it_a2_per_hz": 1e-12,
+                 "loads": [_load(label, 50 + i, i) for i, label in enumerate(labels)]},
+        "amplifier": {"gain": 10, "n_na_v2_per_hz": 1e-9, "temp_kelvin": 290},
+    }))
+    out = tmp_path / "labels.csv"
+    assert cli.main(["link", "--scenario", str(scen), "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("labels", [LABELS, LABELS + ["cr\rinside", "crlf\r\n"]], ids=["no_cr", "with_cr"])
+def test_csv_labels_round_trip_through_csv_reader(tmp_path, labels):
+    text = _labelled_link(tmp_path, labels)
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert [row[0] for row in rows[1:]] == labels
+    assert {len(row) for row in rows} == {7}
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
+    # cells without a carriage return are written exactly as the csv module writes them
+    text = _labelled_link(tmp_path, LABELS)
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(csv.reader(io.StringIO(text, newline="")))
+    assert buffer.getvalue() == text
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_enabled", "gc_disabled"])
+@pytest.mark.parametrize("case", ["exit_0", "exit_2", "exit_3", "argparse_exit"])
+def test_main_leaves_the_gc_state_as_it_found_it(tmp_path, capsys, enabled, case):
+    argv = {
+        "exit_0": ["capacity", "--scenario", str(SCENARIOS / "capacity_demo.json")],
+        "exit_2": ["capacity", "--scenario", str(SCENARIOS / "link_crossover.json")],
+        "exit_3": ["link", "--scenario",
+                   str(_edited_example(tmp_path, "link_crossover", ("link", "z_rt_ohms", "re"), 1e308))],
+        "argparse_exit": ["link"],  # --scenario is required
+    }[case]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if case == "argparse_exit":
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == int(case[-1])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 EXAMPLES = [path.stem for path in sorted(SCENARIOS.glob("*.json"))]
