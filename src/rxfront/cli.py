@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import chain, repeat
+from itertools import count
 from numbers import Integral
 from pathlib import Path
 
@@ -28,6 +28,7 @@ from .core import (
     MAX_ARRAY_BYTES,
     OPEN_CIRCUIT,
     ParseError,
+    SingularCircuitError,
     TheveninSource,
     ToolkitError,
     ValidationError,
@@ -236,6 +237,21 @@ _EXPLICIT_LOAD = {**_LOAD, "z_l_ohms": (_cx, REQUIRED)}
 
 
 def _load(value):
+    """One link load. A valid explicit load, nearly every load of a long
+    sweep, is accepted in one step, with the result the table walk gives;
+    every other load takes the walk, which alone builds error messages."""
+    if type(value) is dict and value.get("kind") == "explicit":
+        label, z = value.get("label", "explicit"), value.get("z_l_ohms")
+        if type(label) is str and type(z) is dict:
+            re, im = z.get("re"), z.get("im", 0)
+            if type(re) in (int, float) and type(im) in (int, float):  # bool is not a JSON number
+                try:
+                    re, im = float(re), float(im)
+                except OverflowError:  # an integer beyond the float range
+                    pass
+                else:
+                    if math.isfinite(re) and math.isfinite(im):
+                        return {"kind": "explicit", "label": label, "z_l_ohms": {"re": re, "im": im}}
     explicit = isinstance(value, dict) and value.get("kind") == "explicit"
     out = _walk(_EXPLICIT_LOAD if explicit else _LOAD, value)
     out.setdefault("label", out["kind"])
@@ -421,6 +437,15 @@ def _run_capacity(scenario: Scenario):
     return _columns(["bandwidth", "capacity_bits", "capacity_bound_bits", "eb_n0"], rows), True
 
 
+def _load_message(exc) -> str:
+    """The message of one bad load's error, in the scenario's field names."""
+    if isinstance(exc, ValidationError):  # the one per-load check of the library
+        return "z_l_ohms must have nonnegative real part"
+    if isinstance(exc, SingularCircuitError):
+        return "z_r_ohms + z_l_ohms = 0: divider is singular"
+    return exc.args[-1]  # the message without OverflowError's errno
+
+
 def _run_link(scenario: Scenario):
     import numpy as np
 
@@ -439,13 +464,19 @@ def _run_link(scenario: Scenario):
     ratio = None
     if lnk.z_r.real > 0 and amp.n_na > 0:
         ratio = link_mod.snr_ratio_oc_over_match(lnk, amp)
-    loads = section["loads"]
-    labels = [load["label"] for load in loads]
-    is_open = np.array([load["kind"] == "open_circuit" for load in loads])
-    z = np.array([
-        lnk.z_r.conjugate() if load["kind"] == "conjugate_match" else _as_complex(load["z_l_ohms"])
-        for load in loads if load["kind"] != "open_circuit"
-    ], dtype=np.complex128)
+    labels, parts = [], []  # parts: re, im of each load; NaN, NaN for an open circuit
+    match, open_circuit = (lnk.z_r.real, -lnk.z_r.imag), (math.nan, math.nan)
+    for load in section["loads"]:
+        labels.append(load["label"])
+        kind = load["kind"]
+        if kind == "explicit":
+            cx = load["z_l_ohms"]
+            parts += cx["re"], cx["im"]
+        else:
+            parts += match if kind == "conjugate_match" else open_circuit
+    z = np.array(parts, dtype=np.float64).view(np.complex128)
+    is_open = np.isnan(z.real)  # a parsed load and z_r are finite
+    z = z[~is_open]
 
     def measure(z):
         """Divider magnitude, extracted power and SNR of each finite load."""
@@ -466,8 +497,7 @@ def _run_link(scenario: Scenario):
                 raise
             measure_named(z[:exc.index])
             finite_labels = [label for label, is_oc in zip(labels, is_open.tolist()) if not is_oc]
-            # args[-1]: the message without OverflowError's errno
-            raise type(exc)(f"load {finite_labels[exc.index]!r}: {exc.args[-1]}") from exc
+            raise type(exc)(f"load {finite_labels[exc.index]!r}: {_load_message(exc)}") from exc
 
     measured = measure_named(z)
     if "optimize" in section:
@@ -711,40 +741,49 @@ def _columns(fieldnames: list, rows: list) -> dict:
     return {name: [row[name] for row in rows] for name in fieldnames}
 
 
-def _cells(column) -> list:
-    """One column's report cells: a list cell by cell, a float array in one
-    .12g pass; fmt then renders the cells .12g renders otherwise (0, -0.0, nan)."""
+def _spec(column) -> tuple:
+    """One column's %-conversion and the values it converts. A float array
+    converts with %.12g after + 0.0 turns -0.0 into 0: %.12g then prints 0
+    and ±inf as fmt does. A list, or a float array holding a NaN, is its fmt
+    cells, converted with %s."""
     if isinstance(column, list):
-        return [fmt(value) for value in column]
-    values = column.tolist()
-    cells = list(map(format, values, repeat(".12g")))
-    for i in ((column == 0.0) | (column != column)).nonzero()[0].tolist():
-        cells[i] = fmt(values[i])
-    return cells
+        return "%s", list(map(fmt, column))
+    if (column != column).any():
+        return "%s", list(map(fmt, column.tolist()))
+    return "%.12g", (column + 0.0).tolist()
 
 
-def _quoted(cell: str) -> str:
-    """A string cell as CSV writes it (RFC 4180): in double quotes, with
-    inner quotes doubled, when it holds a comma, a quote or a line break."""
-    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
+def _cells(column) -> list:
+    """One column's report cells."""
+    spec, values = _spec(column)
+    return values if spec == "%s" else list(map(spec.__mod__, values))
+
+
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\n" in text or "\r" in text
+
+
+def _quoted(cells: list) -> list:
+    """String cells as CSV writes them (RFC 4180): a cell that holds a comma,
+    a quote or a line break goes in double quotes, with inner quotes doubled.
+    One search over the joined column tells whether any cell does."""
+    if not _needs_quotes("".join(cells)):
+        return cells
+    return ['"' + cell.replace('"', '""') + '"' if _needs_quotes(cell) else cell for cell in cells]
 
 
 def render_report(columns: dict, fmt_kind: str, title: str) -> str:
     """Render report columns (name -> list of values or float array) as CSV
-    or structured text; both carry identical fields."""
+    or structured text; both carry identical fields. Each report has one
+    %-template that renders every row."""
     names = list(columns)
-    cells = [_cells(columns[name]) for name in names]
-    if fmt_kind == "csv":  # float cells never need quoting; list columns may hold strings
-        cells = [map(_quoted, column) if isinstance(columns[name], list) else column
-                 for name, column in zip(names, cells)]
-        return "\n".join(map(",".join, chain((names,), zip(*cells)))) + "\n"
-    lines = [f"report: {title}"]
-    for index, row in enumerate(zip(*cells), start=1):
-        lines.append(f"row {index}:")
-        lines.extend(f"  {name}: {cell}" for name, cell in zip(names, row))
-    return "\n".join(lines) + "\n"
+    specs, values = zip(*map(_spec, columns.values()))
+    if fmt_kind == "csv":  # float cells never need quoting; %s cells may hold strings
+        values = [_quoted(column) if spec == "%s" else column for spec, column in zip(specs, values)]
+        row = ",".join(specs) + "\n"
+        return ",".join(names) + "\n" + "".join(map(row.__mod__, zip(*values)))
+    row = "row %d:\n" + "".join(f"  {name.replace('%', '%%')}: {spec}\n" for name, spec in zip(names, specs))
+    return f"report: {title}\n" + "".join(map(row.__mod__, zip(count(1), *values)))
 
 
 def _write_text(out_path, payload: str) -> None:

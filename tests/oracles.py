@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from rxfront.cli import fmt
 from rxfront.core import (
     CSV_HEADER,
     OPEN_CIRCUIT,
@@ -387,3 +388,40 @@ def validate_passivity_ref(zms, tol=1e-9):
         deviations.append(max(0.0, -float(eigs[0])) / scale)
     worst = int(np.argmax(deviations))
     return ValidationReport("passivity", deviations[worst] <= tol, tol, tuple(deviations), worst)
+
+
+# The report renderer as it was before reports had one %-template per
+# report: cell by cell, a float array in one .12g pass with its zeros and
+# NaNs patched through fmt, each CSV row joined with "," and the text
+# report written line by line.
+
+
+def cells_ref(column) -> list:
+    if isinstance(column, list):
+        return [fmt(value) for value in column]
+    values = column.tolist()
+    cells = [format(value, ".12g") for value in values]
+    for i in np.flatnonzero((column == 0.0) | (column != column)).tolist():
+        cells[i] = fmt(values[i])
+    return cells
+
+
+def _csv_cell_ref(cell: str) -> str:
+    if any(c in cell for c in ',"\n\r'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def render_report_ref(columns, fmt_kind, title):
+    """Report text of ``columns`` as rxfront.cli.render_report writes it."""
+    names = list(columns)
+    cells = [cells_ref(columns[name]) for name in names]
+    if fmt_kind == "csv":
+        cells = [[_csv_cell_ref(c) for c in column] if isinstance(columns[name], list) else column
+                 for name, column in zip(names, cells)]
+        return "\n".join(",".join(row) for row in [names, *zip(*cells)]) + "\n"
+    lines = [f"report: {title}"]
+    for index, row in enumerate(zip(*cells), start=1):
+        lines.append(f"row {index}:")
+        lines.extend(f"  {name}: {cell}" for name, cell in zip(names, row))
+    return "\n".join(lines) + "\n"

@@ -4,13 +4,17 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from oracles import cells_ref, render_report_ref
 
 from rxfront import cli
+from rxfront.core import ParseError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -472,11 +476,11 @@ def _load(label, re, im):
 
 @pytest.mark.parametrize("loads,code,message", [
     ([_load("ok", 50, 0), _load("s", -5, -37), _load("n", -1, 0)], 3,
-     "load 's': z_series + z_in = 0: divider is singular"),
+     "load 's': z_r_ohms + z_l_ohms = 0: divider is singular\n"),
     ([_load("ok", 50, 0), _load("n", -1, 0), _load("s", -5, -37)], 1,
-     "load 'n': z_in must have nonnegative real part"),
-    ([_load("ok", 50, 0), _load("s", -5, -37)], 3, "load 's': z_series"),  # singular and negative
-    ([_load("ok", 50, 0), _load("n", -1, 0)], 1, "load 'n': z_in must have nonnegative real part"),
+     "load 'n': z_l_ohms must have nonnegative real part\n"),
+    ([_load("ok", 50, 0), _load("s", -5, -37)], 3, "load 's': z_r_ohms + z_l_ohms"),  # singular and negative
+    ([_load("ok", 50, 0), _load("n", -1, 0)], 1, "load 'n': z_l_ohms must have nonnegative real part\n"),
     ([_load("ok", 50, 0), _load("big", 1e200, 0), _load("n", -1, 0)], 3,
      "load 'big': Numerical result out of range\n"),
 ], ids=["singular_first", "negative_first", "singular_and_negative", "negative", "overflow"])
@@ -565,3 +569,147 @@ def test_text_reports_match_goldens(tmp_path, scenario):
     argv = [scenario.stem.split("_")[0], "--scenario", str(scenario), "--format", "text", "--out", str(out)]
     assert cli.main(argv) == 0
     assert out.read_text() == (GOLDEN / "text" / f"{scenario.stem}.txt").read_text()
+
+
+# The explicit-load check against the table walk. A corpus load is mostly a
+# valid explicit load; the rest have one or more fields off. "1e999" stands
+# for that literal in the file, which JSON reads as an infinite float.
+BIG = "__1e999__"
+MISSING = object()
+NUMBERS = [0, 7, -3, 2.5, -0.0, 1e308, 5e-324, 2**53 + 1, 10**400, -(10**400), math.inf, -math.inf,
+           math.nan, BIG]
+NOT_NUMBERS = [True, False, None, "1", "inf", [], {}, [1.0]]
+KINDS = ["explicit", "open_circuit", "conjugate_match", "Explicit", "", None, 1, True, ["explicit"], {}]
+CORPUS_LABELS = ["", "a,b", "explicit", None, 5, True, ["x"], {}]
+Z_NOT_OBJECTS = ["x", [], None, 1, [1.0, 2.0], True]
+
+
+def _part(rng):
+    roll = rng.random()
+    if roll < 0.6:
+        return rng.uniform(-1e3, 1e3)
+    if roll < 0.75:
+        return rng.randint(-1000, 1000)
+    return rng.choice(NUMBERS + NOT_NUMBERS + [MISSING])
+
+
+def _corpus_load(rng, i):
+    if rng.random() < 0.02:
+        return rng.choice([None, "explicit", 3, [], [{"kind": "explicit"}]])  # not an object
+    load = {}
+    if rng.random() < 0.97:
+        load["kind"] = "explicit" if rng.random() < 0.75 else rng.choice(KINDS)
+    label = f"z{i}" if rng.random() < 0.7 else rng.choice(CORPUS_LABELS + [MISSING])
+    if label is not MISSING:
+        load["label"] = label
+    if rng.random() < 0.9:
+        z = {}
+        for part in ("re", "im"):
+            value = _part(rng)
+            if value is not MISSING:
+                z[part] = value
+        if rng.random() < 0.1:
+            z["extra"] = rng.choice([1, "x", None])
+        load["z_l_ohms"] = z
+    elif rng.random() < 0.5:
+        load["z_l_ohms"] = rng.choice(Z_NOT_OBJECTS)
+    if rng.random() < 0.1:
+        load[rng.choice(["extra", "labels", "z_l"])] = rng.choice([0, "x", None, {}])
+    return load
+
+
+def _walk_only(value):
+    explicit = isinstance(value, dict) and value.get("kind") == "explicit"
+    out = cli._walk(cli._EXPLICIT_LOAD if explicit else cli._LOAD, value)
+    out.setdefault("label", out["kind"])
+    return out
+
+
+def _link_text(load_texts):
+    return (
+        '{"link": {"z_r_ohms": {"re": 5, "im": 37}, "z_rt_ohms": {"re": 10}, "s_it_a2_per_hz": 1e-12, '
+        '"loads": [' + ", ".join(load_texts) + ']}, '
+        '"amplifier": {"gain": 10, "n_na_v2_per_hz": 1e-9, "temp_kelvin": 290}}'
+    )
+
+
+def test_load_check_matches_the_table_walk(monkeypatch):
+    rng = random.Random(20_002)
+    texts = [json.dumps(_corpus_load(rng, i)).replace(f'"{BIG}"', "1e999") for i in range(20_000)]
+    valid, invalid = [], []
+    for text in texts:
+        try:
+            _walk_only(json.loads(text))
+            valid.append(text)
+        except cli._Invalid:
+            invalid.append(text)
+    assert len(valid) > 8_000 and len(invalid) > 8_000
+    walk = (cli._list_of(_walk_only), cli._LINK["loads"][1])
+
+    def parsed(text):
+        """The normalized scenario as --dump-normalized writes it, or the ParseError message."""
+        # the scenario file is read from memory: one open() per load would dominate the test
+        monkeypatch.setattr(cli, "open", lambda path: io.StringIO(text), raising=False)
+        try:
+            return json.dumps(cli.parse_scenario("scenario.json").data, indent=2, sort_keys=True)
+        except ParseError as exc:
+            return "ParseError: " + str(exc)
+
+    def both(text):
+        checked = parsed(text)
+        with monkeypatch.context() as patch:
+            patch.setitem(cli._LINK, "loads", walk)
+            return checked, parsed(text)
+
+    checked, walked = (text.splitlines() for text in both(_link_text(valid)))
+    assert not checked[0].startswith("ParseError") and len(checked) == len(walked)
+    assert next((pair for pair in zip(checked, walked) if pair[0] != pair[1]), None) is None
+    for text in invalid:
+        checked, walked = both(_link_text([text]))
+        assert checked.startswith("ParseError") and checked == walked, text
+
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e16, 0.1 + 0.2, 1.0 / 3.0, -2.5e-300]
+EDGE_COLUMNS = {
+    "finite": np.array(EDGE_FLOATS),
+    "with_nan": np.array(EDGE_FLOATS[:-1] + [math.nan]),
+    "values": [None, True, False, np.int64(-7), 3, 0.0, -0.0, math.nan, -math.inf, 0.1 + 0.2],
+    "text": ["a,b", 'say "hi"', "two\nlines", "cr\rin", "crlf\r\n", "", " lead", "%s", "%d %%", "plain"],
+    "100%s": ["x"] * len(EDGE_FLOATS),
+}
+
+
+@pytest.mark.parametrize("fmt_kind", ["csv", "text"])
+def test_report_matches_the_cell_by_cell_rendering(fmt_kind):
+    assert cli.render_report(EDGE_COLUMNS, fmt_kind, "edge %s") == render_report_ref(EDGE_COLUMNS, fmt_kind, "edge %s")
+    plain = {name: EDGE_COLUMNS[name] for name in ("finite", "values")}  # no string needs quotes
+    assert cli.render_report(plain, fmt_kind, "plain") == render_report_ref(plain, fmt_kind, "plain")
+
+
+def test_cells_match_the_cell_by_cell_rendering():
+    # the array runner joins a port column's cells with ";"
+    for column in EDGE_COLUMNS.values():
+        assert cli._cells(column) == cells_ref(column)
+
+
+@pytest.mark.parametrize("fmt_kind", ["csv", "text"])
+def test_link_report_matches_the_cell_by_cell_rendering(tmp_path, fmt_kind):
+    rng = np.random.default_rng(20_000)
+    resist = rng.uniform(0.0, 500.0, 20_000)
+    react = rng.uniform(-500.0, 500.0, 20_000)
+    resist[::97] = 0.0  # zero power: "0" cells
+    react[::89] = -0.0
+    loads = [{"kind": "open_circuit"}, {"label": "match, conj", "kind": "conjugate_match"}] + [
+        {"label": f"z{i}" if i % 1000 else f'z "{i}"', "kind": "explicit", "z_l_ohms": {"re": r, "im": x}}
+        for i, (r, x) in enumerate(zip(resist.tolist(), react.tolist()))
+    ]
+    scenario = tmp_path / "sweep.json"
+    scenario.write_text(json.dumps({
+        "link": {"z_r_ohms": {"re": 5.0, "im": 37.0}, "z_rt_ohms": {"re": 10.0}, "s_it_a2_per_hz": 1e-12,
+                 "loads": loads,
+                 "optimize": {"r_max_ohms": 500.0, "x_max_ohms": 500.0, "n_re": 11, "n_im": 11}},
+        "amplifier": {"gain": 10, "n_na_v2_per_hz": 1e-9, "temp_kelvin": 290},
+    }))
+    columns, _ = cli._run_link(cli.parse_scenario(scenario))
+    assert len(columns["label"]) == 20_003
+    assert cli.render_report(columns, fmt_kind, "sweep link") == render_report_ref(columns, fmt_kind, "sweep link")
