@@ -28,7 +28,15 @@ from .core import (
 )
 
 COND_WARN = 1e12
-"""Condition-number threshold above which termination solves emit a warning."""
+"""Condition-number threshold above which a termination solve warns.
+
+The 2-norm condition number comes from an SVD, but only at frequencies that a
+cheap screen cannot clear: ||A||_F ||A^-1||_F, from the inverse the divider
+needs anyway, is never below cond_2(A), so an index whose bound is at most
+COND_WARN * 1e-2 cannot warn. The factor 100 covers rounding in the bound
+near the bar. Every other index gets the SVD, so the warnings and errors are
+those of an SVD at every frequency.
+"""
 
 _KINDS = ("open_circuit", "per_antenna_conjugate", "full_conjugate", "explicit")
 
@@ -162,11 +170,15 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _voltages_and_power(total: np.ndarray, z_l: np.ndarray, v_oc: np.ndarray) -> tuple:
-    # Stacked I = (Z_R + Z_L)^-1 V_oc, V = Z_L I and 0.5 Re(I^H V) along the
-    # leading axis; v_oc is (N, K) or one (K,) vector shared by the stack.
+def _currents(total: np.ndarray, v_oc: np.ndarray) -> np.ndarray:
+    # Stacked I = (Z_R + Z_L)^-1 V_oc along the leading axis, shape (N, K, 1);
+    # v_oc is (N, K) or one (K,) vector shared by the stack.
     rhs = np.broadcast_to(v_oc[..., None], total.shape[:-1] + (1,))
-    currents = np.linalg.solve(total, rhs)
+    return np.linalg.solve(total, rhs)
+
+
+def _voltages_and_power(currents: np.ndarray, z_l: np.ndarray) -> tuple:
+    # V = Z_L I and 0.5 Re(I^H V) along the leading axis.
     volts = (z_l @ currents)[..., 0]
     return volts, 0.5 * _dot(np.conj(currents[..., 0]), volts).real
 
@@ -190,14 +202,33 @@ def _offdiag_ratio(divider: np.ndarray) -> np.ndarray:
         return np.where(diag_norm == 0, math.inf, off_norm / diag_norm)
 
 
+def _check_condition(cond: np.ndarray, indices: np.ndarray) -> None:
+    """cond[i] is the condition number at frequency index indices[i]. Warn,
+    in ascending order, for each one above COND_WARN; raise
+    SingularCircuitError at the first one that is not finite."""
+    over = ~(cond <= COND_WARN)
+    for index, value in zip(indices[over].tolist(), cond[over].tolist()):
+        if not math.isfinite(value):
+            raise SingularCircuitError(f"singular termination at frequency index {index}")
+        warnings.warn(
+            f"ill-conditioned termination at frequency index {index}: cond={value:.3e}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def terminate_array(model: ArrayModel, strategy: TerminationStrategy) -> ArrayTermination:
     """Solve V = Z_L (Z_R + Z_L)^-1 V_oc for one strategy over all F frequencies.
 
     Open circuit is exact: V = V_oc, zero power and an identity divider.
-    Otherwise one stacked condition estimate, solve and inverse cover every
-    frequency. A singular Z_R + Z_L raises SingularCircuitError naming the
-    first singular frequency index; each index whose condition number
-    exceeds COND_WARN emits one RuntimeWarning.
+    Otherwise one stacked solve and one inverse cover every frequency. Each
+    index whose condition number exceeds COND_WARN emits one RuntimeWarning,
+    and a singular Z_R + Z_L raises SingularCircuitError naming the first
+    singular frequency index. The condition number is an SVD, taken only
+    where the bound ||A||_F ||A^-1||_F exceeds COND_WARN * 1e-2 (see
+    COND_WARN), or at every index if the solve meets a zero pivot; the error
+    then names the worst-conditioned index. The warnings and errors are
+    those of an SVD at every frequency.
     """
     v_oc = open_circuit_voltages(model)
     if strategy.kind == "open_circuit":
@@ -206,22 +237,23 @@ def terminate_array(model: ArrayModel, strategy: TerminationStrategy) -> ArrayTe
     z_r = model.zms.z_r
     z_l = termination_matrix(strategy, z_r)
     total = z_r + z_l
-    cond = np.linalg.cond(total)
-    for index in np.flatnonzero(~(cond <= COND_WARN)):
-        if not math.isfinite(cond[index]):
-            raise SingularCircuitError(f"singular termination at frequency index {index}")
-        warnings.warn(
-            f"ill-conditioned termination at frequency index {index}: cond={cond[index]:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     try:
-        voltages, power = _voltages_and_power(total, z_l, v_oc)
-        divider = z_l @ np.linalg.inv(total)
+        currents = _currents(total, v_oc)
+        inverse = np.linalg.inv(total)
     except np.linalg.LinAlgError as exc:
-        # A zero pivot the SVD did not see: name the worst-conditioned index.
+        # A zero pivot: check every index, then name the worst-conditioned one.
+        cond = np.linalg.cond(total)
+        _check_condition(cond, np.arange(len(cond)))
         index = int(np.argmax(cond))
         raise SingularCircuitError(f"singular termination at frequency index {index}") from exc
+    with np.errstate(all="ignore"):  # an overflowing bound is inf or nan: a suspect
+        bound = _frobenius(total) * _frobenius(inverse)
+    suspects = np.flatnonzero(~(bound <= COND_WARN * 1e-2))
+    if suspects.size:
+        _check_condition(np.linalg.cond(total[suspects]), suspects)
+    voltages, power = _voltages_and_power(currents, z_l)
+    divider = z_l @ inverse
+    del inverse  # freed before _offdiag_ratio's copies, which reuse its memory
     return ArrayTermination(voltages, power, _offdiag_ratio(divider))
 
 
@@ -266,7 +298,7 @@ def perturbation_sum_powers(
     """
     z_r = np.asarray(z_r, dtype=np.complex128)
     loads = np.asarray(z_l, dtype=np.complex128) + np.asarray(perturbations, dtype=np.complex128)
-    return _voltages_and_power(z_r + loads, loads, np.asarray(v_oc, dtype=np.complex128))[1]
+    return _voltages_and_power(_currents(z_r + loads, np.asarray(v_oc, dtype=np.complex128)), loads)[1]
 
 
 def make_synthetic_model(

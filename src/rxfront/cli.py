@@ -704,11 +704,6 @@ def _run_array(scenario: Scenario):
         """One result field over the report rows, frequency-major then strategy (then port)."""
         return np.stack([getattr(result, field) for result in solved], axis=1).reshape(-1)
 
-    def per_row(column) -> list:
-        """K cells of a port column joined into each row's one cell."""
-        cells = _cells(column)
-        return [";".join(cells[i:i + n_rx]) for i in range(0, len(cells), n_rx)]
-
     n_freqs, n_rx = solved[0].voltages.shape
     volts = flat("voltages")
     re, im = volts.real, volts.imag
@@ -717,8 +712,8 @@ def _run_array(scenario: Scenario):
         "freq_hz": np.repeat(model.zms.grid.as_array(), len(solved)),
         "strategy": labels * n_freqs,
         "sum_power_w": flat("power"),
-        "v_mag_volts": per_row(np.hypot(re, im)),  # abs() of each voltage, to the last bit
-        "v_phase_rad": per_row(np.array(phases)),
+        "v_mag_volts": _port_cells(np.hypot(re, im), n_rx),  # abs() of each voltage, to the last bit
+        "v_phase_rad": _port_cells(np.array(phases), n_rx),
         "annotations": [f"offdiag_ratio={cell}{note}"
                         for cell, note in zip(_cells(flat("offdiag_ratio")), notes * n_freqs)],
     }
@@ -744,10 +739,10 @@ def _columns(fieldnames: list, rows: list) -> dict:
 def _spec(column) -> tuple:
     """One column's %-conversion and the values it converts. A float array
     converts with %.12g after + 0.0 turns -0.0 into 0: %.12g then prints 0
-    and ±inf as fmt does. A list, or a float array holding a NaN, is its fmt
-    cells, converted with %s."""
+    and ±inf as fmt does. A list of str is its own cells; any other list, or
+    a float array holding a NaN, is its fmt cells. Cells convert with %s."""
     if isinstance(column, list):
-        return "%s", list(map(fmt, column))
+        return "%s", column if set(map(type, column)) == {str} else list(map(fmt, column))
     if (column != column).any():
         return "%s", list(map(fmt, column.tolist()))
     return "%.12g", (column + 0.0).tolist()
@@ -757,6 +752,12 @@ def _cells(column) -> list:
     """One column's report cells."""
     spec, values = _spec(column)
     return values if spec == "%s" else list(map(spec.__mod__, values))
+
+
+def _port_cells(column, k: int) -> list:
+    """A flat port column's cells, each row's k joined with ";" by one %-template."""
+    spec, values = _spec(column)
+    return list(map(";".join([spec] * k).__mod__, zip(*[iter(values)] * k)))
 
 
 def _needs_quotes(text: str) -> bool:
@@ -868,6 +869,9 @@ def _main(argv) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:  # a size within the limits that this host still cannot hold
+        print("parse error: scenario too large for available memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from rxfront.arrays import COND_WARN
 from rxfront.cli import fmt
 from rxfront.core import (
     CSV_HEADER,
@@ -293,6 +294,24 @@ def coupling_offdiag_ratio_ref(z_r, kind, z_l=None):
         off_norm = np.linalg.norm(divider - diag)
         out[fi] = math.inf if diag_norm == 0 else off_norm / diag_norm
     return out
+
+
+def cond_check_ref(total, v_oc):
+    """Warnings and error of a termination whose Z_R + Z_L stack is total,
+    from an SVD of every frequency before the solve: the list of warning
+    texts and the SingularCircuitError text, or None when it solves."""
+    cond = np.linalg.cond(total)
+    messages = []
+    for index in np.flatnonzero(~(cond <= COND_WARN)):
+        if not math.isfinite(cond[index]):
+            return messages, f"singular termination at frequency index {index}"
+        messages.append(f"ill-conditioned termination at frequency index {index}: cond={cond[index]:.3e}")
+    try:
+        np.linalg.solve(total, v_oc[..., None])
+        np.linalg.inv(total)
+    except np.linalg.LinAlgError:
+        return messages, f"singular termination at frequency index {int(np.argmax(cond))}"
+    return messages, None
 
 
 # The impedance-CSV loader and the two validators as they were before the

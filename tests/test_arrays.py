@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,11 +29,14 @@ from rxfront.arrays import (
     termination_matrix,
 )
 from oracles import (
+    cond_check_ref,
     coupling_offdiag_ratio_ref,
     sum_extracted_power_ref,
     sum_power_batch_ref,
     terminated_voltages_ref,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _model(n_rx=3, seed=0, coupling=5.0):
@@ -287,6 +291,104 @@ def test_singular_termination_with_finite_condition_estimate():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(SingularCircuitError, match="frequency index 1$"):
             terminate_array(model, short)
+
+
+def _graded(rng, k, cond):
+    # Complex symmetric Q diag(d) Q^T with Q real orthogonal and Re(d) > 0:
+    # passive, reciprocal, and its singular values are |d|, spread over cond.
+    q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    mags = np.logspace(0.0, -math.log10(cond), k) if k > 1 else np.ones(1)
+    d = mags * np.exp(1j * rng.uniform(-1.4, 1.4, k))
+    return (q * d) @ q.T
+
+
+def _cond_case(rng, k, conds, singular=(), pivot=()):
+    """A shorted (1, k) model whose Z_R + Z_L is a graded stack; at the
+    indices in singular a port is an exact short (a zero row and column), at
+    those in pivot the receive block has rank one. Both may give the solve an
+    exact zero pivot while the SVD's condition number stays finite."""
+    mats = np.zeros((len(conds), 1 + k, 1 + k), dtype=complex)
+    mats[:, 0, 0] = 50.0
+    mats[:, 0, 1:] = mats[:, 1:, 0] = 5j * rng.uniform(0.5, 1.0, k)
+    for fi, cond in enumerate(conds):
+        mats[fi, 1:, 1:] = _graded(rng, k, cond)
+    for fi in singular:
+        port = 1 + int(rng.integers(k))
+        mats[fi, port, :] = mats[fi, :, port] = 0.0
+    for fi in pivot:
+        col = rng.uniform(1.0, 5.0, k)
+        mats[fi, 1:, 1:] = np.outer(col, col)
+    zms = ImpedanceMatrixSeries(FrequencyGrid(1e6 * np.arange(1, len(conds) + 1)), mats, dims=(1, k))
+    return ArrayModel(zms, np.array([1 + 0j])), TerminationStrategy.explicit(np.zeros((k, k)))
+
+
+def _cond_cases():
+    rng = np.random.default_rng(2024)
+    for k in (1, 2, 3, 8, 16):
+        for _ in range(6):
+            conds = 10.0 ** rng.uniform(8.0, 18.0, 10)
+            conds[rng.integers(10, size=3)] = 1e12 * (1.0 + rng.uniform(-0.01, 0.01, 3))
+            yield _cond_case(rng, k, conds)
+        yield _cond_case(rng, k, [1e3, 1e9, 1e3], singular=[1])
+        yield _cond_case(rng, k, [1e13, 1e3, 1e15], singular=[1, 2])  # after an index that only warns
+        yield _cond_case(rng, k, [1e3, 1e3], singular=[0, 1])
+        if k > 1:
+            yield _cond_case(rng, k, [1e3, 1e13, 1e4], pivot=[2])
+
+
+def _outcome(model, strategy):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            terminate_array(model, strategy)
+            error = None
+        except SingularCircuitError as exc:
+            error = str(exc)
+    assert all(w.category is RuntimeWarning for w in caught)
+    return [str(w.message) for w in caught], error
+
+
+def test_conditioning_matches_an_svd_at_every_frequency():
+    outcomes = set()
+    for model, strategy in _cond_cases():
+        z_r = np.asarray(model.zms.z_r)
+        expected = cond_check_ref(z_r + strategy.z_l, open_circuit_voltages(model))
+        assert _outcome(model, strategy) == expected
+        outcomes.add((bool(expected[0]), expected[1] is not None))
+    assert outcomes == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def _counting_cond(monkeypatch):
+    seen = []
+    cond = np.linalg.cond
+
+    def counted(x, *args, **kwargs):
+        seen.append(np.array(x))
+        return cond(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["array_pair", "array_synthetic"])
+def test_shipped_array_scenarios_take_no_svd(monkeypatch, capsys, name):
+    seen = _counting_cond(monkeypatch)
+    assert cli.main(["array", "--scenario", str(SCENARIOS / f"{name}.json")]) == 0
+    assert seen == []
+
+
+def test_svd_sees_only_the_suspect_frequencies(monkeypatch):
+    # the stack of test_ill_conditioned_termination_warns: 0 and 2 are suspects
+    ill = [[50.0 + 0j, 1e-8, 1e-8], [1e-8, 1e-13 + 0j, 0.0], [1e-8, 0.0, 1.0 + 0j]]
+    fine = [[50.0 + 0j, 1.0, 1.0], [1.0, 40.0 + 0j, 0.0], [1.0, 0.0, 30.0 + 0j]]
+    mats = np.array([ill, fine, ill])
+    model = ArrayModel(ImpedanceMatrixSeries(FrequencyGrid([1e6, 2e6, 3e6]), mats, dims=(1, 2)), np.array([1 + 0j]))
+    strategy = TerminationStrategy.per_antenna_conjugate()
+    seen = _counting_cond(monkeypatch)
+    with pytest.warns(RuntimeWarning):
+        terminate_array(model, strategy)
+    total = mats[:, 1:, 1:] + termination_matrix(strategy, mats[:, 1:, 1:])
+    assert len(seen) == 1 and np.array_equal(seen[0], total[[0, 2]])
 
 
 def _batch_case(seed, k=4, p=16):

@@ -686,10 +686,61 @@ def test_report_matches_the_cell_by_cell_rendering(fmt_kind):
     assert cli.render_report(plain, fmt_kind, "plain") == render_report_ref(plain, fmt_kind, "plain")
 
 
+MIXED_COLUMNS = [
+    ["a", 1.5, None, True, "inf", "b"],
+    [math.inf, "inf", False, -0.0, math.nan, np.float64(0.1), 7],
+    ["inf", "", "a,b", "%s"],
+    [],
+]
+
+
 def test_cells_match_the_cell_by_cell_rendering():
-    # the array runner joins a port column's cells with ";"
-    for column in EDGE_COLUMNS.values():
+    for column in [*EDGE_COLUMNS.values(), *MIXED_COLUMNS]:
         assert cli._cells(column) == cells_ref(column)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 10])
+def test_port_cells_join_each_rows_cells(k):
+    for name in ("finite", "with_nan"):
+        cells = cells_ref(EDGE_COLUMNS[name])
+        assert cli._port_cells(EDGE_COLUMNS[name], k) == [";".join(cells[i:i + k]) for i in range(0, len(cells), k)]
+
+
+def test_string_columns_skip_fmt(monkeypatch):
+    calls, real = [], cli.fmt
+    monkeypatch.setattr(cli, "fmt", lambda value: calls.append(value) or real(value))
+    cli._cells(["inf", "x"])
+    assert calls == []
+    cli._cells(["x", None])
+    assert calls == ["x", None]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the child's VmSize from /proc")
+def test_scenario_too_large_for_memory_exits_2(tmp_path):
+    # The child caps its address space 32 MiB above what it holds after its
+    # imports; the model's first (n, n) complex matrix, 50 MiB at n_rx 1800,
+    # does not fit, and neither do the 6 frequencies' 311 MB stack.
+    scen = tmp_path / "huge.json"
+    scen.write_text(json.dumps({"array": {"synthetic": {
+        "n_tx": 1, "n_rx": 1800, "self_ohms": {"re": 50.0, "im": 5.0}, "coupling_ohms": 1.0,
+        "decay": 0.5, "frequencies_hz": [1e6 * (i + 1) for i in range(6)]}}}))
+    child = """
+import resource, sys
+import rxfront.arrays, rxfront.cli
+with open("/proc/self/status") as status:
+    vm_kib = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+limit = (vm_kib + 32 * 1024) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
+sys.exit(rxfront.cli.main(sys.argv[1:]))
+"""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", child, "array", "--scenario", str(scen)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "parse error: scenario too large for available memory\n"
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("fmt_kind", ["csv", "text"])
