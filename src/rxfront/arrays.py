@@ -338,22 +338,28 @@ def make_synthetic_model(
     if rng is None:
         rng = np.random.default_rng(0)
 
+    # One uniform phase per pair i < j, row by row (np.triu_indices order),
+    # from the stream a per-pair loop would read, and C_ij = C_ji =
+    # decay ** (j - i - 1) * (cos + j sin) of that phase, with math's cos and
+    # sin. The product is complex(mag, 0.0) * complex(cos, sin), so an entry
+    # of magnitude 0 keeps the signed zeros it has always had.
+    rows, cols = np.triu_indices(n, 1)
+    mags = np.array([coupling * decay**k for k in range(n - 1)])[cols - rows - 1]
     base = None
     for _ in range(max_tries):
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=rows.size).tolist()
+        cos = np.fromiter(map(math.cos, phases), np.float64, rows.size)
+        sin = np.fromiter(map(math.sin, phases), np.float64, rows.size)
+        entries = np.empty(rows.size, dtype=np.complex128)
+        entries.real, entries.imag = mags * cos - 0.0 * sin, mags * sin + 0.0 * cos
         mat = np.diag(selfs).astype(np.complex128)
-        for i in range(n):
-            for j in range(i + 1, n):
-                mag = coupling * decay ** (j - i - 1)
-                phase = rng.uniform(0.0, 2.0 * math.pi)
-                entry = mag * complex(math.cos(phase), math.sin(phase))
-                mat[i, j] = entry
-                mat[j, i] = entry
-        eigs = np.linalg.eigvalsh((mat.real + mat.real.T) / 2.0)
-        if eigs[0] >= 0:
+        mat[rows, cols] = mat[cols, rows] = entries
+        if np.linalg.eigvalsh((mat.real + mat.real.T) / 2.0)[0] >= 0:
             base = mat
             break
     if base is None:
         raise NumericalError(f"no passive coupling draw in {max_tries} tries")
+    del rows, cols, mags, phases, cos, sin, entries  # per-pair arrays, freed before the stack is built
 
     f_ref = grid[0]
     mats = np.empty((len(grid), n, n), dtype=np.complex128)

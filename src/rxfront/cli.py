@@ -29,7 +29,6 @@ from .core import (
     OPEN_CIRCUIT,
     ParseError,
     SingularCircuitError,
-    TheveninSource,
     ToolkitError,
     ValidationError,
     load_impedance_csv,
@@ -437,18 +436,15 @@ def _run_capacity(scenario: Scenario):
     return _columns(["bandwidth", "capacity_bits", "capacity_bound_bits", "eb_n0"], rows), True
 
 
-def _load_message(exc) -> str:
-    """The message of one bad load's error, in the scenario's field names."""
-    if isinstance(exc, ValidationError):  # the one per-load check of the library
-        return "z_l_ohms must have nonnegative real part"
-    if isinstance(exc, SingularCircuitError):
-        return "z_r_ohms + z_l_ohms = 0: divider is singular"
-    return exc.args[-1]  # the message without OverflowError's errno
+_LOAD_MESSAGES = {  # the message of one bad load's error, in the scenario's field names
+    ValidationError: "z_l_ohms must have nonnegative real part",
+    SingularCircuitError: "z_r_ohms + z_l_ohms = 0: divider is singular",
+    OverflowError: "Numerical result out of range",
+    ZeroDivisionError: "float division by zero",
+}
 
 
 def _run_link(scenario: Scenario):
-    import numpy as np
-
     from . import link as link_mod
 
     section = scenario.data["link"]
@@ -460,72 +456,49 @@ def _run_link(scenario: Scenario):
     )
     amp = link_mod.AmplifierNoiseModel(ampd["gain"], ampd["n_na_v2_per_hz"], ampd["temp_kelvin"])
     s_voc = link_mod._signal_voc_density(lnk)
-    unit = TheveninSource(1.0, lnk.z_r)  # divider and power per unit V_oc, scaled by s_voc
     ratio = None
     if lnk.z_r.real > 0 and amp.n_na > 0:
         ratio = link_mod.snr_ratio_oc_over_match(lnk, amp)
-    labels, parts = [], []  # parts: re, im of each load; NaN, NaN for an open circuit
-    match, open_circuit = (lnk.z_r.real, -lnk.z_r.imag), (math.nan, math.nan)
-    for load in section["loads"]:
+    note = "" if ratio is None else f"oc_over_match={fmt(ratio)}"
+    open_row = (math.inf, math.inf, 1.0, 0.0, link_mod.output_snr(lnk, amp, OPEN_CIRCUIT), note)
+    z_r, match = lnk.z_r, lnk.z_r.conjugate()
+    divider, voltage, power = link_mod._divider, link_mod._voltage, link_mod._power
+    snr = link_mod._snr_of(lnk, amp)
+
+    def row(z: complex) -> tuple:
+        """A finite load's z_l, divided voltage and power per unit V_oc (the
+        power scaled by s_voc) and SNR. _divider's checks come first, then
+        the power's division, then the SNR's squares."""
+        den, d2 = divider(z_r, z)
+        return z.real, z.imag, voltage(1 + 0j, z, den), s_voc * power(1.0, z.real, d2), snr(z, d2), ""
+
+    labels, rows = [], []
+    for load in section["loads"]:  # one pass: the first bad load raises
         labels.append(load["label"])
         kind = load["kind"]
-        if kind == "explicit":
-            cx = load["z_l_ohms"]
-            parts += cx["re"], cx["im"]
-        else:
-            parts += match if kind == "conjugate_match" else open_circuit
-    z = np.array(parts, dtype=np.float64).view(np.complex128)
-    is_open = np.isnan(z.real)  # a parsed load and z_r are finite
-    z = z[~is_open]
-
-    def measure(z):
-        """Divider magnitude, extracted power and SNR of each finite load."""
-        divider = link_mod.divided_voltage(unit, z)
-        return (
-            np.hypot(divider.real, divider.imag),  # abs() of each divider, to the last bit
-            s_voc * link_mod.extracted_power(unit, z),
-            link_mod.output_snr(lnk, amp, z),
-        )
-
-    def measure_named(z):
-        """measure(z), with an error of one load relabelled by that load's
-        label; the earliest bad load is reported first."""
+        if kind == "open_circuit":
+            rows.append(open_row)  # its z_l prints inf
+            continue
+        z = match if kind == "conjugate_match" else _as_complex(load["z_l_ohms"])
         try:
-            return measure(z)
+            rows.append(row(z))
         except (ToolkitError, ArithmeticError) as exc:
-            if not hasattr(exc, "index"):
-                raise
-            measure_named(z[:exc.index])
-            finite_labels = [label for label, is_oc in zip(labels, is_open.tolist()) if not is_oc]
-            raise type(exc)(f"load {finite_labels[exc.index]!r}: {_load_message(exc)}") from exc
-
-    measured = measure_named(z)
+            # A load both negative and singular fails the divider first.
+            failed = SingularCircuitError if z_r + z == 0 else type(exc)
+            raise failed(f"load {labels[-1]!r}: {_LOAD_MESSAGES[failed]}") from exc
     if "optimize" in section:
         opt = section["optimize"]
         search = link_mod.SearchBox(opt["r_max_ohms"], opt["x_max_ohms"], opt["include_open"])
         best, _ = link_mod.optimize_load(lnk, amp, search)
         labels.append("optimal")
-        is_open = np.append(is_open, best is OPEN_CIRCUIT)
-        if best is not OPEN_CIRCUIT:
-            z_best = np.array([complex(best)])
-            z = np.append(z, z_best)
-            measured = [np.append(column, value) for column, value in zip(measured, measure(z_best))]
-    divider, power, snr = measured
-
-    def column(open_value: float, values) -> np.ndarray:
-        out = np.full(len(labels), open_value)
-        out[~is_open] = values
-        return out
-
-    note = "" if ratio is None else f"oc_over_match={fmt(ratio)}"
+        rows.append(open_row if best is OPEN_CIRCUIT else row(complex(best)))
+    re, im, volts, powers, snrs, notes = map(list, zip(*rows))
+    # abs() is C's hypot; it raises only where hypot overflows from two finite
+    # parts. A passive load's z_l / (z_r + z_l) has at most one large part:
+    # Re(z_r + z_l) >= Re z_l, and Im(z_r + z_l) is 0 or at least an ulp of Im z_l.
     columns = {
-        "label": labels,
-        "z_l_re_ohms": column(math.inf, z.real),  # an open circuit prints inf
-        "z_l_im_ohms": column(math.inf, z.imag),
-        "divider_mag": column(1.0, divider),
-        "extracted_power_w_per_hz": column(0.0, power),
-        "snr": column(link_mod.output_snr(lnk, amp, OPEN_CIRCUIT), snr),
-        "annotations": [note if is_oc else "" for is_oc in is_open.tolist()],
+        "label": labels, "z_l_re_ohms": re, "z_l_im_ohms": im, "divider_mag": list(map(abs, volts)),
+        "extracted_power_w_per_hz": powers, "snr": snrs, "annotations": notes,
     }
     return columns, True
 
@@ -631,9 +604,21 @@ def _run_frontend(scenario: Scenario):
     return _columns(fields, rows), True
 
 
-def _run_match(scenario: Scenario):
-    import numpy as np
+def _linspace(start: float, stop: float, count: int) -> list:
+    """np.linspace(start, stop, count) as Python floats, bit for bit: numpy's
+    own formula, its branch for a step that underflows to 0 included."""
+    delta, div = stop - start, count - 1
+    if div <= 0:
+        return [i * delta + start for i in range(count)]
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + start for i in range(div)]
+    else:
+        points = [i * step + start for i in range(div)]
+    return points + [stop]
 
+
+def _run_match(scenario: Scenario):
     from . import link as link_mod
     from . import matching
 
@@ -651,7 +636,7 @@ def _run_match(scenario: Scenario):
     best = matching.optimal_turns_ratio(r_in, lnk.z_r.real)
     sweep = section["ratio_sweep"]
     half = sweep["span_decades"] / 2.0
-    exponents = np.linspace(-half, half, sweep["count"])
+    exponents = _linspace(-half, half, sweep["count"])
 
     def worker(exponent: float) -> dict:
         ratio = best * 10.0**exponent
@@ -662,7 +647,7 @@ def _run_match(scenario: Scenario):
             "annotations": "at_optimal" if exponent == 0 else "",
         }
 
-    rows = [worker(float(e)) for e in exponents]
+    rows = [worker(e) for e in exponents]
     return _columns(["turns_ratio", "snr", "annotations"], rows), True
 
 
@@ -737,12 +722,18 @@ def _columns(fieldnames: list, rows: list) -> dict:
 
 
 def _spec(column) -> tuple:
-    """One column's %-conversion and the values it converts. A float array
-    converts with %.12g after + 0.0 turns -0.0 into 0: %.12g then prints 0
-    and ±inf as fmt does. A list of str is its own cells; any other list, or
-    a float array holding a NaN, is its fmt cells. Cells convert with %s."""
+    """One column's %-conversion and the values it converts. Floats convert
+    with %.12g after + 0.0 turns -0.0 into 0: %.12g then prints 0 and ±inf as
+    fmt does. That holds for a float array, or a list of only floats, that
+    holds no NaN. A list of str is its own cells; any other list, or a
+    float array holding a NaN, is its fmt cells. Cells convert with %s."""
     if isinstance(column, list):
-        return "%s", column if set(map(type, column)) == {str} else list(map(fmt, column))
+        types = set(map(type, column))
+        if types == {str}:
+            return "%s", column
+        if types != {float} or any(map(math.isnan, column)):
+            return "%s", list(map(fmt, column))
+        return "%.12g", [x + 0.0 for x in column] if 0.0 in column else column  # 0.0 in: -0.0 too
     if (column != column).any():
         return "%s", list(map(fmt, column.tolist()))
     return "%.12g", (column + 0.0).tolist()

@@ -5,13 +5,10 @@ distinguished ``OPEN_CIRCUIT`` marker, which selects exact open-circuit
 formulas instead of a large-impedance approximation. All spectral densities
 are two-sided; thermal noise of a resistance R is 2kTR, not 4kTR.
 
-``divided_voltage``, ``extracted_power`` and ``output_snr`` also take an
-array of finite loads and return an array. Each element has the bits the
-one-load call gives: squares use the C library's ``pow``, as Python's
-``x**2`` does, and complex division is spelled out as CPython performs it.
-A bad load raises the error the one-load call raises, for the first bad
-load in load order; the error's ``index`` is that load's position in the
-flattened array.
+Each formula takes one load and computes in Python floats and complex
+numbers, so a bad load raises what Python arithmetic raises: OverflowError
+for a square that overflows, ZeroDivisionError for a division by an
+|z_series + z|^2 that underflowed to 0. No call imports numpy.
 
 ``optimize_load`` finds the exact SNR-optimal load in a box of passive
 loads from its corners and the stationary points along its edges.
@@ -19,11 +16,8 @@ loads from its corners and the stationary points along its edges.
 
 from __future__ import annotations
 
-import errno
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     BOLTZMANN,
@@ -95,85 +89,44 @@ def _signal_voc_density(link: SingleLink) -> float:
     return (link.z_rt.real**2 + link.z_rt.imag**2) * link.s_it
 
 
-def _loads(z_in, name: str) -> tuple:
-    """(loads as complex128, whether one scalar load came in)."""
-    if np.ndim(z_in) == 0:
-        return np.complex128(as_complex(z_in, name)), True
-    z = np.asarray(z_in, dtype=np.complex128)
-    if not np.isfinite(z).all():
-        raise ValidationError(f"{name} must be finite")
-    return z, False
+_SOURCE, _RECEIVER = ("z_series", "z_in"), ("z_r", "z_l")  # how the errors name the two impedances
 
 
-def _square(x) -> tuple:
-    """x**2 as Python floats compute it, with the C library's pow (which can
-    differ from x*x in the last bit), and where it overflowed from a finite
-    x, which Python raises."""
-    sq = np.float_power(x, 2.0)
-    return sq, np.isinf(sq) & np.isfinite(x)
+def _divider(z_series: complex, z: complex, names: tuple = _RECEIVER, passive: bool = True) -> tuple:
+    """z_series + z and |z_series + z|^2 for one finite load z.
 
-
-def _denominator(z_series: complex, re, im) -> tuple:
-    """|z_series + z|^2 for the loads re + j*im (float arrays that broadcast),
-    where z_series + z = 0 (singular), and where a square overflowed."""
-    den_re, den_im = z_series.real + re, z_series.imag + im
-    (re2, over_re), (im2, over_im) = _square(den_re), _square(den_im)
-    return re2 + im2, (den_re == 0.0) & (den_im == 0.0), over_re | over_im
-
-
-def _quotient(a_re, a_im, b_re, b_im) -> tuple:
-    """Real and imaginary parts of a / b (b nonzero) as CPython divides
-    complex numbers: Smith's method, scaling by the larger of |b.real| and
-    |b.imag|. numpy's own complex division can differ in the last bit."""
-    by_re = np.abs(b_re) >= np.abs(b_im)
-    ratio = np.where(by_re, b_im / b_re, b_re / b_im)
-    denom = np.where(by_re, b_re + b_im * ratio, b_re * ratio + b_im)
-    re = np.where(by_re, a_re + a_im * ratio, a_re * ratio + a_im) / denom
-    im = np.where(by_re, a_im - a_re * ratio, a_im * ratio - a_re) / denom
-    return re, im
-
-
-def _first_failure(*checks) -> None:
-    """Raise the error of the first load, in load order, that fails a check.
-
-    Checks are (mask, error) pairs in the order the formula meets them for
-    one load, so a load that fails two raises the earlier one.
+    The checks come in the order the one-load formulas meet them: a negative
+    Re z (ValidationError), z_series + z = 0 (SingularCircuitError), and a
+    square that overflows (OverflowError, which Python's ** raises itself).
+    divided_voltage takes any finite load and needs no |z_series + z|^2: with
+    passive false only the divider is checked, and the square is None.
     """
-    hits = [(int(np.argmax(mask)), rank) for rank, (mask, _) in enumerate(checks) if np.any(mask)]
-    if hits:
-        index, rank = min(hits)
-        error = checks[rank][1]
-        error.index = index
-        raise error
+    if passive and z.real < 0.0:
+        raise ValidationError(f"{names[1]} must have nonnegative real part")
+    den = z_series + z
+    if den == 0:
+        raise SingularCircuitError(f"{names[0]} + {names[1]} = 0: divider is singular")
+    return den, (den.real**2 + den.imag**2 if passive else None)
 
 
-def _float_errors(over, d2) -> tuple:
-    """The checks Python float arithmetic makes itself: a square that
-    overflows, and a division by |z_series + z|^2 = 0 (an underflow)."""
-    return (
-        (over, OverflowError(errno.ERANGE, "Numerical result out of range")),
-        (d2 == 0.0, ZeroDivisionError("float division by zero")),
-    )
+def _voltage(v_oc: complex, z: complex, den: complex) -> complex:
+    """Load-node voltage v_oc * z / den, den = z_series + z from _divider."""
+    return v_oc * z / den
 
 
-def extracted_power(source: TheveninSource, z_in):
-    """Average power delivered into z_in, in watts; OPEN_CIRCUIT yields 0.
+def _power(v2: float, re: float, d2: float) -> float:
+    """Power |v_oc|^2 Re z / (2 |z_series + z|^2) into a load of real part re;
+    d2 = 0 (an underflow) raises ZeroDivisionError, as Python floats do."""
+    return v2 * re / (2.0 * d2)
 
-    z_in may be an array of loads; see the module docstring.
-    """
+
+def extracted_power(source: TheveninSource, z_in) -> float:
+    """Average power delivered into z_in, in watts; OPEN_CIRCUIT yields 0."""
     if z_in is OPEN_CIRCUIT:
         return 0.0
-    z, scalar = _loads(z_in, "z_in")
-    with np.errstate(all="ignore"):
-        d2, singular, over = _denominator(source.z_series, z.real, z.imag)
-        _first_failure(
-            (z.real < 0.0, ValidationError("z_in must have nonnegative real part")),
-            (singular, SingularCircuitError("z_series + z_in = 0: divider is singular")),
-            *_float_errors(over, d2),
-        )
-        v2 = source.v_oc.real**2 + source.v_oc.imag**2
-        power = v2 * z.real / (2.0 * d2)
-    return float(power) if scalar else power
+    z = as_complex(z_in, "z_in")
+    _, d2 = _divider(source.z_series, z, _SOURCE)
+    return _power(source.v_oc.real**2 + source.v_oc.imag**2, z.real, d2)
 
 
 def max_available_power(source: TheveninSource) -> float:
@@ -184,67 +137,49 @@ def max_available_power(source: TheveninSource) -> float:
     return v2 / (8.0 * source.z_series.real)
 
 
-def divided_voltage(source: TheveninSource, z_in):
-    """Load-node voltage v_oc * z_in / (z_series + z_in); OPEN_CIRCUIT yields v_oc.
-
-    z_in may be an array of loads; see the module docstring.
-    """
+def divided_voltage(source: TheveninSource, z_in) -> complex:
+    """Load-node voltage v_oc * z_in / (z_series + z_in); OPEN_CIRCUIT yields v_oc."""
     if z_in is OPEN_CIRCUIT:
         return source.v_oc
-    z, scalar = _loads(z_in, "z_in")
-    v, zs = source.v_oc, source.z_series
-    den_re, den_im = zs.real + z.real, zs.imag + z.imag
-    _first_failure(
-        ((den_re == 0.0) & (den_im == 0.0), SingularCircuitError("z_series + z_in = 0: divider is singular")),
-    )
-    with np.errstate(all="ignore"):
-        re, im = _quotient(v.real * z.real - v.imag * z.imag, v.real * z.imag + v.imag * z.real,
-                           den_re, den_im)
-    if scalar:
-        return complex(re, im)
-    out = np.empty(z.shape, dtype=np.complex128)
-    out.real, out.imag = re, im
-    return out
+    z = as_complex(z_in, "z_in")
+    den, _ = _divider(source.z_series, z, _SOURCE, passive=False)
+    return _voltage(source.v_oc, z, den)
 
 
-def _snr(link: SingleLink, amp: AmplifierNoiseModel, re, im) -> tuple:
-    """Output SNR of the loads re + j*im (float arrays that broadcast), each
-    element with the bits of the one-load formula; zero total noise gives inf.
+def _snr_of(link: SingleLink, amp: AmplifierNoiseModel):
+    """output_snr's formula for one link and amplifier, as a function of a
+    finite passive load z and d2 = |z_r + z|^2 from _divider.
 
-    Also returns |z_r + z_l|^2, where z_r + z_l = 0, and where a square
-    overflowed. The caller decides what a bad load means.
+    A square that overflows raises OverflowError and d2 = 0 (an underflow)
+    ZeroDivisionError, as Python floats do; zero total noise gives inf.
     """
     g2 = amp.gain * amp.gain
     s_voc = _signal_voc_density(link)
-    d2, singular, over = _denominator(link.z_r, re, im)
-    (re2, over_re), (im2, over_im) = _square(re), _square(im)
-    w2 = (re2 + im2) / d2
-    u2 = (link.z_r.real**2 + link.z_r.imag**2) / d2
-    noise = amp.n_na + g2 * u2 * (2.0 * BOLTZMANN * amp.temperature * re)  # 2kTR as johnson_density
-    snr = np.where(noise == 0.0, np.inf, g2 * w2 * s_voc / noise)
-    return snr, d2, singular, over | over_re | over_im
+    abs2_r = link.z_r.real**2 + link.z_r.imag**2
+    n_na, two_kt = amp.n_na, 2.0 * BOLTZMANN * amp.temperature  # two_kt * R is johnson_density
+
+    def snr(z: complex, d2: float) -> float:
+        w2 = (z.real**2 + z.imag**2) / d2
+        noise = n_na + g2 * (abs2_r / d2) * (two_kt * z.real)
+        return math.inf if noise == 0 else g2 * w2 * s_voc / noise
+
+    return snr
 
 
-def output_snr(link: SingleLink, amp: AmplifierNoiseModel, z_l):
+def output_snr(link: SingleLink, amp: AmplifierNoiseModel, z_l) -> float:
     """Amplifier-output SNR for load z_l; exact open-circuit path for OPEN_CIRCUIT.
 
     Signal and the load's Johnson noise both pass through the divider formed
     with z_r; amplifier noise n_na adds at the output. Zero total noise gives
-    math.inf (flagged result), not an exception. z_l may be an array of
-    loads; see the module docstring.
+    math.inf (flagged result), not an exception.
     """
     if z_l is OPEN_CIRCUIT:
         g2, s_voc = amp.gain * amp.gain, _signal_voc_density(link)
         return math.inf if amp.n_na == 0 else g2 * s_voc / amp.n_na
-    z, scalar = _loads(z_l, "z_l")
-    with np.errstate(all="ignore"):
-        snr, d2, singular, over = _snr(link, amp, z.real, z.imag)
-    _first_failure(
-        (z.real < 0.0, ValidationError("z_l must have nonnegative real part")),
-        (singular, SingularCircuitError("z_r + z_l = 0: divider is singular")),
-        *_float_errors(over, d2),
-    )
-    return float(snr) if scalar else snr
+    z = as_complex(z_l, "z_l")
+    snr = _snr_of(link, amp)
+    _, d2 = _divider(link.z_r, z)
+    return snr(z, d2)
 
 
 def snr_matched(link: SingleLink, amp: AmplifierNoiseModel) -> float:
@@ -286,16 +221,16 @@ def optimize_load(link: SingleLink, amp: AmplifierNoiseModel, search: SearchBox)
     z_r = link.z_r
     if z_r.real == 0.0 and z_r.imag != 0.0 and abs(z_r.imag) <= search.x_max and amp.n_na > 0:
         raise NumericalError(f"output SNR is unbounded toward the lossless resonance z_l = {-z_r.imag!r}j")
-    re, im = _candidates(link, amp, search)
-    with np.errstate(all="ignore"):
-        snr, d2, _, over = _snr(link, amp, re, im)
-    keep = (d2 != 0.0) & ~over & ~np.isnan(snr)
-    best_finite = None
-    if keep.any():
-        snr, re, im = snr[keep], re[keep], im[keep]
-        ties = np.flatnonzero(snr == snr.max())
-        k = ties[np.argmax(re[ties] ** 2 + im[ties] ** 2)]
-        best_finite = (ComplexImpedance(float(re[k]), float(im[k])), float(snr[k]))
+    snr_of, best = _snr_of(link, amp), None
+    for z in _candidates(link, amp, search):
+        try:
+            snr = snr_of(z, _divider(z_r, z)[1])
+        except ArithmeticError:  # singular, or a square overflowed, or |z_r + z|^2 underflowed
+            continue
+        key = z.real * z.real + z.imag * z.imag
+        if snr == snr and (best is None or (snr, key) > best[:2]):  # NaN scores are dropped
+            best = snr, key, z
+    best_finite = None if best is None else (ComplexImpedance(best[2].real, best[2].imag), best[0])
     if search.include_open:
         snr_oc = output_snr(link, amp, OPEN_CIRCUIT)
         if best_finite is None or snr_oc >= best_finite[1]:
@@ -305,32 +240,45 @@ def optimize_load(link: SingleLink, amp: AmplifierNoiseModel, search: SearchBox)
     return best_finite
 
 
-def _candidates(link: SingleLink, amp: AmplifierNoiseModel, search: SearchBox) -> tuple:
-    """Re and Im of the box's corners (each twice) and the SNR's stationary
-    points on its edges: R = 0 and R = r_max along t = X, X = -x_max and
-    X = x_max along t = R. On each edge N = t^2 + foot^2 and D / n_na =
-    t^2 + q1 t + q0. With n_na = 0, kappa = c / n_na is inf, and only the
-    corners and the R = 0 edge's roots survive; R = 0 loads then score inf."""
+def _square(x: float) -> float:
+    """x**2, inf where Python raises OverflowError."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _candidates(link: SingleLink, amp: AmplifierNoiseModel, search: SearchBox):
+    """The box's corners (each twice), then the SNR's stationary points on
+    its edges: R = 0 and R = r_max along t = X, X = -x_max and X = x_max
+    along t = R. On each edge N = t^2 + foot^2 and D / n_na = t^2 + q1 t +
+    q0. Arithmetic is IEEE, as in numpy: with n_na = 0, kappa = c / n_na is
+    inf, and only the corners and the R = 0 edge's roots survive; R = 0
+    loads then score inf."""
     r, x = search.r_max, search.x_max
-    re_r, im_r = np.float64(link.z_r.real), np.float64(link.z_r.imag)
-    fixed_re = np.array([True, True, False, False])
-    foot = np.array([0.0, r, -x, x])  # the coordinate each edge holds fixed
-    lo, hi = np.array([-x, -x, 0.0, 0.0]), np.array([x, x, r, r])
-    with np.errstate(all="ignore"):
-        abs2 = re_r**2 + im_r**2
-        kappa = 2.0 * BOLTZMANN * amp.temperature * amp.gain * amp.gain * abs2 / amp.n_na
-        q1 = np.array([2.0 * im_r, 2.0 * im_r, 2.0 * re_r + kappa, 2.0 * re_r + kappa])
-        q0 = np.array([abs2, (re_r + r) ** 2 + im_r**2 + kappa * r,
-                       re_r**2 + (im_r - x) ** 2, re_r**2 + (im_r + x) ** 2])
-        t = np.stack([lo, hi, *_stationary_points(foot**2, q1, q0)])
-    on_edge = (lo <= t) & (t <= hi)
-    return np.where(fixed_re, foot, t)[on_edge], np.where(fixed_re, t, foot)[on_edge]
+    re_r, im_r = link.z_r.real, link.z_r.imag
+    abs2 = _square(re_r) + _square(im_r)
+    c = 2.0 * BOLTZMANN * amp.temperature * amp.gain * amp.gain * abs2
+    kappa = c / amp.n_na if amp.n_na else (math.copysign(math.inf, amp.n_na) if c > 0 else math.nan)
+    edges = (  # (holds Re fixed, foot: the coordinate it holds, lo, hi, q1, q0)
+        (True, 0.0, -x, x, 2.0 * im_r, abs2),
+        (True, r, -x, x, 2.0 * im_r, _square(re_r + r) + _square(im_r) + kappa * r),
+        (False, -x, 0.0, r, 2.0 * re_r + kappa, _square(re_r) + _square(im_r - x)),
+        (False, x, 0.0, r, 2.0 * re_r + kappa, _square(re_r) + _square(im_r + x)),
+    )
+    roots = [_stationary_points(foot * foot, q1, q0) for _, foot, _, _, q1, q0 in edges]
+    for ts in ([e[2] for e in edges], [e[3] for e in edges], *zip(*roots)):
+        for (fixed_re, foot, lo, hi, _, _), t in zip(edges, ts):
+            if lo <= t <= hi:
+                yield complex(foot, t) if fixed_re else complex(t, foot)
 
 
-def _stationary_points(p0, q1, q0) -> tuple:
-    """Both roots of d/dt (t^2 + p0) / (t^2 + q1 t + q0), NaN or inf where
-    none exists, by the stable quadratic formula. On the edge R = 0 (p0 = 0,
-    q1 = 2 X_r, q0 = |z_r|^2) they are 0 and exactly -|z_r|^2 / X_r."""
+def _stationary_points(p0: float, q1: float, q0: float) -> tuple:
+    """Both roots of d/dt (t^2 + p0) / (t^2 + q1 t + q0), NaN where none
+    exists (a negative discriminant, a = 0 or q = 0), by the stable quadratic
+    formula. On the edge R = 0 (p0 = 0, q1 = 2 X_r, q0 = |z_r|^2) they are 0
+    and exactly -|z_r|^2 / X_r."""
     a, b, c = q1, 2.0 * (q0 - p0), -p0 * q1
-    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
-    return q / a, c / q
+    disc = b * b - 4.0 * a * c
+    q = -0.5 * (b + math.copysign(math.sqrt(disc) if disc >= 0.0 else math.nan, b))
+    return q / a if a else math.nan, c / q if q else math.nan

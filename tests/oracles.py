@@ -56,8 +56,8 @@ def output_snr_ref(z_r, z_l, gain, n_na, temperature, s_voc):
     return gain**2 * abs(w) ** 2 * s_voc / noise
 
 
-# The single-link divider, power and SNR as they were before they took load
-# arrays: one load per call, in Python floats and complex numbers.
+# The single-link divider, power and SNR written straight from the one-load
+# formulas, in Python floats and complex numbers, with no shared helper.
 
 
 def divided_voltage_scalar(source, z_in):
@@ -312,6 +312,28 @@ def cond_check_ref(total, v_oc):
     except np.linalg.LinAlgError:
         return messages, f"singular termination at frequency index {int(np.argmax(cond))}"
     return messages, None
+
+
+def coupling_draw_ref(selfs, coupling, decay, rng, max_tries):
+    """The synthetic array model's passive draw as it was made before it was
+    vectorized: one phase, one cos/sin pair and two stores per pair i < j.
+    The loop wrote mag * complex(cos, sin); complex(mag, 0.0) is how Python
+    multiplied a float by a complex up to 3.13 (3.14 drops the 0.0 terms,
+    which changes the signed zeros of a zero-magnitude entry)."""
+    n = len(selfs)
+    for _ in range(max_tries):
+        mat = np.diag(selfs).astype(np.complex128)
+        for i in range(n):
+            for j in range(i + 1, n):
+                mag = coupling * decay ** (j - i - 1)
+                phase = rng.uniform(0.0, 2.0 * math.pi)
+                entry = complex(mag, 0.0) * complex(math.cos(phase), math.sin(phase))
+                mat[i, j] = entry
+                mat[j, i] = entry
+        eigs = np.linalg.eigvalsh((mat.real + mat.real.T) / 2.0)
+        if eigs[0] >= 0:
+            return mat
+    raise NumericalError(f"no passive coupling draw in {max_tries} tries")
 
 
 # The impedance-CSV loader and the two validators as they were before the

@@ -30,6 +30,7 @@ from rxfront.arrays import (
 )
 from oracles import (
     cond_check_ref,
+    coupling_draw_ref,
     coupling_offdiag_ratio_ref,
     sum_extracted_power_ref,
     sum_power_batch_ref,
@@ -219,6 +220,53 @@ def test_synthetic_checks_its_grid_before_scaling(freqs):
     # reactances scale by freq / freqs[0]; a zero first point used to divide by zero
     with pytest.raises(ValidationError):
         make_synthetic_model(1, 2, 50 + 5j, 1.0, 0.5, freqs)
+
+
+class _CountingRng:
+    """A Generator that counts its uniform() calls."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def uniform(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.uniform(*args, **kwargs)
+
+
+def _model_from_draw_ref(selfs, coupling, decay, freqs, rng, max_tries=100):
+    """The synthetic model's matrices from the per-pair loop's draw, scaled
+    to the grid as make_synthetic_model scales its draw."""
+    base = coupling_draw_ref(selfs, coupling, decay, rng, max_tries)
+    return np.stack([base.real + 1j * base.imag * (freq / freqs[0]) for freq in freqs])
+
+
+def test_synthetic_draw_matches_the_per_pair_loop():
+    # coupling 0 and a decay whose powers underflow give zero-magnitude
+    # entries, whose signed zeros come from Python's float * complex
+    params = [(1.0, 0.5), (8.0, 0.3), (0.0, 0.5), (2.0, 1e-200), (3.0, 1.0)]
+    freqs = [1e6, 2.5e6]
+    for seed in range(21):
+        for n in range(2, 41):
+            coupling, decay = params[(seed + n) % len(params)]
+            selfs = np.linspace(40.0, 90.0, n) + 1j * np.linspace(-20.0, 20.0, n)
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = make_synthetic_model(1, n - 1, selfs, coupling, decay, freqs, rng=rng).zms.matrices
+            want = _model_from_draw_ref(selfs, coupling, decay, freqs, rng_ref)
+            assert np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64)), (seed, n)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_synthetic_draw_rejects_active_draws_as_the_loop_did():
+    selfs, freqs = np.full(8, 50.0 + 5.0j), [1e6]
+    counting = _CountingRng(3)
+    got = make_synthetic_model(1, 7, selfs, 30.0, 0.9, freqs, rng=counting).zms.matrices
+    want = _model_from_draw_ref(selfs, 30.0, 0.9, freqs, np.random.default_rng(3))
+    assert counting.calls > 1  # some draws were not passive
+    assert np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
+    with pytest.raises(NumericalError, match="no passive coupling draw in 3 tries"):
+        make_synthetic_model(1, 7, selfs, 200.0, 1.0, freqs, rng=np.random.default_rng(3), max_tries=3)
+    with pytest.raises(NumericalError, match="no passive coupling draw in 3 tries"):
+        coupling_draw_ref(selfs, 200.0, 1.0, np.random.default_rng(3), 3)
 
 
 def _stacked_cases():

@@ -706,6 +706,21 @@ def test_port_cells_join_each_rows_cells(k):
         assert cli._port_cells(EDGE_COLUMNS[name], k) == [";".join(cells[i:i + k]) for i in range(0, len(cells), k)]
 
 
+def test_float_lists_convert_like_float_arrays(monkeypatch):
+    # a list of only floats and no NaN takes %.12g; a NaN, or any int or
+    # bool among the floats, sends the list through fmt
+    float_lists = [EDGE_FLOATS, EDGE_FLOATS + [math.nan], [math.nan], [-0.0], [1e16, 5e-324]]
+    mixed = [1.5, 2, True, -0.0, math.inf]
+    for column in float_lists:
+        assert cli._cells(column) == cells_ref(column) == cells_ref(np.array(column))
+    assert cli._cells(mixed) == cells_ref(mixed)
+    calls, real = [], cli.fmt
+    monkeypatch.setattr(cli, "fmt", lambda value: calls.append(value) or real(value))
+    assert cli._spec(EDGE_FLOATS)[0] == "%.12g" and calls == []
+    assert cli._spec([-0.0, math.nan])[0] == "%s" and len(calls) == 2
+    assert cli._spec(mixed)[0] == "%s" and calls[2:] == mixed
+
+
 def test_string_columns_skip_fmt(monkeypatch):
     calls, real = [], cli.fmt
     monkeypatch.setattr(cli, "fmt", lambda value: calls.append(value) or real(value))
@@ -718,8 +733,9 @@ def test_string_columns_skip_fmt(monkeypatch):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the child's VmSize from /proc")
 def test_scenario_too_large_for_memory_exits_2(tmp_path):
     # The child caps its address space 32 MiB above what it holds after its
-    # imports; the model's first (n, n) complex matrix, 50 MiB at n_rx 1800,
-    # does not fit, and neither do the 6 frequencies' 311 MB stack.
+    # imports; the model's draw over 1.6 million port pairs (12.4 MiB per
+    # index array), its (n, n) complex matrix, 50 MiB at n_rx 1800, and the
+    # 6 frequencies' 311 MB stack do not fit.
     scen = tmp_path / "huge.json"
     scen.write_text(json.dumps({"array": {"synthetic": {
         "n_tx": 1, "n_rx": 1800, "self_ohms": {"re": 50.0, "im": 5.0}, "coupling_ohms": 1.0,
@@ -764,3 +780,14 @@ def test_link_report_matches_the_cell_by_cell_rendering(tmp_path, fmt_kind):
     columns, _ = cli._run_link(cli.parse_scenario(scenario))
     assert len(columns["label"]) == 20_003
     assert cli.render_report(columns, fmt_kind, "sweep link") == render_report_ref(columns, fmt_kind, "sweep link")
+
+
+@pytest.mark.parametrize("span", [0.0, 5e-324, 2.0, 1e300, 1.7e308])
+def test_linspace_matches_numpy_bit_for_bit(span):
+    # (0, 5e-324) has a step that underflows to 0: numpy's i / div * delta branch
+    for start, stop in [(-span / 2.0, span / 2.0), (0.0, span), (span, 0.0), (-span, -0.0)]:
+        for count in range(201):
+            got = cli._linspace(start, stop, count)
+            assert all(type(x) is float for x in got)
+            want = np.linspace(start, stop, count)
+            assert np.array_equal(np.array(got, dtype=float).view(np.uint64), want.view(np.uint64)), (start, stop, count)

@@ -22,7 +22,8 @@ def _fresh(code: str):
     return json.loads(proc.stdout)
 
 
-LOADED = "json.dumps(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('rxfront')))"
+MODULES = "sorted(m for m in sys.modules if m == 'numpy' or m.startswith('rxfront'))"
+LOADED = f"json.dumps({MODULES})"
 
 
 def test_cli_import_loads_only_core():
@@ -39,6 +40,73 @@ def test_closed_form_subcommands_run_without_numpy(tmp_path, command, scenario, 
     loaded = _fresh(f"import json, sys, rxfront.cli; assert rxfront.cli.main({argv!r}) == 0; print({LOADED})")
     assert loaded == sorted(["rxfront", "rxfront.cli", "rxfront.core", module])
     assert out.read_text().startswith("bandwidth," if command == "capacity" else "r_l_ohms,")
+
+
+def _link_doc(loads, optimize=None) -> dict:
+    doc = {
+        "link": {"z_r_ohms": {"re": 5, "im": 37}, "z_rt_ohms": {"re": 10}, "s_it_a2_per_hz": 1e-12,
+                 "loads": [{"label": f"z{i}", "kind": "explicit", "z_l_ohms": {"re": re, "im": im}}
+                           for i, (re, im) in enumerate(loads)]},
+        "amplifier": {"gain": 10, "n_na_v2_per_hz": 1e-9, "temp_kelvin": 290},
+    }
+    if optimize:
+        doc["link"]["optimize"] = {**optimize, "n_re": 3, "n_im": 3}
+    return doc
+
+
+def test_link_and_match_run_without_numpy(tmp_path):
+    # an optimize box whose best load is finite: -j |z_r|^2 / X_r
+    boxed = tmp_path / "boxed.json"
+    boxed.write_text(json.dumps(_link_doc([(50, 0)], {"r_max_ohms": 500, "x_max_ohms": 500})))
+    calls = [
+        ["link", "--scenario", str(ROOT / "scenarios" / "link_crossover.json")],
+        ["link", "--scenario", str(boxed)],
+        ["match", "--scenario", str(ROOT / "scenarios" / "match_step_up.json")],
+    ]
+    reports = [tmp_path / f"report{i}.csv" for i in range(len(calls))]
+    calls = [[*argv, "--out", str(out)] for argv, out in zip(calls, reports)]
+    codes, loaded = _fresh(f"""
+import json, sys, rxfront.cli
+print(json.dumps([[rxfront.cli.main(argv) for argv in {calls!r}], {MODULES}]))
+""")
+    assert codes == [0, 0, 0]
+    assert loaded == ["rxfront", "rxfront.cli", "rxfront.core", "rxfront.link", "rxfront.matching"]
+    assert reports[0].read_bytes() == (ROOT / "perfbench" / "reference" / "link_crossover.csv").read_bytes()
+    assert reports[1].read_text().splitlines()[-1].startswith("optimal,0,-37.6756756757,")
+    assert reports[2].read_bytes() == (ROOT / "perfbench" / "reference" / "match_step_up.csv").read_bytes()
+
+
+def test_link_load_failures_keep_their_exit_codes_without_numpy(tmp_path):
+    def scenario(name, loads, z_r=(5, 37)):
+        doc = _link_doc(loads)
+        doc["link"]["z_r_ohms"] = {"re": z_r[0], "im": z_r[1]}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return ["link", "--scenario", str(path)]
+
+    calls = [
+        scenario("negative", [(50, 0), (-1, 0)]),  # 1
+        scenario("singular", [(50, 0), (-5, -37)]),  # 3
+        scenario("overflow", [(50, 0), (1e200, 0)]),  # 3
+        scenario("underflow", [(1e-170, -37)], z_r=(0, 37)),  # 3: |z_r + z_l|^2 underflows to 0
+    ]
+    codes, errors, loaded = _fresh(f"""
+import contextlib, io, json, sys, rxfront.cli
+codes, errors = [], []
+for argv in {calls!r}:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        codes.append(rxfront.cli.main(argv))
+    errors.append(err.getvalue())
+print(json.dumps([codes, errors, "numpy" in sys.modules]))
+""")
+    assert (codes, loaded) == ([1, 3, 3, 3], False)
+    assert errors == [
+        "validation error: load 'z1': z_l_ohms must have nonnegative real part\n",
+        "numerical error: load 'z1': z_r_ohms + z_l_ohms = 0: divider is singular\n",
+        "numerical error: load 'z1': Numerical result out of range\n",
+        "numerical error: load 'z0': float division by zero\n",
+    ]
 
 
 def test_closed_form_failures_keep_their_exit_codes_without_numpy(tmp_path):

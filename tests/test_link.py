@@ -301,26 +301,48 @@ def _array_cases():
             yield SingleLink(z_r, 3 - 2j, 1e-12), amp, TheveninSource(0.7 - 1.3j, z_r), z
 
 
-def test_array_loads_match_the_scalar_formulas_bit_for_bit():
+def _link_scenario(path, lnk, amp, loads):
+    """Write a link scenario with one explicit load per complex in ``loads``,
+    labelled z0, z1, ...; return its path."""
+    def cx(z):
+        return {"re": z.real, "im": z.imag}
+
+    path.write_text(json.dumps({
+        "link": {"z_r_ohms": cx(lnk.z_r), "z_rt_ohms": cx(lnk.z_rt), "s_it_a2_per_hz": lnk.s_it,
+                 "loads": [{"label": f"z{i}", "kind": "explicit", "z_l_ohms": cx(complex(z))}
+                           for i, z in enumerate(loads)]},
+        "amplifier": {"gain": amp.gain, "n_na_v2_per_hz": amp.n_na, "temp_kelvin": amp.temperature},
+    }))
+    return path
+
+
+def test_array_loads_match_the_scalar_formulas_bit_for_bit(tmp_path):
+    # the link report's columns have the bits of the one-load formulas
+    # (tests/oracles.py), per unit v_oc, with the power scaled by s_voc
     for lnk, amp, source, z in _array_cases():
         loads = z.tolist()
-        divider = divided_voltage(source, z)
-        want = np.array([divided_voltage_scalar(source, load) for load in loads])
-        assert np.array_equal(_bits(divider.real), _bits(want.real))
-        assert np.array_equal(_bits(divider.imag), _bits(want.imag))
+        scenario = cli.parse_scenario(_link_scenario(tmp_path / "loads.json", lnk, amp, loads))
+        columns, _ = cli._run_link(scenario)
+        unit = TheveninSource(1.0, lnk.z_r)
+        s_voc = (lnk.z_rt.real**2 + lnk.z_rt.imag**2) * lnk.s_it
+        assert np.array_equal(_bits(columns["z_l_re_ohms"]), _bits(z.real))
+        assert np.array_equal(_bits(columns["z_l_im_ohms"]), _bits(z.imag))
         # abs() of a Python complex is hypot, which np.abs does not always match
-        assert np.array_equal(_bits(np.hypot(divider.real, divider.imag)), _bits([abs(v) for v in want]))
-        want = [extracted_power_scalar(source, load) for load in loads]
-        assert np.array_equal(_bits(extracted_power(source, z)), _bits(want))
+        want = [abs(divided_voltage_scalar(unit, load)) for load in loads]
+        assert np.array_equal(_bits(columns["divider_mag"]), _bits(want))
+        want = [s_voc * extracted_power_scalar(unit, load) for load in loads]
+        assert np.array_equal(_bits(columns["extracted_power_w_per_hz"]), _bits(want))
         want = [output_snr_scalar(lnk, amp, load) for load in loads]
-        assert np.array_equal(_bits(output_snr(lnk, amp, z)), _bits(want))
-        # one load in: a Python scalar out, with the same bits
-        load = loads[7]
-        assert type(output_snr(lnk, amp, load)) is float
-        assert type(extracted_power(source, load)) is float
-        assert type(divided_voltage(source, load)) is complex
-        assert _bits(output_snr(lnk, amp, load)) == _bits(output_snr_scalar(lnk, amp, load))
-        assert divided_voltage(source, load) == divided_voltage_scalar(source, load)
+        assert np.array_equal(_bits(columns["snr"]), _bits(want))
+        # the public one-load calls: Python scalars with the same bits
+        for load in loads[::7]:
+            assert type(output_snr(lnk, amp, load)) is float
+            assert type(extracted_power(source, load)) is float
+            assert type(divided_voltage(source, load)) is complex
+            assert _bits(output_snr(lnk, amp, load)) == _bits(output_snr_scalar(lnk, amp, load))
+            assert _bits(extracted_power(source, load)) == _bits(extracted_power_scalar(source, load))
+            got, want = divided_voltage(source, load), divided_voltage_scalar(source, load)
+            assert _bits([got.real, got.imag]).tolist() == _bits([want.real, want.imag]).tolist()
 
 
 def _error(call, *args) -> Exception:
@@ -331,28 +353,38 @@ def _error(call, *args) -> Exception:
     raise AssertionError(f"{call.__name__} raised nothing")
 
 
-def test_array_errors_are_the_first_bad_loads():
+def _first_bad_load(tmp_path, capsys, lnk, amp, loads) -> tuple:
+    """Exit code and stderr of ``rxfront link`` over ``loads``."""
+    path = _link_scenario(tmp_path / "bad.json", lnk, amp, loads)
+    code = cli.main(["link", "--scenario", str(path), "--out", str(tmp_path / "bad.csv")])
+    return code, capsys.readouterr().err
+
+
+def test_array_errors_are_the_first_bad_loads(tmp_path, capsys):
     link = SingleLink(5 + 37j, 10.0, 1e-12)
     amp = AmplifierNoiseModel(10.0, 1e-9, 290.0)
     unit = TheveninSource(1.0, 5 + 37j)
+    singular = "numerical error: load 'z1': z_r_ohms + z_l_ohms = 0: divider is singular\n"
     cases = [
-        # (loads, index of the first bad load)
-        ([50.0, -5 - 37j, -1.0, 1e200], 1),  # negative and singular: the scalar order decides
-        ([50.0, 20.0, 1e200, -1.0], 2),  # |z_l|^2 overflows
-        ([50.0, -1.0, -5 - 37j], 1),
+        # (loads, exit code, stderr): the earliest bad load, named by its label
+        ([50.0, -5 - 37j, -1.0, 1e200], 3, singular),  # negative and singular: the divider fails first
+        ([50.0, 20.0, 1e200, -1.0], 3, "numerical error: load 'z2': Numerical result out of range\n"),
+        ([50.0, -1.0, -5 - 37j], 1, "validation error: load 'z1': z_l_ohms must have nonnegative real part\n"),
     ]
-    calls = [(output_snr, output_snr_scalar, (link, amp)),
-             (extracted_power, extracted_power_scalar, (unit,))]
-    for loads, first in cases:
-        for array_call, scalar_call, args in calls:
-            want = _error(scalar_call, *args, loads[first])
-            got = _error(array_call, *args, np.array(loads))
-            assert (type(got), str(got), got.index) == (type(want), str(want), first)
-    got = _error(divided_voltage, unit, np.array([50.0, -1.0, -5 - 37j]))
-    assert (type(got), got.index) == (SingularCircuitError, 2)
+    for loads, code, err in cases:
+        assert _first_bad_load(tmp_path, capsys, link, amp, loads) == (code, err)
+    # each library call raises what its one-load formula raises
+    calls = [(output_snr, output_snr_scalar, (link, amp), (-5 - 37j, -1.0, 1e200)),
+             (extracted_power, extracted_power_scalar, (unit,), (-5 - 37j, -1.0, 1e200)),
+             (divided_voltage, divided_voltage_scalar, (unit,), (-5 - 37j,))]
+    for call, scalar_call, args, bad_loads in calls:
+        for load in bad_loads:
+            got, want = _error(call, *args, load), _error(scalar_call, *args, load)
+            assert (type(got), str(got)) == (type(want), str(want))
+    assert divided_voltage(unit, -1.0) == divided_voltage_scalar(unit, -1.0)  # any finite load divides
 
 
-def test_divider_underflow_is_a_division_by_zero_as_in_python_floats():
+def test_divider_underflow_is_a_division_by_zero_as_in_python_floats(tmp_path, capsys):
     # |z_r + z_l| ~ 1e-170 is not zero, but its square underflows to 0
     link = SingleLink(37j, 1.0, 1e-12)
     amp = AmplifierNoiseModel(10.0, 1e-9, 290.0)
@@ -360,9 +392,11 @@ def test_divider_underflow_is_a_division_by_zero_as_in_python_floats():
     with pytest.raises(ZeroDivisionError):
         output_snr_scalar(link, amp, load)
     with pytest.raises(ZeroDivisionError):
-        output_snr(link, amp, np.array([1.0, load]))
+        output_snr(link, amp, load)
     with pytest.raises(ZeroDivisionError):
         extracted_power(TheveninSource(1.0, 37j), load)
+    assert _first_bad_load(tmp_path, capsys, link, amp, [1.0, load]) == (
+        3, "numerical error: load 'z1': float division by zero\n")
 
 
 def test_optimal_load_extracts_no_power_on_random_links():
