@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .core import (
     DEFAULT_TOL,
     OPEN_CIRCUIT,
     FrequencyGrid,
+    Frozen,
     ImpedanceMatrixSeries,
     NumericalError,
     SingularCircuitError,
@@ -41,28 +41,27 @@ those of an SVD at every frequency.
 _KINDS = ("open_circuit", "per_antenna_conjugate", "full_conjugate", "explicit")
 
 
-@dataclass(frozen=True, eq=False)
-class TerminationStrategy:
+class TerminationStrategy(Frozen):
     """One of the four termination kinds; ``explicit`` carries a K x K load matrix."""
 
-    kind: str
-    z_l: np.ndarray = None
+    _fields = ("kind", "z_l")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity: z_l is an array
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValidationError(f"unknown termination kind {self.kind!r}")
-        if self.kind == "explicit":
-            if self.z_l is None:
+    def __init__(self, kind: str, z_l: np.ndarray = None) -> None:
+        if kind not in _KINDS:
+            raise ValidationError(f"unknown termination kind {kind!r}")
+        if kind == "explicit":
+            if z_l is None:
                 raise ValidationError("explicit termination needs a load matrix")
-            mat = np.array(self.z_l, dtype=np.complex128, copy=True)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            z_l = np.array(z_l, dtype=np.complex128, copy=True)
+            if z_l.ndim != 2 or z_l.shape[0] != z_l.shape[1]:
                 raise ValidationError("explicit load matrix must be square")
-            if not np.all(np.isfinite(mat.view(float))):
+            if not np.all(np.isfinite(z_l.view(float))):
                 raise ValidationError("explicit load matrix must be finite")
-            mat.setflags(write=False)
-            object.__setattr__(self, "z_l", mat)
-        elif self.z_l is not None:
-            raise ValidationError(f"{self.kind} termination takes no load matrix")
+            z_l.setflags(write=False)
+        elif z_l is not None:
+            raise ValidationError(f"{kind} termination takes no load matrix")
+        self._store(kind, z_l)
 
     @classmethod
     def open_circuit(cls) -> "TerminationStrategy":
@@ -81,37 +80,36 @@ class TerminationStrategy:
         return cls("explicit", z_l)
 
 
-@dataclass(frozen=True, eq=False)
-class ArrayModel:
+class ArrayModel(Frozen):
     """Validated partitioned impedance series plus transmit currents (F, M)."""
 
-    zms: ImpedanceMatrixSeries
-    i_t: np.ndarray
+    _fields = ("zms", "i_t")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity: i_t is an array
 
-    def __post_init__(self) -> None:
-        m, k = self.zms.dims
+    def __init__(self, zms: ImpedanceMatrixSeries, i_t: np.ndarray) -> None:
+        m, k = zms.dims
         if m < 1:
             raise ValidationError("array model needs at least one transmit port")
         if k < 1:
             raise ValidationError("array model needs at least one receive port")
         for checker in (validate_reciprocity, validate_passivity):
-            report = checker(self.zms)
+            report = checker(zms)
             if not report.passed:
                 raise ValidationError(
                     f"impedance series fails {report.check}: deviation "
                     f"{report.worst_deviation:.3e} at frequency index {report.worst_index}"
                 )
-        arr = np.array(self.i_t, dtype=np.complex128, copy=True)
+        arr = np.array(i_t, dtype=np.complex128, copy=True)
         if arr.ndim == 1:
-            arr = np.tile(arr, (len(self.zms.grid), 1))
-        if arr.shape != (len(self.zms.grid), m):
+            arr = np.tile(arr, (len(zms.grid), 1))
+        if arr.shape != (len(zms.grid), m):
             raise ValidationError(
-                f"i_t must have shape ({len(self.zms.grid)}, {m}), got {arr.shape}"
+                f"i_t must have shape ({len(zms.grid)}, {m}), got {arr.shape}"
             )
         if not np.all(np.isfinite(arr.view(float))):
             raise ValidationError("i_t must be finite")
         arr.setflags(write=False)
-        object.__setattr__(self, "i_t", arr)
+        self._store(zms, arr)
 
 
 def open_circuit_voltages(model: ArrayModel) -> np.ndarray:
@@ -153,14 +151,15 @@ def termination_matrix(strategy: TerminationStrategy, z_r: np.ndarray):
     return np.broadcast_to(strategy.z_l, z_r.shape)
 
 
-@dataclass(frozen=True, eq=False)
-class ArrayTermination:
+class ArrayTermination(Frozen):
     """One strategy solved at every frequency: terminated voltages (F, K),
     total extracted power (F,) and off-diagonal divider ratio (F,)."""
 
-    voltages: np.ndarray
-    power: np.ndarray
-    offdiag_ratio: np.ndarray
+    _fields = ("voltages", "power", "offdiag_ratio")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # identity: the fields are arrays
+
+    def __init__(self, voltages: np.ndarray, power: np.ndarray, offdiag_ratio: np.ndarray) -> None:
+        self._store(voltages, power, offdiag_ratio)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -18,15 +18,14 @@ import gc
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import count
-from numbers import Integral
 from pathlib import Path
 
 from .core import (
     MAX_ARRAY_BYTES,
     OPEN_CIRCUIT,
+    Frozen,
     ParseError,
     SingularCircuitError,
     ToolkitError,
@@ -40,14 +39,13 @@ from .core import (
 SUBCOMMANDS = ("validate", "capacity", "link", "noisefig", "frontend", "match", "array")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Frozen):
     """Parsed scenario: normalized payload plus the directory for file references."""
 
-    name: str
-    kind: str
-    data: dict
-    base_dir: Path
+    _fields = ("name", "kind", "data", "base_dir")
+
+    def __init__(self, name: str, kind: str, data: dict, base_dir: Path) -> None:
+        self._store(name, kind, data, base_dir)
 
 
 def fmt(value) -> str:
@@ -58,8 +56,9 @@ def fmt(value) -> str:
         return "undefined"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, Integral)):  # numpy integers too
-        return str(int(value))
+    numpy = sys.modules.get("numpy")  # a run that never loaded numpy holds no numpy integer
+    if isinstance(value, int) or (numpy is not None and isinstance(value, numpy.integer)):
+        return str(int(value))  # numpy.bool_ is no numpy.integer: it prints as a float
     x = float(value)
     if math.isnan(x):
         return "undefined"
@@ -436,11 +435,14 @@ def _run_capacity(scenario: Scenario):
     return _columns(["bandwidth", "capacity_bits", "capacity_bound_bits", "eb_n0"], rows), True
 
 
+_ARITHMETIC_MESSAGES = {  # Python's own messages, without OverflowError's errno
+    OverflowError: "Numerical result out of range",
+    ZeroDivisionError: "float division by zero",
+}
 _LOAD_MESSAGES = {  # the message of one bad load's error, in the scenario's field names
     ValidationError: "z_l_ohms must have nonnegative real part",
     SingularCircuitError: "z_r_ohms + z_l_ohms = 0: divider is singular",
-    OverflowError: "Numerical result out of range",
-    ZeroDivisionError: "float division by zero",
+    **_ARITHMETIC_MESSAGES,
 }
 
 
@@ -635,20 +637,35 @@ def _run_match(scenario: Scenario):
         raise ValidationError("match requires Re(z_r) > 0")
     best = matching.optimal_turns_ratio(r_in, lnk.z_r.real)
     sweep = section["ratio_sweep"]
-    half = sweep["span_decades"] / 2.0
-    exponents = _linspace(-half, half, sweep["count"])
+    span = sweep["span_decades"]
+    exponents = _linspace(-span / 2.0, span / 2.0, sweep["count"])
+    ratios = [_scaled(best, exponent) for exponent in exponents]
+    if 0.0 < best < math.inf:  # else TransformerMatch rejects the optimum itself
+        for end in ratios[:1] + ratios[-1:]:  # monotone in the exponent: the ends bound the rest
+            if not 0.0 < end < math.inf:
+                raise ValidationError(
+                    f"match.ratio_sweep.span_decades {fmt(span)} takes the turns ratio from "
+                    f"its optimum {fmt(best)} to {fmt(end)}"
+                )
 
-    def worker(exponent: float) -> dict:
-        ratio = best * 10.0**exponent
+    def worker(exponent: float, ratio: float) -> dict:
         xf = matching.TransformerMatch(ratio, cancel)
-        return {
-            "turns_ratio": ratio,
-            "snr": matching.snr_with_transformer(lnk, r_in, amp, xf),
-            "annotations": "at_optimal" if exponent == 0 else "",
-        }
+        try:
+            snr = matching.snr_with_transformer(lnk, r_in, amp, xf)
+        except tuple(_ARITHMETIC_MESSAGES) as exc:
+            raise type(exc)(f"turns_ratio {fmt(ratio)}: {_ARITHMETIC_MESSAGES[type(exc)]}") from exc
+        return {"turns_ratio": ratio, "snr": snr, "annotations": "at_optimal" if exponent == 0 else ""}
 
-    rows = [worker(e) for e in exponents]
+    rows = [worker(e, ratio) for e, ratio in zip(exponents, ratios)]
     return _columns(["turns_ratio", "snr", "annotations"], rows), True
+
+
+def _scaled(ratio: float, exponent: float) -> float:
+    """ratio * 10**exponent, inf where the power overflows."""
+    try:
+        return ratio * 10.0**exponent
+    except OverflowError:
+        return math.inf
 
 
 def _run_array(scenario: Scenario):

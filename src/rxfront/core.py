@@ -7,10 +7,8 @@ call never loads it.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
-from dataclasses import dataclass
 
 BOLTZMANN = 1.380649e-23
 """Boltzmann constant in J/K (exact SI value)."""
@@ -62,16 +60,54 @@ OPEN_CIRCUIT = _OpenCircuitType()
 """Distinguished load value: no load connected, exact open-circuit formulas apply."""
 
 
-@dataclass(frozen=True)
-class ComplexImpedance:
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields in ``_fields`` and stores them once, at the
+    end of ``__init__``, with ``_store``. After that, assigning or deleting an
+    attribute raises AttributeError. The repr is ``Name(field=value, ...)`` in
+    field order, and ``==`` and ``hash`` compare the field tuples of two
+    instances of one class. A subclass whose fields are arrays sets
+    ``__eq__`` and ``__hash__`` back to object's, for identity equality.
+    """
+
+    _fields = ()
+
+    def _store(self, *values) -> None:
+        """Set the fields, in ``_fields`` order, bypassing ``__setattr__``."""
+        self.__dict__.update(zip(self._fields, values))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class ComplexImpedance(Frozen):
     """Complex impedance in ohms, split into real and imaginary parts."""
 
-    re: float
-    im: float = 0.0
+    _fields = ("re", "im")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValidationError(f"impedance parts must be finite, got {self.re!r}, {self.im!r}")
+    def __init__(self, re: float, im: float = 0.0) -> None:
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ValidationError(f"impedance parts must be finite, got {re!r}, {im!r}")
+        self._store(re, im)
 
     def __complex__(self) -> complex:
         return complex(self.re, self.im)
@@ -99,31 +135,29 @@ def johnson_density(temperature: float, resistance: float) -> float:
     return 2.0 * BOLTZMANN * temperature * resistance
 
 
-@dataclass(frozen=True)
-class TheveninSource:
+class TheveninSource(Frozen):
     """Open-circuit voltage phasor in series with a passive source impedance."""
 
-    v_oc: complex
-    z_series: complex
+    _fields = ("v_oc", "z_series")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "v_oc", as_complex(self.v_oc, "v_oc"))
-        object.__setattr__(self, "z_series", as_complex(self.z_series, "z_series"))
-        if self.z_series.real < 0:
+    def __init__(self, v_oc: complex, z_series: complex) -> None:
+        v_oc = as_complex(v_oc, "v_oc")
+        z_series = as_complex(z_series, "z_series")
+        if z_series.real < 0:
             raise ValidationError("z_series must have nonnegative real part")
+        self._store(v_oc, z_series)
 
 
-@dataclass(frozen=True)
-class FrequencyGrid:
+class FrequencyGrid(Frozen):
     """Strictly increasing grid of analysis frequencies in Hz."""
 
-    points: tuple
+    _fields = ("points",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, points: tuple) -> None:
         try:
-            pts = tuple(float(p) for p in self.points)
+            pts = tuple(float(p) for p in points)
         except (TypeError, ValueError) as exc:
-            raise ValidationError(f"frequencies must be numbers: {self.points!r}") from exc
+            raise ValidationError(f"frequencies must be numbers: {points!r}") from exc
         if not pts:
             raise ValidationError("frequency grid must be non-empty")
         for p in pts:
@@ -131,7 +165,7 @@ class FrequencyGrid:
                 raise ValidationError(f"frequencies must be finite and positive, got {p!r}")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValidationError("frequencies must be strictly increasing")
-        object.__setattr__(self, "points", pts)
+        self._store(pts)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -152,38 +186,35 @@ class FrequencyGrid:
         return 2.0 * math.pi * self.as_array()
 
 
-@dataclass(frozen=True)
-class ImpedanceMatrixSeries:
+class ImpedanceMatrixSeries(Frozen):
     """One square complex impedance matrix per grid frequency.
 
     ``dims = (m, k)`` partitions the ports into m transmit ports followed by
     k receive ports; the matrix order is m + k at every frequency.
     """
 
-    grid: FrequencyGrid
-    matrices: np.ndarray
-    dims: tuple = None
+    _fields = ("grid", "matrices", "dims")
 
-    def __post_init__(self) -> None:
+    def __init__(self, grid: FrequencyGrid, matrices: np.ndarray, dims: tuple = None) -> None:
         import numpy as np
 
-        mats = np.array(self.matrices, dtype=np.complex128, copy=True)
+        mats = np.array(matrices, dtype=np.complex128, copy=True)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValidationError(f"matrices must have shape (F, N, N), got {mats.shape}")
-        if mats.shape[0] != len(self.grid):
+        if mats.shape[0] != len(grid):
             raise ValidationError(
-                f"got {mats.shape[0]} matrices for {len(self.grid)} grid frequencies"
+                f"got {mats.shape[0]} matrices for {len(grid)} grid frequencies"
             )
         if not np.all(np.isfinite(mats.view(float))):
             raise ValidationError("impedance matrices must be finite")
         n = mats.shape[1]
-        dims = self.dims if self.dims is not None else (0, n)
+        if dims is None:
+            dims = (0, n)
         m, k = int(dims[0]), int(dims[1])
         if m < 0 or k < 0 or m + k != n:
             raise ValidationError(f"partition dims {dims!r} do not sum to matrix order {n}")
         mats.setflags(write=False)
-        object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "dims", (m, k))
+        self._store(grid, mats, (m, k))
 
     @property
     def n_ports(self) -> int:
@@ -214,15 +245,13 @@ class ImpedanceMatrixSeries:
         return self.matrices[:, m:, m:]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Frozen):
     """Outcome of a per-frequency matrix check."""
 
-    check: str
-    passed: bool
-    tol: float
-    deviations: tuple
-    worst_index: int
+    _fields = ("check", "passed", "tol", "deviations", "worst_index")
+
+    def __init__(self, check: str, passed: bool, tol: float, deviations: tuple, worst_index: int) -> None:
+        self._store(check, passed, tol, deviations, worst_index)
 
     @property
     def worst_deviation(self) -> float:
@@ -358,6 +387,8 @@ def load_impedance_csv(path, dims: tuple = None, mirror_tol: float = 1e-12) -> I
     listings must agree to ``mirror_tol`` relative), and a repeated listing
     of one cell must agree with the listing before it; the last one wins.
     """
+    import csv
+
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:

@@ -18,11 +18,11 @@ the two topologies draw no current at any gain and the comparison is empty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    Frozen,
     SingularCircuitError,
     TheveninSource,
     ValidationError,
@@ -39,29 +39,25 @@ def _optional_impedance(value, name: str):
     return as_complex(value, name)
 
 
-@dataclass(frozen=True)
-class OpAmpModel:
+class OpAmpModel(Frozen):
     """Finite open-loop gain A, differential input impedance z_id, per-input
     common-mode impedance z_cm (None or math.inf for absent), output r_out."""
 
-    open_loop_gain: float
-    z_id: complex = None
-    z_cm: complex = None
-    r_out: float = 0.0
+    _fields = ("open_loop_gain", "z_id", "z_cm", "r_out")
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.open_loop_gain) or self.open_loop_gain <= 0:
+    def __init__(self, open_loop_gain: float, z_id: complex = None, z_cm: complex = None,
+                 r_out: float = 0.0) -> None:
+        if math.isnan(open_loop_gain) or open_loop_gain <= 0:
             raise ValidationError("open_loop_gain must be positive (math.inf allowed)")
-        z_id = _optional_impedance(self.z_id, "z_id")
+        z_id = _optional_impedance(z_id, "z_id")
         if z_id is not None and z_id.real <= 0:
             raise ValidationError("finite z_id must have positive real part")
-        z_cm = _optional_impedance(self.z_cm, "z_cm")
+        z_cm = _optional_impedance(z_cm, "z_cm")
         if z_cm is not None and z_cm.real < 0:
             raise ValidationError("finite z_cm must have nonnegative real part")
-        if not math.isfinite(self.r_out) or self.r_out < 0:
+        if not math.isfinite(r_out) or r_out < 0:
             raise ValidationError("r_out must be finite and nonnegative")
-        object.__setattr__(self, "z_id", z_id)
-        object.__setattr__(self, "z_cm", z_cm)
+        self._store(open_loop_gain, z_id, z_cm, r_out)
 
     @property
     def y_id(self) -> complex:
@@ -72,15 +68,14 @@ class OpAmpModel:
         return 0j if self.z_cm is None else 1.0 / self.z_cm
 
 
-@dataclass(frozen=True)
-class FrontEndSolution:
+class FrontEndSolution(Frozen):
     """v_out, source current, effective input impedance v_oc/i_source
     (None when i_source is exactly zero), and extracted power."""
 
-    v_out: complex
-    i_source: complex
-    z_effective: complex
-    p_extracted: float
+    _fields = ("v_out", "i_source", "z_effective", "p_extracted")
+
+    def __init__(self, v_out: complex, i_source: complex, z_effective: complex, p_extracted: float) -> None:
+        self._store(v_out, i_source, z_effective, p_extracted)
 
 
 def _finish(source: TheveninSource, v_port: complex, v_out: complex, i_source: complex) -> FrontEndSolution:

@@ -17,12 +17,12 @@ loads from its corners and the stationary points along its edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     BOLTZMANN,
     OPEN_CIRCUIT,
     ComplexImpedance,
+    Frozen,
     NumericalError,
     SingularCircuitError,
     TheveninSource,
@@ -32,56 +32,50 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class SingleLink:
+class SingleLink(Frozen):
     """Receiver self-impedance z_r, transfer impedance z_rt, and transmit
     current density s_it (two-sided, A^2/Hz)."""
 
-    z_r: complex
-    z_rt: complex
-    s_it: float
+    _fields = ("z_r", "z_rt", "s_it")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "z_r", as_complex(self.z_r, "z_r"))
-        object.__setattr__(self, "z_rt", as_complex(self.z_rt, "z_rt"))
-        if self.z_r.real < 0:
+    def __init__(self, z_r: complex, z_rt: complex, s_it: float) -> None:
+        z_r = as_complex(z_r, "z_r")
+        z_rt = as_complex(z_rt, "z_rt")
+        if z_r.real < 0:
             raise ValidationError("z_r must have nonnegative real part")
-        if not math.isfinite(self.s_it) or self.s_it < 0:
+        if not math.isfinite(s_it) or s_it < 0:
             raise ValidationError("s_it must be finite and nonnegative")
+        self._store(z_r, z_rt, s_it)
 
 
-@dataclass(frozen=True)
-class AmplifierNoiseModel:
+class AmplifierNoiseModel(Frozen):
     """Voltage gain g, output-referred noise density n_na (two-sided, V^2/Hz),
     and environment temperature in kelvin."""
 
-    gain: float
-    n_na: float
-    temperature: float
+    _fields = ("gain", "n_na", "temperature")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.gain) or self.gain <= 0:
+    def __init__(self, gain: float, n_na: float, temperature: float) -> None:
+        if not math.isfinite(gain) or gain <= 0:
             raise ValidationError("gain must be finite and positive")
-        if not math.isfinite(self.n_na) or self.n_na < 0:
+        if not math.isfinite(n_na) or n_na < 0:
             raise ValidationError("n_na must be finite and nonnegative")
-        if not math.isfinite(self.temperature) or self.temperature <= 0:
+        if not math.isfinite(temperature) or temperature <= 0:
             raise ValidationError("temperature must be finite and positive")
+        self._store(gain, n_na, temperature)
 
 
-@dataclass(frozen=True)
-class SearchBox:
+class SearchBox(Frozen):
     """Passive loads searched for the best SNR: Re in [0, r_max] and Im in
     [-x_max, x_max], optionally with the open-circuit candidate."""
 
-    r_max: float
-    x_max: float
-    include_open: bool = True
+    _fields = ("r_max", "x_max", "include_open")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.r_max) and math.isfinite(self.x_max)):
+    def __init__(self, r_max: float, x_max: float, include_open: bool = True) -> None:
+        if not (math.isfinite(r_max) and math.isfinite(x_max)):
             raise ValidationError("search bounds must be finite")
-        if self.r_max < 0 or self.x_max < 0:
+        if r_max < 0 or x_max < 0:
             raise ValidationError("search bounds must be nonnegative")
+        self._store(r_max, x_max, include_open)
 
 
 def _signal_voc_density(link: SingleLink) -> float:

@@ -16,23 +16,21 @@ the impedance ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import SingularCircuitError, TheveninSource, ValidationError, johnson_density
+from .core import Frozen, SingularCircuitError, TheveninSource, ValidationError, johnson_density
 from .link import AmplifierNoiseModel, SingleLink, _signal_voc_density
 
 
-@dataclass(frozen=True)
-class TransformerMatch:
+class TransformerMatch(Frozen):
     """Secondary-to-primary turns ratio, plus optional exact reactance
     cancellation ahead of the transformer."""
 
-    turns_ratio: float
-    cancel_reactance: bool = False
+    _fields = ("turns_ratio", "cancel_reactance")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.turns_ratio) or self.turns_ratio <= 0:
+    def __init__(self, turns_ratio: float, cancel_reactance: bool = False) -> None:
+        if not math.isfinite(turns_ratio) or turns_ratio <= 0:
             raise ValidationError("turns_ratio must be finite and positive")
+        self._store(turns_ratio, cancel_reactance)
 
 
 def optimal_turns_ratio(r_in: float, re_z_r: float) -> float:

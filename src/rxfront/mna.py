@@ -15,42 +15,36 @@ Lines starting with ``#`` and blank lines are ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import MAX_ARRAY_BYTES, NumericalError, ParseError, SingularCircuitError
+from .core import MAX_ARRAY_BYTES, Frozen, NumericalError, ParseError, SingularCircuitError
 
 RESIDUAL_TOL = 1e-10
 _LISTED_GAPS = 20  # a parse error lists the skipped node indices up to this many
 
 
-@dataclass(frozen=True)
-class Element:
-    kind: str
-    name: str
-    pos: int
-    neg: int
-    value: complex
-    ctrl_pos: int = 0
-    ctrl_neg: int = 0
+class Element(Frozen):
+    _fields = ("kind", "name", "pos", "neg", "value", "ctrl_pos", "ctrl_neg")
+
+    def __init__(self, kind: str, name: str, pos: int, neg: int, value: complex,
+                 ctrl_pos: int = 0, ctrl_neg: int = 0) -> None:
+        self._store(kind, name, pos, neg, value, ctrl_pos, ctrl_neg)
 
 
-@dataclass(frozen=True)
-class LinearNetlist:
-    elements: tuple
+class LinearNetlist(Frozen):
+    _fields = ("elements",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, elements: tuple) -> None:
         names = set()
         nodes = {0}
-        for el in self.elements:
+        for el in elements:
             if el.name in names:
                 raise ParseError(f"duplicate element name {el.name!r}")
             names.add(el.name)
             nodes.update((el.pos, el.neg))
             if el.kind == "E":
                 nodes.update((el.ctrl_pos, el.ctrl_neg))
-        if not self.elements:
+        if not elements:
             raise ParseError("netlist has no elements")
         top = max(nodes)
         skipped = top + 1 - len(nodes)  # decided without building range(top + 1)
@@ -58,12 +52,12 @@ class LinearNetlist:
             raise ParseError(f"netlist skips {skipped} node indices below {top}")
         if skipped:
             raise ParseError(f"netlist skips node indices {sorted(set(range(top + 1)) - nodes)}")
-        sources = sum(el.kind in ("V", "E") for el in self.elements)
+        sources = sum(el.kind in ("V", "E") for el in elements)
         if (top + sources) ** 2 * 16 > MAX_ARRAY_BYTES:  # the complex MNA matrix, before it exists
             raise ParseError(
                 f"netlist with {top} nodes and {sources} sources exceeds the {MAX_ARRAY_BYTES}-byte matrix limit"
             )
-        object.__setattr__(self, "elements", tuple(self.elements))
+        self._store(tuple(elements))
 
     @property
     def n_nodes(self) -> int:
@@ -132,17 +126,17 @@ def parse_netlist(text: str) -> LinearNetlist:
     return LinearNetlist(tuple(elements))
 
 
-@dataclass(frozen=True)
-class MnaSolution:
+class MnaSolution(Frozen):
     """Node voltages (ground included) and source branch currents.
 
     Branch currents for V and E elements flow from node+ through the element
     to node-; a battery delivering current therefore reports a negative value.
     """
 
-    netlist: LinearNetlist
-    node_voltages: dict
-    branch_currents: dict
+    _fields = ("netlist", "node_voltages", "branch_currents")
+
+    def __init__(self, netlist: LinearNetlist, node_voltages: dict, branch_currents: dict) -> None:
+        self._store(netlist, node_voltages, branch_currents)
 
     def voltage(self, node: int) -> complex:
         return self.node_voltages[node]

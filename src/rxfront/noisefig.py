@@ -9,29 +9,25 @@ the available signal power, input SNR, and noise factor flagged infinities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import BOLTZMANN, ValidationError, as_complex
+from .core import BOLTZMANN, Frozen, ValidationError, as_complex
 
 
-@dataclass(frozen=True)
-class SignalGenerator:
+class SignalGenerator(Frozen):
     """Ideal voltage source v_s behind a physical resistance r_s at temperature T."""
 
-    v_s: complex
-    r_s: float
-    temperature: float
+    _fields = ("v_s", "r_s", "temperature")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "v_s", as_complex(self.v_s, "v_s"))
-        if not math.isfinite(self.r_s) or self.r_s < 0:
+    def __init__(self, v_s: complex, r_s: float, temperature: float) -> None:
+        v_s = as_complex(v_s, "v_s")
+        if not math.isfinite(r_s) or r_s < 0:
             raise ValidationError("r_s must be finite and nonnegative")
-        if not math.isfinite(self.temperature) or self.temperature <= 0:
+        if not math.isfinite(temperature) or temperature <= 0:
             raise ValidationError("temperature must be finite and positive")
+        self._store(v_s, r_s, temperature)
 
 
-@dataclass(frozen=True)
-class VoltageAmplifierStage:
+class VoltageAmplifierStage(Frozen):
     """Infinite-input-impedance voltage amplifier with an input load resistor.
 
     r_load_in is the resistor shunting the amplifier input (math.inf for the
@@ -39,20 +35,18 @@ class VoltageAmplifierStage:
     output-referred noise density in V^2/Hz.
     """
 
-    gain: float
-    n_na: float
-    r_load_in: float
-    r_out: float
+    _fields = ("gain", "n_na", "r_load_in", "r_out")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.gain) or self.gain <= 0:
+    def __init__(self, gain: float, n_na: float, r_load_in: float, r_out: float) -> None:
+        if not math.isfinite(gain) or gain <= 0:
             raise ValidationError("gain must be finite and positive")
-        if not math.isfinite(self.n_na) or self.n_na < 0:
+        if not math.isfinite(n_na) or n_na < 0:
             raise ValidationError("n_na must be finite and nonnegative")
-        if math.isnan(self.r_load_in) or self.r_load_in <= 0:
+        if math.isnan(r_load_in) or r_load_in <= 0:
             raise ValidationError("r_load_in must be positive (math.inf allowed)")
-        if not math.isfinite(self.r_out) or self.r_out <= 0:
+        if not math.isfinite(r_out) or r_out <= 0:
             raise ValidationError("r_out must be finite and positive")
+        self._store(gain, n_na, r_load_in, r_out)
 
 
 def _v2(gen: SignalGenerator) -> float:

@@ -8,32 +8,28 @@ presentation concern handled elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import ValidationError
+from .core import Frozen, ValidationError
 
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class AwgnChannelSpec:
+class AwgnChannelSpec(Frozen):
     """Band-limited AWGN channel: average power P, bandwidth B, noise density N0."""
 
-    power: float
-    bandwidth: float
-    noise_density: float
+    _fields = ("power", "bandwidth", "noise_density")
 
-    def __post_init__(self) -> None:
-        for name in ("power", "bandwidth", "noise_density"):
-            value = getattr(self, name)
+    def __init__(self, power: float, bandwidth: float, noise_density: float) -> None:
+        for name, value in zip(self._fields, (power, bandwidth, noise_density)):
             if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value!r}")
-        if self.power < 0:
+        if power < 0:
             raise ValidationError("power must be nonnegative")
-        if self.bandwidth <= 0:
+        if bandwidth <= 0:
             raise ValidationError("bandwidth must be positive")
-        if self.noise_density <= 0:
+        if noise_density <= 0:
             raise ValidationError("noise_density must be positive")
+        self._store(power, bandwidth, noise_density)
 
 
 def capacity(spec: AwgnChannelSpec) -> float:

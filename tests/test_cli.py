@@ -38,6 +38,15 @@ def test_fmt_tokens():
     assert cli.fmt("already") == "already"
 
 
+def test_fmt_numpy_scalars_and_bools():
+    assert cli.fmt(True) == "true" and cli.fmt(False) == "false"
+    assert cli.fmt(np.int64(-3)) == "-3"
+    assert cli.fmt(np.uint64(2**64 - 1)) == "18446744073709551615"  # exact, not through a float
+    assert cli.fmt(np.int8(0)) == "0"
+    assert cli.fmt(np.True_) == "1" and cli.fmt(np.False_) == "0"  # numpy.bool_ is not an integer
+    assert cli.fmt(np.float32(0.5)) == "0.5"
+
+
 def test_capacity_stdout_csv(capsys):
     code, out, _ = run_cli(
         ["capacity", "--scenario", str(SCENARIOS / "capacity_demo.json")], capsys
@@ -380,6 +389,24 @@ def test_negative_ratio_sweep_count_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["match", "--scenario", str(scen)], capsys)
     assert code == 2
     assert "match.ratio_sweep.count must be >= 0" in err
+
+
+@pytest.mark.parametrize("span,code,message", [
+    # 10**300 turns the ratio into 1e77, whose reflected impedance overflows a square
+    (600, 3, "numerical error: turns_ratio 1e+77: Numerical result out of range\n"),
+    # 10**-350 underflows: the first turns ratio would be 0
+    (700, 1, "validation error: match.ratio_sweep.span_decades 700 takes the turns ratio "
+             "from its optimum 100000 to 0\n"),
+    (1e300, 1, "validation error: match.ratio_sweep.span_decades 1e+300 takes the turns ratio "
+               "from its optimum 100000 to 0\n"),
+    # a negative span sweeps downward: 10**350 overflows at the first ratio
+    (-700, 1, "validation error: match.ratio_sweep.span_decades -700 takes the turns ratio "
+              "from its optimum 100000 to inf\n"),
+], ids=["overflow_600", "underflow_700", "underflow_1e300", "overflow_minus_700"])
+def test_match_sweep_beyond_the_float_range_names_its_field(tmp_path, capsys, span, code, message):
+    scen = _edited_example(tmp_path, "match_step_up", ("match", "ratio_sweep", "span_decades"), span)
+    got, out, err = run_cli(["match", "--scenario", str(scen)], capsys)
+    assert (got, out, err) == (code, "", message)
 
 
 @pytest.mark.parametrize("sub,section", [

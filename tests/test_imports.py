@@ -54,6 +54,31 @@ def _link_doc(loads, optimize=None) -> dict:
     return doc
 
 
+# Standard-library modules that a numpy-free call has no use for. dataclasses
+# alone costs about 13 ms of start-up, most of it in inspect.
+UNUSED_AT_STARTUP = ("csv", "dataclasses", "inspect", "numbers")
+
+
+@pytest.mark.parametrize("command, scenario", [
+    (None, None),  # import rxfront.cli only
+    ("capacity", "capacity_demo"),
+    ("noisefig", "noisefig_sweep"),
+    ("link", "link_crossover"),
+    ("match", "match_step_up"),
+])
+def test_numpy_free_calls_leave_unused_stdlib_modules_unloaded(tmp_path, command, scenario):
+    run = ""
+    if command:
+        argv = [command, "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"), "--out", str(tmp_path / "r")]
+        run = f"assert rxfront.cli.main({argv!r}) == 0"
+    loaded = _fresh(f"""
+import json, sys, rxfront.cli
+{run}
+print(json.dumps(sorted(set({UNUSED_AT_STARTUP!r}) & set(sys.modules))))
+""")
+    assert loaded == []
+
+
 def test_link_and_match_run_without_numpy(tmp_path):
     # an optimize box whose best load is finite: -j |z_r|^2 / X_r
     boxed = tmp_path / "boxed.json"
