@@ -63,22 +63,6 @@ class TerminationStrategy(Frozen):
             raise ValidationError(f"{kind} termination takes no load matrix")
         self._store(kind, z_l)
 
-    @classmethod
-    def open_circuit(cls) -> "TerminationStrategy":
-        return cls("open_circuit")
-
-    @classmethod
-    def per_antenna_conjugate(cls) -> "TerminationStrategy":
-        return cls("per_antenna_conjugate")
-
-    @classmethod
-    def full_conjugate(cls) -> "TerminationStrategy":
-        return cls("full_conjugate")
-
-    @classmethod
-    def explicit(cls, z_l) -> "TerminationStrategy":
-        return cls("explicit", z_l)
-
 
 class ArrayModel(Frozen):
     """Validated partitioned impedance series plus transmit currents (F, M)."""
@@ -153,7 +137,14 @@ def termination_matrix(strategy: TerminationStrategy, z_r: np.ndarray):
 
 class ArrayTermination(Frozen):
     """One strategy solved at every frequency: terminated voltages (F, K),
-    total extracted power (F,) and off-diagonal divider ratio (F,)."""
+    total extracted power 0.5 Re(I^H Z_L I) (F,), and the off-diagonal to
+    diagonal Frobenius-norm ratio of the divider Z_L (Z_R + Z_L)^-1 (F,).
+
+    The ratio is a descriptive statistic only: it is one possible reading of
+    "mutual coupling effects" under a termination, not a normative figure of
+    merit. Open circuit gives V = V_oc, exact zero power and the identity
+    divider, hence a ratio of exactly zero.
+    """
 
     _fields = ("voltages", "power", "offdiag_ratio")
     __eq__, __hash__ = object.__eq__, object.__hash__  # identity: the fields are arrays
@@ -254,27 +245,6 @@ def terminate_array(model: ArrayModel, strategy: TerminationStrategy) -> ArrayTe
     divider = z_l @ inverse
     del inverse  # freed before _offdiag_ratio's copies, which reuse its memory
     return ArrayTermination(voltages, power, _offdiag_ratio(divider))
-
-
-def terminated_voltages(model: ArrayModel, strategy: TerminationStrategy) -> np.ndarray:
-    """Per-frequency terminated voltages, shape (F, K); open circuit is exact."""
-    return terminate_array(model, strategy).voltages
-
-
-def sum_extracted_power(model: ArrayModel, strategy: TerminationStrategy) -> np.ndarray:
-    """Per-frequency total extracted power 0.5 Re(I^H Z_L I); exact zeros when open."""
-    return terminate_array(model, strategy).power
-
-
-def coupling_offdiag_ratio(model: ArrayModel, strategy: TerminationStrategy) -> np.ndarray:
-    """Off-diagonal to diagonal Frobenius-norm ratio of the effective divider
-    matrix Z_L (Z_R + Z_L)^-1 per frequency.
-
-    Descriptive statistic only: it is one possible reading of "mutual coupling
-    effects" under a termination, not a normative figure of merit. Open
-    circuit gives the identity divider, hence exact zeros.
-    """
-    return terminate_array(model, strategy).offdiag_ratio
 
 
 def full_conjugate_closed_form(z_r: np.ndarray, v_oc: np.ndarray) -> np.ndarray:

@@ -636,17 +636,21 @@ def _run_match(scenario: Scenario):
     if lnk.z_r.real <= 0:
         raise ValidationError("match requires Re(z_r) > 0")
     best = matching.optimal_turns_ratio(r_in, lnk.z_r.real)
+    if not 0.0 < best < math.inf:  # the quotient under its square root overflowed or underflowed
+        raise ValidationError(
+            f"match.amp_input_resistance_ohms / Re match.link.z_r_ohms = {fmt(r_in)} / "
+            f"{fmt(lnk.z_r.real)} is outside the float range, so the optimal turns ratio is {fmt(best)}"
+        )
     sweep = section["ratio_sweep"]
     span = sweep["span_decades"]
     exponents = _linspace(-span / 2.0, span / 2.0, sweep["count"])
     ratios = [_scaled(best, exponent) for exponent in exponents]
-    if 0.0 < best < math.inf:  # else TransformerMatch rejects the optimum itself
-        for end in ratios[:1] + ratios[-1:]:  # monotone in the exponent: the ends bound the rest
-            if not 0.0 < end < math.inf:
-                raise ValidationError(
-                    f"match.ratio_sweep.span_decades {fmt(span)} takes the turns ratio from "
-                    f"its optimum {fmt(best)} to {fmt(end)}"
-                )
+    for end in ratios[:1] + ratios[-1:]:  # monotone in the exponent: the ends bound the rest
+        if not 0.0 < end < math.inf:
+            raise ValidationError(
+                f"match.ratio_sweep.span_decades {fmt(span)} takes the turns ratio from "
+                f"its optimum {fmt(best)} to {fmt(end)}"
+            )
 
     def worker(exponent: float, ratio: float) -> dict:
         xf = matching.TransformerMatch(ratio, cancel)
@@ -697,7 +701,7 @@ def _run_array(scenario: Scenario):
             label, strategy = canon, arrays.TerminationStrategy(canon)
         else:
             z_l = np.array([[_as_complex(v) for v in row] for row in canon["z_l_ohms"]], dtype=np.complex128)
-            label, strategy = "explicit", arrays.TerminationStrategy.explicit(z_l)
+            label, strategy = "explicit", arrays.TerminationStrategy("explicit", z_l)
         labels.append(label)
         notes.append(";time_reversal_caveat" if strategy.kind == "full_conjugate" else "")
         solved.append(arrays.terminate_array(model, strategy))
@@ -866,6 +870,8 @@ def _main(argv) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except _numerical_errors() as exc:
+        if type(exc) is OverflowError and len(exc.args) == 2:  # float ** gives (errno, message)
+            exc = _ARITHMETIC_MESSAGES[OverflowError]
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except ValidationError as exc:

@@ -98,7 +98,7 @@ def output_snr_friis(gen: SignalGenerator, amp: VoltageAmplifierStage) -> float:
             return math.inf
         return g2 * v2 / den
     w = amp.r_load_in / (gen.r_s + amp.r_load_in)
-    r_par = gen.r_s * amp.r_load_in / (gen.r_s + amp.r_load_in)
+    r_par = gen.r_s * w  # r_s*r_l/(r_s + r_l) without the product r_s*r_l, which can overflow or underflow
     den = two_kt * g2 * r_par + amp.n_na
     if den == 0:
         return math.inf
@@ -120,7 +120,7 @@ def noise_factor(gen: SignalGenerator, amp: VoltageAmplifierStage) -> float:
         return base
     if gen.r_s == 0:
         return math.inf
-    spread = (gen.r_s + amp.r_load_in) / (gen.r_s * amp.r_load_in)
+    spread = 1.0 / gen.r_s + 1.0 / amp.r_load_in  # (r_s + r_l)/(r_s*r_l), again without r_s*r_l
     return base * (1.0 + amp.n_na / (two_kt * g2) * spread)
 
 

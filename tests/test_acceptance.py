@@ -51,8 +51,7 @@ from rxfront import (
     solve_buffer,
     solve_constant_current,
     solve_inside_out,
-    sum_extracted_power,
-    terminated_voltages,
+    terminate_array,
     termination_matrix,
 )
 from oracles import (
@@ -368,25 +367,26 @@ def test_criterion_08_array_reductions_and_unbeaten_optimum():
     model = ArrayModel(zms, np.array([[i_t]]))
     v_oc = z_rt * i_t
     source = TheveninSource(v_oc, z_r)
-    strategy = TerminationStrategy.per_antenna_conjugate()
-    v_array = terminated_voltages(model, strategy)[0, 0]
-    p_array = sum_extracted_power(model, strategy)[0]
+    result = terminate_array(model, TerminationStrategy("per_antenna_conjugate"))
+    v_array = result.voltages[0, 0]
+    p_array = result.power[0]
     assert _rel_c(v_array, divided_voltage(source, z_r.conjugate())) <= 1e-12
     assert _rel(p_array, extracted_power(source, z_r.conjugate())) <= 1e-12
     assert _rel(p_array, max_available_power(source)) <= 1e-12
 
-    full = TerminationStrategy.full_conjugate()
+    full = TerminationStrategy("full_conjugate")
     rng = np.random.default_rng(83)
     for k in (2, 4, 8):
         arr = make_synthetic_model(1, k, 50.0 + 5.0j, 5.0, 0.5, [1e6], rng=rng)
         z_r_mat = arr.zms.z_r[0]
         v = open_circuit_voltages(arr)[0]
-        via_divider = terminated_voltages(arr, full)[0]
+        solved = terminate_array(arr, full)
+        via_divider = solved.voltages[0]
         closed = full_conjugate_closed_form(z_r_mat, v)
         scale = max(np.abs(closed).max(), np.abs(via_divider).max())
         assert np.abs(via_divider - closed).max() <= 1e-10 * scale
 
-        base = sum_extracted_power(arr, full)[0]
+        base = solved.power[0]
         z_l = termination_matrix(full, z_r_mat)
         eig_min = np.linalg.eigvalsh(z_l.real).min()
         deltas = rng.normal(size=(500, k, k)) + 1j * rng.normal(size=(500, k, k))

@@ -409,6 +409,33 @@ def test_match_sweep_beyond_the_float_range_names_its_field(tmp_path, capsys, sp
     assert (got, out, err) == (code, "", message)
 
 
+@pytest.mark.parametrize("r_in,re_z_r,message", [
+    (1e308, 1e-10, "validation error: match.amp_input_resistance_ohms / Re match.link.z_r_ohms = "
+                   "1e+308 / 1e-10 is outside the float range, so the optimal turns ratio is inf\n"),
+    (1e-300, 1e300, "validation error: match.amp_input_resistance_ohms / Re match.link.z_r_ohms = "
+                    "1e-300 / 1e+300 is outside the float range, so the optimal turns ratio is 0\n"),
+], ids=["overflow", "underflow"])
+def test_match_optimum_beyond_the_float_range_names_its_fields(tmp_path, capsys, r_in, re_z_r, message):
+    scen = _edited_example(tmp_path, "match_step_up", ("match", "amp_input_resistance_ohms"), r_in)
+    doc = json.loads(scen.read_text())
+    doc["match"]["link"]["z_r_ohms"]["re"] = re_z_r
+    scen.write_text(json.dumps(doc))
+    got, out, err = run_cli(["match", "--scenario", str(scen)], capsys)
+    assert (got, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize("name,path", [
+    ("link_crossover", ("link", "z_rt_ohms", "re")),
+    ("link_crossover", ("link", "z_r_ohms", "re")),
+    ("noisefig_sweep", ("noisefig", "v_s_volts", "re")),
+], ids=["link_z_rt", "link_z_r", "noisefig_v_s"])
+def test_overflow_outside_a_load_prints_no_errno(tmp_path, capsys, name, path):
+    # a square of 1e200 overflows; float ** gives the OverflowError an errno
+    scen = _edited_example(tmp_path, name, path, 1e200)
+    got, out, err = run_cli([name.split("_")[0], "--scenario", str(scen)], capsys)
+    assert (got, out, err) == (3, "", "numerical error: Numerical result out of range\n")
+
+
 @pytest.mark.parametrize("sub,section", [
     ("validate", {"impedance_csv": ["a"]}),
     ("frontend", {"netlist": 5}),

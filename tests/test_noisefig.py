@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rxfront.core import ValidationError
+from rxfront.core import BOLTZMANN, ValidationError
 from rxfront.noisefig import (
     SignalGenerator,
     VoltageAmplifierStage,
@@ -150,3 +151,28 @@ def test_stage_validation():
         SignalGenerator(1e-6, -1.0, 290.0)
     with pytest.raises(ValidationError):
         SignalGenerator(1e-6, 50.0, 0.0)
+
+
+def _exact_snr_and_factor(v_s, r_s, temperature, gain, n_na, r_l):
+    """Output SNR and noise factor of a finite load in exact rational arithmetic."""
+    v2, r_s, r_l, n_na = Fraction(v_s) ** 2, Fraction(r_s), Fraction(r_l), Fraction(n_na)
+    g2, two_kt = Fraction(gain) ** 2, 2 * Fraction(BOLTZMANN) * Fraction(temperature)
+    w = r_l / (r_s + r_l)
+    snr = g2 * v2 * w * w / (two_kt * g2 * r_s * r_l / (r_s + r_l) + n_na)
+    factor = (r_s + r_l) / r_l * (1 + n_na / (two_kt * g2) * (r_s + r_l) / (r_s * r_l))
+    return float(snr), float(factor)
+
+
+@pytest.mark.parametrize("r_s,r_l,n_na", [
+    (50.0, 100.0, 1e-17),
+    (1e200, 1e200, 1e-17),  # r_s * r_l overflows: the SNR printed 0
+    (1e-200, 1e-200, 0.0),  # r_s * r_l underflows: the SNR printed inf
+    (1e-200, 1e-200, 1e-17),  # the noise factor divided by r_s * r_l = 0
+    (1e-200, 1e200, 1e-17),
+])
+def test_results_in_the_float_range_match_exact_arithmetic(r_s, r_l, n_na):
+    gen = SignalGenerator(1e-6, r_s, 290.0)
+    amp = VoltageAmplifierStage(10.0, n_na, r_l, 50.0)
+    snr, factor = _exact_snr_and_factor(1e-6, r_s, 290.0, 10.0, n_na, r_l)
+    assert math.isclose(output_snr_friis(gen, amp), snr, rel_tol=1e-14)
+    assert math.isclose(noise_factor(gen, amp), factor, rel_tol=1e-14)
