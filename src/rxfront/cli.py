@@ -17,6 +17,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 from functools import cache, partial
 from itertools import count
@@ -392,13 +393,37 @@ def parse_scenario(path) -> Scenario:
     return Scenario(data["name"], kind, data, path.parent)
 
 
-def _run_validate(scenario: Scenario):
-    import numpy as np
+# BLAS threads. When numpy loads, OpenBLAS starts one worker thread per CPU,
+# and each worker spins waiting for work that a small matrix never gives it:
+# about 100 ms of CPU per call on a 2-CPU host. Up to this matrix order one
+# thread is as fast; above it the extra threads pay (one-transmit synthetic
+# arrays with 100 frequencies, 2-CPU host, median wall time: one thread 4%
+# faster at n_rx 64, 2% slower at n_rx 96 and 7% slower at n_rx 128).
+BLAS_ONE_THREAD_MAX_ORDER = 64
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+
+def _blas_threads(order) -> None:
+    """Ask BLAS for one thread when the largest dense matrix this run gives
+    LAPACK has order at most BLAS_ONE_THREAD_MAX_ORDER; an order of None is
+    unknown. Runners call this before numpy first loads, since BLAS reads its
+    thread count once, at load. OMP_NUM_THREADS is read by OpenBLAS (pthreads
+    and OpenMP builds) and MKL when their own variable is unset. A numpy that
+    is already loaded, and a thread count the user set, are left as they are."""
+    if order is None or order > BLAS_ONE_THREAD_MAX_ORDER or "numpy" in sys.modules:
+        return
+    if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        os.environ["OMP_NUM_THREADS"] = "1"
+
+
+def _run_validate(scenario: Scenario):
     section = scenario.data["validate"]
     dims = None
     if "dims_m" in section:
         dims = (section["dims_m"], section["dims_k"])
+    _blas_threads(None if dims is None else sum(dims))  # without dims the CSV sets the order
+    import numpy as np
+
     zms = load_impedance_csv(scenario.base_dir / section["impedance_csv"], dims)
     tol = section["tol"]
     reports = (validate_reciprocity(zms, tol), validate_passivity(zms, tol))
@@ -446,6 +471,16 @@ _LOAD_MESSAGES = {  # the message of one bad load's error, in the scenario's fie
 }
 
 
+def _check_squares(*fields) -> None:
+    """Raise an OverflowError naming the first (field, value) whose |value|^2,
+    a square the formulas take of a scenario field itself, overflows."""
+    for field, value in fields:
+        try:
+            value.real**2 + value.imag**2
+        except OverflowError:
+            raise OverflowError(f"|{field}|^2 is outside the float range") from None
+
+
 def _run_link(scenario: Scenario):
     from . import link as link_mod
 
@@ -457,6 +492,7 @@ def _run_link(scenario: Scenario):
         section["s_it_a2_per_hz"],
     )
     amp = link_mod.AmplifierNoiseModel(ampd["gain"], ampd["n_na_v2_per_hz"], ampd["temp_kelvin"])
+    _check_squares(("link.z_rt_ohms", lnk.z_rt), ("link.z_r_ohms", lnk.z_r))  # s_voc, then the SNR
     s_voc = link_mod._signal_voc_density(lnk)
     ratio = None
     if lnk.z_r.real > 0 and amp.n_na > 0:
@@ -529,7 +565,11 @@ def _run_noisefig(scenario: Scenario):
             "annotations": "",
         }
 
-    rows = [worker(r_l) for r_l in section["r_l_sweep_ohms"]]
+    try:
+        rows = [worker(r_l) for r_l in section["r_l_sweep_ohms"]]
+    except OverflowError:  # output_snr_friis squares v_s, after a row's checks
+        _check_squares(("noisefig.v_s_volts", gen.v_s))
+        raise
     fields = ["r_l_ohms", "friis_gain", "output_snr", "noise_factor", "noise_figure_db", "annotations"]
     return _columns(fields, rows), True
 
@@ -552,7 +592,9 @@ def _run_frontend(scenario: Scenario):
         from . import mna
 
         text = (scenario.base_dir / section["netlist"]).read_text()
-        solution = mna.mna_solve(mna.parse_netlist(text))
+        netlist = mna.parse_netlist(text)
+        _blas_threads(netlist.matrix_order)
+        solution = mna.mna_solve(netlist)
         rows = []
         for node in sorted(solution.node_voltages):
             value = solution.node_voltages[node]
@@ -563,6 +605,7 @@ def _run_frontend(scenario: Scenario):
                 rows.append({"kind": "branch", "name": el.name, "value_re": value.real, "value_im": value.imag})
         return _columns(["kind", "name", "value_re", "value_im"], rows), True
 
+    _blas_threads(3)  # each topology is a three-unknown nodal solve
     from . import frontend
 
     source_d = section["source"]
@@ -657,6 +700,8 @@ def _run_match(scenario: Scenario):
         try:
             snr = matching.snr_with_transformer(lnk, r_in, amp, xf)
         except tuple(_ARITHMETIC_MESSAGES) as exc:
+            if type(exc) is OverflowError:  # the squares that no turns ratio changes come first
+                _check_squares(("match.amp_input_resistance_ohms", r_in), ("match.link.z_rt_ohms", lnk.z_rt))
             raise type(exc)(f"turns_ratio {fmt(ratio)}: {_ARITHMETIC_MESSAGES[type(exc)]}") from exc
         return {"turns_ratio": ratio, "snr": snr, "annotations": "at_optimal" if exponent == 0 else ""}
 
@@ -673,13 +718,14 @@ def _scaled(ratio: float, exponent: float) -> float:
 
 
 def _run_array(scenario: Scenario):
+    section = scenario.data["array"]
+    syn = section.get("synthetic")  # its model draws one (n_tx + n_rx)-port matrix per frequency
+    _blas_threads(section["dims_m"] + section["dims_k"] if syn is None else syn["n_tx"] + syn["n_rx"])
     import numpy as np
 
     from . import arrays
 
-    section = scenario.data["array"]
-    if "synthetic" in section:
-        syn = section["synthetic"]
+    if syn is not None:
         model = arrays.make_synthetic_model(
             syn["n_tx"], syn["n_rx"], _as_complex(syn["self_ohms"]),
             syn["coupling_ohms"], syn["decay"], syn["frequencies_hz"],

@@ -10,12 +10,13 @@ ground. Element kinds, taken from the first character of the element name:
   E  voltage-controlled voltage source: ``E<name> n+ n- c+ c- gain``
 
 Values are a single complex token (``50+10j``) or two real tokens (re im).
-Lines starting with ``#`` and blank lines are ignored.
+Lines starting with ``#`` and blank lines are ignored. Parsing needs no
+numpy; only the solve (and ``MnaSolution.element_power``) imports it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .core import MAX_ARRAY_BYTES, Frozen, NumericalError, ParseError, SingularCircuitError
 
@@ -69,6 +70,11 @@ class LinearNetlist(Frozen):
                 top = max(top, el.ctrl_pos, el.ctrl_neg)
         return top
 
+    @property
+    def matrix_order(self) -> int:
+        """Order of the MNA matrix: one row per non-ground node and per V or E source."""
+        return self.n_nodes + sum(el.kind in ("V", "E") for el in self.elements)
+
 
 def _parse_node(token: str, lineno: int) -> int:
     try:
@@ -90,7 +96,7 @@ def _parse_value(tokens: list, lineno: int) -> complex:
             raise ParseError(f"line {lineno}: expected one complex or two real value tokens")
     except ValueError as exc:
         raise ParseError(f"line {lineno}: bad numeric value {' '.join(tokens)!r}") from exc
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ParseError(f"line {lineno}: value must be finite")
     return value
 
@@ -156,6 +162,8 @@ class MnaSolution(Frozen):
 
     def element_power(self, name: str) -> complex:
         """Complex power absorbed by the named element (passive sign convention)."""
+        import numpy as np
+
         for el in self.netlist.elements:
             if el.name == name:
                 v_drop = self.node_voltages[el.pos] - self.node_voltages[el.neg]
@@ -168,6 +176,8 @@ class MnaSolution(Frozen):
 
 
 def _suspect_node(matrix: np.ndarray, n_nodes: int) -> int:
+    import numpy as np
+
     for idx in range(n_nodes):
         if not np.any(matrix[idx]) or not np.any(matrix[:, idx]):
             return idx + 1
@@ -176,6 +186,8 @@ def _suspect_node(matrix: np.ndarray, n_nodes: int) -> int:
 
 def mna_solve(netlist: LinearNetlist) -> MnaSolution:
     """Solve the netlist; raises SingularCircuitError when no unique solution exists."""
+    import numpy as np
+
     n = netlist.n_nodes
     branches = [el for el in netlist.elements if el.kind in ("V", "E")]
     size = n + len(branches)

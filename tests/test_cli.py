@@ -428,12 +428,16 @@ def test_match_optimum_beyond_the_float_range_names_its_fields(tmp_path, capsys,
     ("link_crossover", ("link", "z_rt_ohms", "re")),
     ("link_crossover", ("link", "z_r_ohms", "re")),
     ("noisefig_sweep", ("noisefig", "v_s_volts", "re")),
-], ids=["link_z_rt", "link_z_r", "noisefig_v_s"])
+    ("match_step_up", ("match", "link", "z_rt_ohms", "re")),  # not a turns ratio's fault
+    ("match_step_up", ("match", "amp_input_resistance_ohms")),
+], ids=["link_z_rt", "link_z_r", "noisefig_v_s", "match_z_rt", "match_r_in"])
 def test_overflow_outside_a_load_prints_no_errno(tmp_path, capsys, name, path):
-    # a square of 1e200 overflows; float ** gives the OverflowError an errno
+    # a square of 1e200 overflows; float ** gives the OverflowError an errno,
+    # and the message names the scenario field that was squared
     scen = _edited_example(tmp_path, name, path, 1e200)
     got, out, err = run_cli([name.split("_")[0], "--scenario", str(scen)], capsys)
-    assert (got, out, err) == (3, "", "numerical error: Numerical result out of range\n")
+    field = ".".join(key for key in path if key != "re")
+    assert (got, out, err) == (3, "", f"numerical error: |{field}|^2 is outside the float range\n")
 
 
 @pytest.mark.parametrize("sub,section", [

@@ -1,6 +1,7 @@
 """What each entry point loads: the package namespace resolves on first use,
-and the closed-form subcommands run without numpy. Each check runs in a fresh
-interpreter, so modules imported by other tests do not hide a regression."""
+the closed-form subcommands run without numpy, and a call whose matrices are
+small loads BLAS with one thread. Each check runs in a fresh interpreter, so
+modules imported by other tests do not hide a regression."""
 
 import json
 import os
@@ -14,9 +15,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SUBMODULES = ("core", "shannon", "link", "noisefig", "mna", "frontend", "matching", "arrays")
 
 
-def _fresh(code: str):
-    """Run ``code`` in a new interpreter with src/ on the path; return the JSON it prints."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+def _fresh(code: str, env: dict = None):
+    """Run ``code`` in a new interpreter with src/ on the path; return the JSON it prints.
+    ``env`` replaces the inherited environment."""
+    env = {**(os.environ if env is None else env), "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -196,3 +198,91 @@ except AttributeError:
 from rxfront import arrays
 print(json.dumps([raised, hasattr(rxfront, "kernels"), arrays.__name__]))
 """) == [True, False, "rxfront.arrays"]
+
+
+def test_netlist_parses_without_numpy():
+    assert _fresh(f"""
+import json, sys
+sys.modules["numpy"] = None  # any numpy import now raises ImportError
+from rxfront import mna
+netlist = mna.parse_netlist(open({str(ROOT / "scenarios" / "divider.cir")!r}).read())
+print(json.dumps([len(netlist.elements), netlist.matrix_order]))
+""") == [5, 5]
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+needs_task_list = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+
+
+def _stripped(**extra) -> dict:
+    """This environment without any thread-count variable, plus ``extra``."""
+    return {**{k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}, **extra}
+
+
+def _threads_after_main(argv: list, env: dict) -> list:
+    """Run main(argv) in a fresh interpreter; return the exit code, its
+    thread count afterwards and the thread-count variables it then holds."""
+    return _fresh(f"""
+import json, os, rxfront.cli
+code = rxfront.cli.main({argv!r})
+print(json.dumps([code, len(os.listdir("/proc/self/task")), {{k: os.environ.get(k) for k in {THREAD_VARIABLES!r}}}]))
+""", env)
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@needs_task_list
+@pytest.mark.parametrize("scenario", ["array_pair", "validate_pair", "frontend_buffer", "frontend_netlist"])
+def test_small_matrix_calls_run_one_blas_thread(tmp_path, scenario):
+    argv = [scenario.split("_")[0], "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
+            "--out", str(tmp_path / "report.csv")]
+    code, threads, _ = _threads_after_main(argv, _stripped())
+    assert (code, threads) == (0, 1)
+    assert (tmp_path / "report.csv").read_bytes() == (ROOT / "perfbench" / "reference" / f"{scenario}.csv").read_bytes()
+
+
+@needs_task_list
+def test_a_thread_count_the_user_set_is_kept(tmp_path):
+    env = _stripped(OPENBLAS_NUM_THREADS="2")
+    argv = ["array", "--scenario", str(ROOT / "scenarios" / "array_pair.json"), "--out", str(tmp_path / "r")]
+    code, threads, variables = _threads_after_main(argv, env)
+    unpinned = _fresh('import json, os, numpy; print(len(os.listdir("/proc/self/task")))', env)
+    assert (code, threads) == (0, unpinned)
+    assert variables == {k: env.get(k) for k in THREAD_VARIABLES}
+
+
+def _synthetic_array(tmp_path, n_rx: int) -> list:
+    """argv of a one-frequency synthetic array with one transmit and n_rx receive ports."""
+    scen = tmp_path / f"synthetic{n_rx}.json"
+    scen.write_text(json.dumps({"array": {"synthetic": {
+        "n_tx": 1, "n_rx": n_rx, "self_ohms": {"re": 50, "im": 5}, "coupling_ohms": 5, "decay": 0.5,
+        "frequencies_hz": [1e6],
+    }}}))
+    return ["array", "--scenario", str(scen), "--out", str(tmp_path / "report.csv")]
+
+
+@needs_task_list
+@pytest.mark.skipif(_cpus() < 2, reason="OpenBLAS starts no second thread on one CPU")
+def test_the_cut_is_the_largest_order_that_runs_one_thread(tmp_path):
+    from rxfront.cli import BLAS_ONE_THREAD_MAX_ORDER as cut
+
+    at_cut = _threads_after_main(_synthetic_array(tmp_path, cut - 1), _stripped())
+    above = _threads_after_main(_synthetic_array(tmp_path, cut), _stripped())
+    assert at_cut[:2] == [0, 1]
+    assert above[0] == 0 and above[1] > 1
+    assert above[2] == dict.fromkeys(THREAD_VARIABLES)
+
+
+def test_main_with_numpy_loaded_leaves_the_environment_alone(tmp_path, monkeypatch):
+    import numpy  # noqa: F401  (loaded before main runs)
+
+    from rxfront import cli
+
+    for name in THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    before = dict(os.environ)
+    argv = ["array", "--scenario", str(ROOT / "scenarios" / "array_pair.json"), "--out", str(tmp_path / "r")]
+    assert cli.main(argv) == 0
+    assert dict(os.environ) == before
