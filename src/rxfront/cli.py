@@ -393,37 +393,13 @@ def parse_scenario(path) -> Scenario:
     return Scenario(data["name"], kind, data, path.parent)
 
 
-# BLAS threads. When numpy loads, OpenBLAS starts one worker thread per CPU,
-# and each worker spins waiting for work that a small matrix never gives it:
-# about 100 ms of CPU per call on a 2-CPU host. Up to this matrix order one
-# thread is as fast; above it the extra threads pay (one-transmit synthetic
-# arrays with 100 frequencies, 2-CPU host, median wall time: one thread 4%
-# faster at n_rx 64, 2% slower at n_rx 96 and 7% slower at n_rx 128).
-BLAS_ONE_THREAD_MAX_ORDER = 64
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _blas_threads(order) -> None:
-    """Ask BLAS for one thread when the largest dense matrix this run gives
-    LAPACK has order at most BLAS_ONE_THREAD_MAX_ORDER; an order of None is
-    unknown. Runners call this before numpy first loads, since BLAS reads its
-    thread count once, at load. OMP_NUM_THREADS is read by OpenBLAS (pthreads
-    and OpenMP builds) and MKL when their own variable is unset. A numpy that
-    is already loaded, and a thread count the user set, are left as they are."""
-    if order is None or order > BLAS_ONE_THREAD_MAX_ORDER or "numpy" in sys.modules:
-        return
-    if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
-        os.environ["OMP_NUM_THREADS"] = "1"
-
-
 def _run_validate(scenario: Scenario):
+    import numpy as np
+
     section = scenario.data["validate"]
     dims = None
     if "dims_m" in section:
         dims = (section["dims_m"], section["dims_k"])
-    _blas_threads(None if dims is None else sum(dims))  # without dims the CSV sets the order
-    import numpy as np
-
     zms = load_impedance_csv(scenario.base_dir / section["impedance_csv"], dims)
     tol = section["tol"]
     reports = (validate_reciprocity(zms, tol), validate_passivity(zms, tol))
@@ -592,9 +568,7 @@ def _run_frontend(scenario: Scenario):
         from . import mna
 
         text = (scenario.base_dir / section["netlist"]).read_text()
-        netlist = mna.parse_netlist(text)
-        _blas_threads(netlist.matrix_order)
-        solution = mna.mna_solve(netlist)
+        solution = mna.mna_solve(mna.parse_netlist(text))
         rows = []
         for node in sorted(solution.node_voltages):
             value = solution.node_voltages[node]
@@ -605,7 +579,6 @@ def _run_frontend(scenario: Scenario):
                 rows.append({"kind": "branch", "name": el.name, "value_re": value.real, "value_im": value.imag})
         return _columns(["kind", "name", "value_re", "value_im"], rows), True
 
-    _blas_threads(3)  # each topology is a three-unknown nodal solve
     from . import frontend
 
     source_d = section["source"]
@@ -718,14 +691,13 @@ def _scaled(ratio: float, exponent: float) -> float:
 
 
 def _run_array(scenario: Scenario):
-    section = scenario.data["array"]
-    syn = section.get("synthetic")  # its model draws one (n_tx + n_rx)-port matrix per frequency
-    _blas_threads(section["dims_m"] + section["dims_k"] if syn is None else syn["n_tx"] + syn["n_rx"])
     import numpy as np
 
     from . import arrays
 
-    if syn is not None:
+    section = scenario.data["array"]
+    if "synthetic" in section:
+        syn = section["synthetic"]
         model = arrays.make_synthetic_model(
             syn["n_tx"], syn["n_rx"], _as_complex(syn["self_ohms"]),
             syn["coupling_ohms"], syn["decay"], syn["frequencies_hz"],
@@ -880,12 +852,27 @@ def _numerical_errors() -> tuple:
     return (ArithmeticError,) if numpy is None else (ArithmeticError, numpy.linalg.LinAlgError)
 
 
+# When numpy loads, OpenBLAS starts one worker thread per CPU, and each worker
+# spins waiting for work that the matrices of a CLI call (order 24 or less in
+# the shipped scenarios) never give it: about 100 ms of CPU per call on a
+# 2-CPU host. OpenBLAS (pthreads and OpenMP builds) and MKL read
+# OMP_NUM_THREADS when their own variable is unset.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv=None) -> int:
     gc_enabled = gc.isenabled()
     gc.disable()  # the scenario tree and the report columns hold no reference cycles
+    # BLAS reads its thread count once, when numpy loads, so the setting is
+    # undone on return; a loaded numpy and a thread count the user set are kept
+    one_blas_thread = "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREAD_VARIABLES)
+    if one_blas_thread:
+        os.environ["OMP_NUM_THREADS"] = "1"
     try:
         return _main(argv)
     finally:
+        if one_blas_thread:
+            os.environ.pop("OMP_NUM_THREADS", None)
         if gc_enabled:
             gc.enable()
 

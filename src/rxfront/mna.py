@@ -70,11 +70,6 @@ class LinearNetlist(Frozen):
                 top = max(top, el.ctrl_pos, el.ctrl_neg)
         return top
 
-    @property
-    def matrix_order(self) -> int:
-        """Order of the MNA matrix: one row per non-ground node and per V or E source."""
-        return self.n_nodes + sum(el.kind in ("V", "E") for el in self.elements)
-
 
 def _parse_node(token: str, lineno: int) -> int:
     try:

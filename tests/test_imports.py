@@ -1,6 +1,6 @@
 """What each entry point loads: the package namespace resolves on first use,
-the closed-form subcommands run without numpy, and a call whose matrices are
-small loads BLAS with one thread. Each check runs in a fresh interpreter, so
+the closed-form subcommands run without numpy, and a CLI call loads BLAS with
+one thread unless the user chose a thread count. Each check runs in a fresh interpreter, so
 modules imported by other tests do not hide a regression."""
 
 import json
@@ -206,8 +206,8 @@ import json, sys
 sys.modules["numpy"] = None  # any numpy import now raises ImportError
 from rxfront import mna
 netlist = mna.parse_netlist(open({str(ROOT / "scenarios" / "divider.cir")!r}).read())
-print(json.dumps([len(netlist.elements), netlist.matrix_order]))
-""") == [5, 5]
+print(json.dumps([len(netlist.elements), netlist.n_nodes]))
+""") == [5, 3]
 
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -229,17 +229,14 @@ print(json.dumps([code, len(os.listdir("/proc/self/task")), {{k: os.environ.get(
 """, env)
 
 
-def _cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 @needs_task_list
 @pytest.mark.parametrize("scenario", ["array_pair", "validate_pair", "frontend_buffer", "frontend_netlist"])
-def test_small_matrix_calls_run_one_blas_thread(tmp_path, scenario):
+def test_cli_calls_run_one_blas_thread(tmp_path, scenario):
     argv = [scenario.split("_")[0], "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
             "--out", str(tmp_path / "report.csv")]
-    code, threads, _ = _threads_after_main(argv, _stripped())
+    code, threads, variables = _threads_after_main(argv, _stripped())
     assert (code, threads) == (0, 1)
+    assert variables == dict.fromkeys(THREAD_VARIABLES)  # the setting is undone once numpy has loaded
     assert (tmp_path / "report.csv").read_bytes() == (ROOT / "perfbench" / "reference" / f"{scenario}.csv").read_bytes()
 
 
@@ -251,28 +248,6 @@ def test_a_thread_count_the_user_set_is_kept(tmp_path):
     unpinned = _fresh('import json, os, numpy; print(len(os.listdir("/proc/self/task")))', env)
     assert (code, threads) == (0, unpinned)
     assert variables == {k: env.get(k) for k in THREAD_VARIABLES}
-
-
-def _synthetic_array(tmp_path, n_rx: int) -> list:
-    """argv of a one-frequency synthetic array with one transmit and n_rx receive ports."""
-    scen = tmp_path / f"synthetic{n_rx}.json"
-    scen.write_text(json.dumps({"array": {"synthetic": {
-        "n_tx": 1, "n_rx": n_rx, "self_ohms": {"re": 50, "im": 5}, "coupling_ohms": 5, "decay": 0.5,
-        "frequencies_hz": [1e6],
-    }}}))
-    return ["array", "--scenario", str(scen), "--out", str(tmp_path / "report.csv")]
-
-
-@needs_task_list
-@pytest.mark.skipif(_cpus() < 2, reason="OpenBLAS starts no second thread on one CPU")
-def test_the_cut_is_the_largest_order_that_runs_one_thread(tmp_path):
-    from rxfront.cli import BLAS_ONE_THREAD_MAX_ORDER as cut
-
-    at_cut = _threads_after_main(_synthetic_array(tmp_path, cut - 1), _stripped())
-    above = _threads_after_main(_synthetic_array(tmp_path, cut), _stripped())
-    assert at_cut[:2] == [0, 1]
-    assert above[0] == 0 and above[1] > 1
-    assert above[2] == dict.fromkeys(THREAD_VARIABLES)
 
 
 def test_main_with_numpy_loaded_leaves_the_environment_alone(tmp_path, monkeypatch):
