@@ -921,5 +921,21 @@ def _main(argv) -> int:
         return 2
 
 
+def run() -> None:
+    """Process entry point of `rxfront` and `python -m rxfront.cli`: run
+    main() on sys.argv and exit with its code.
+
+    At exit the interpreter runs full garbage collections that gc.disable()
+    does not skip, over every tracked object: about 5-6 ms each once numpy
+    is loaded. gc.freeze() moves those objects to the permanent generation,
+    which the collections leave alone. Stdio is still flushed, atexit
+    handlers still run and modules are still cleared; the process ends
+    right after, so nothing frozen outlives it.
+    """
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -19,6 +19,12 @@ from rxfront.core import ParseError
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
+def _child_env():
+    """This environment, with the package's source directory on PYTHONPATH."""
+    src = Path(cli.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr()
@@ -242,10 +248,8 @@ def test_header_only_csv_exits_2_with_one_stderr_line(tmp_path):
     (tmp_path / "empty.csv").write_text("freq_hz,row,col,re_ohms,im_ohms\n")
     scen = tmp_path / "val.json"
     scen.write_text(json.dumps({"validate": {"impedance_csv": "empty.csv"}}))
-    src = Path(cli.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "rxfront.cli", "validate", "--scenario", str(scen)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [f"parse error: {tmp_path / 'empty.csv'}: no data rows"]
@@ -587,10 +591,12 @@ def test_csv_bytes_match_csv_writer(tmp_path):
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc_enabled", "gc_disabled"])
-@pytest.mark.parametrize("case", ["exit_0", "exit_2", "exit_3", "argparse_exit"])
+@pytest.mark.parametrize("case", ["exit_0", "exit_2", "exit_3", "argparse_exit", "numpy_exit_0"])
 def test_main_leaves_the_gc_state_as_it_found_it(tmp_path, capsys, enabled, case):
+    # in process, main() neither leaves the collector off nor freezes the heap
     argv = {
         "exit_0": ["capacity", "--scenario", str(SCENARIOS / "capacity_demo.json")],
+        "numpy_exit_0": ["validate", "--scenario", str(SCENARIOS / "validate_pair.json")],
         "exit_2": ["capacity", "--scenario", str(SCENARIOS / "link_crossover.json")],
         "exit_3": ["link", "--scenario",
                    str(_edited_example(tmp_path, "link_crossover", ("link", "z_rt_ohms", "re"), 1e308))],
@@ -598,6 +604,7 @@ def test_main_leaves_the_gc_state_as_it_found_it(tmp_path, capsys, enabled, case
     }[case]
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
     try:
         if case == "argparse_exit":
             with pytest.raises(SystemExit):
@@ -605,8 +612,46 @@ def test_main_leaves_the_gc_state_as_it_found_it(tmp_path, capsys, enabled, case
         else:
             assert cli.main(argv) == int(case[-1])
         assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def test_process_exit_flushes_a_large_report_to_a_pipe(tmp_path):
+    # run() freezes the heap before it exits; the interpreter still flushes
+    # all of stdout, byte for byte what --out writes
+    rng = random.Random(16)
+    loads = [{"label": f"z{i:05d}", "kind": "explicit",
+              "z_l_ohms": {"re": rng.uniform(0.0, 500.0), "im": rng.uniform(-500.0, 500.0)}}
+             for i in range(20_000)]
+    scenario = tmp_path / "sweep.json"
+    scenario.write_text(json.dumps({
+        "link": {"z_r_ohms": {"re": 5.0, "im": 37.0}, "z_rt_ohms": {"re": 10.0}, "s_it_a2_per_hz": 1e-12,
+                 "loads": loads},
+        "amplifier": {"gain": 10, "n_na_v2_per_hz": 1e-9, "temp_kelvin": 290},
+    }))
+    out = tmp_path / "sweep.csv"
+    argv = [sys.executable, "-m", "rxfront.cli", "link", "--scenario", str(scenario)]
+    piped = subprocess.run(argv, capture_output=True, env=_child_env(), timeout=120)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert subprocess.run([*argv, "--out", str(out)], env=_child_env(), timeout=120).returncode == 0
+    assert piped.stdout.count(b"\n") == 20_001  # the header and one row per load
+    assert piped.stdout == out.read_bytes()
+
+
+@pytest.mark.parametrize("name, sub, code", [("validate_pair", "validate", 0), ("link_crossover", "capacity", 2)])
+def test_atexit_hooks_run_on_the_process_exit_path(name, sub, code):
+    # the `python -m rxfront.cli` path, with an atexit hook registered first
+    child = """
+import atexit, gc, runpy
+atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0))
+runpy.run_module("rxfront.cli", run_name="__main__", alter_sys=True)
+"""
+    proc = subprocess.run([sys.executable, "-c", child, sub, "--scenario", str(SCENARIOS / f"{name}.json")],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == code, proc.stderr
+    report = (SCENARIOS.parent / "perfbench" / "reference" / f"{name}.csv").read_text() if code == 0 else ""
+    assert proc.stdout == report + "frozen: True\n"
 
 
 EXAMPLES = [path.stem for path in sorted(SCENARIOS.glob("*.json"))]
@@ -808,10 +853,8 @@ limit = (vm_kib + 32 * 1024) * 1024
 resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
 sys.exit(rxfront.cli.main(sys.argv[1:]))
 """
-    src = Path(cli.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", child, "array", "--scenario", str(scen)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "parse error: scenario too large for available memory\n"
     assert proc.stdout == ""
