@@ -397,11 +397,13 @@ def _run_validate(scenario: Scenario):
     import numpy as np
 
     section = scenario.data["validate"]
+    tol = section["tol"]
+    if tol <= 0:  # the validators' own check, made before the CSV is read
+        raise ValidationError("tol must be positive")
     dims = None
     if "dims_m" in section:
         dims = (section["dims_m"], section["dims_k"])
     zms = load_impedance_csv(scenario.base_dir / section["impedance_csv"], dims)
-    tol = section["tol"]
     reports = (validate_reciprocity(zms, tol), validate_passivity(zms, tol))
     deviations = [d for report in reports for d in report.deviations]
     columns = {

@@ -8,6 +8,8 @@ call never loads it.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import warnings
 
 BOLTZMANN = 1.380649e-23
@@ -343,15 +345,21 @@ def _parse_csv_row(lineno: int, row: list) -> tuple:
     return freq, r, c, value
 
 
-def _read_fast(handle):
-    """Body columns from one numpy read, or None where the line-by-line rules must decide."""
+# Suffixes that numpy's loadtxt decompresses when it opens a file by name, as
+# numpy compares them (case-sensitively); np.lib._datasource._file_openers.
+_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _read_fast(name: str, header_lines: int, encoding: str):
+    """Body columns from one numpy read of the file ``name`` past its header,
+    or None where the line-by-line rules must decide."""
     import numpy as np
 
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            body = np.loadtxt(handle, dtype=_CSV_DTYPE, delimiter=",", quotechar='"',
-                              comments=None, ndmin=1)
+            body = np.loadtxt(name, dtype=_CSV_DTYPE, delimiter=",", quotechar='"', comments=None,
+                              skiprows=header_lines, encoding=encoding, ndmin=1)
     except ValueError:  # also UnicodeDecodeError, which the line walk raises again
         return None
     freq, rows, cols = body["freq"], body["row"], body["col"]
@@ -389,6 +397,7 @@ def load_impedance_csv(path, dims: tuple = None, mirror_tol: float = 1e-12) -> I
     """
     import csv
 
+    name = os.fsdecode(path)
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -398,11 +407,13 @@ def load_impedance_csv(path, dims: tuple = None, mirror_tol: float = 1e-12) -> I
                 raise ParseError(f"{path}: empty file") from None
             if tuple(col.strip().lower() for col in header) != CSV_HEADER:
                 raise ParseError(f"{path}: expected header {','.join(CSV_HEADER)}")
-            columns = _read_fast(handle)
+            columns = None
+            # numpy reads a file it opens by name in chunks, but it would decompress
+            # by suffix, and a pipe cannot be opened twice: those take the line walk.
+            # The name is made absolute, since numpy fetches a name that parses as a URL.
+            if not name.endswith(_DECOMPRESSED_SUFFIXES) and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                columns = _read_fast(os.path.join(os.getcwd(), name), reader.line_num, handle.encoding)
             if columns is None:  # numpy is stricter than the per-line rules: let them decide
-                handle.seek(0)
-                reader = csv.reader(handle)
-                next(reader)
                 columns = _read_lines(reader)
         except csv.Error as exc:  # a cell over the csv module's field size limit, say
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
@@ -434,7 +445,7 @@ def _assemble(freqs, rows, cols, values, n: int, tol: float, path) -> tuple:
         raise ParseError(f"{path}: conflicting entries for ({r},{c})/({c},{r}) at freq {freqs[listing]:g}")
 
     key = (fi * n + rows) * n + cols
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key, kind="stable")  # linear on keys already in order
     key, values = key[order], values[order]
     new_cell = np.insert(key[1:] != key[:-1], 0, True)
     repeat = np.flatnonzero(~new_cell)
@@ -443,21 +454,21 @@ def _assemble(freqs, rows, cols, values, n: int, tol: float, path) -> tuple:
         conflict(order[bad].min())
     first_listing = order[new_cell]
     last = np.append(new_cell[1:], True)  # the last listing of each cell wins
-    key, values = key[last], values[last]
+    kept = order[last]
+    key, values, skew = key[last], values[last], (cols - rows)[kept]
     mats = np.zeros((len(grid), n, n), dtype=np.complex128)
     flat = mats.reshape(-1)
     flat[key] = values
-    cell_fi, rc = np.divmod(key, n * n)
-    r, c = np.divmod(rc, n)
-    mirror = (cell_fi * n + c) * n + r
-    at = np.minimum(np.searchsorted(key, mirror), len(key) - 1)
-    listed = key[at] == mirror
-    single = (r != c) & ~listed
+    present = np.zeros(flat.size, dtype=bool)  # a byte a cell, a sixteenth of the stack
+    present[key] = True
+    mirror = key + skew * (n - 1)  # (f, r, c) -> (f, c, r)
+    listed = present[mirror]
+    single = (skew != 0) & ~listed
     flat[mirror[single]] = values[single]
-    pair = np.flatnonzero((r != c) & listed)
-    bad = pair[_conflicts(values[at[pair]], values[pair], tol)]
+    pair = np.flatnonzero((skew != 0) & listed)
+    bad = pair[_conflicts(flat[mirror[pair]], values[pair], tol)]
     if len(bad):
-        conflict(first_listing[bad[np.lexsort((first_listing[bad], cell_fi[bad]))[0]]])
+        conflict(first_listing[bad[np.lexsort((first_listing[bad], fi[kept[bad]]))[0]]])
     return grid, mats
 
 

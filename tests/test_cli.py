@@ -309,6 +309,17 @@ def test_validate_pass_exit_zero(capsys):
     assert "fail" not in out
 
 
+@pytest.mark.parametrize("tol", [0, -1e-9])
+@pytest.mark.parametrize("csv_name", ["coupled_pair.csv", "missing.csv"])
+def test_validate_checks_tol_before_reading_the_csv(tmp_path, capsys, csv_name, tol):
+    # a missing CSV is not reached: the call exits 1, not with the i/o error's 4
+    (tmp_path / "coupled_pair.csv").write_bytes((SCENARIOS / "coupled_pair.csv").read_bytes())
+    scen = tmp_path / "val.json"
+    scen.write_text(json.dumps({"validate": {"impedance_csv": csv_name, "tol": tol}}))
+    code, out, err = run_cli(["validate", "--scenario", str(scen)], capsys)
+    assert (code, out, err) == (1, "", "validation error: tol must be positive\n")
+
+
 def test_frontend_netlist_report(capsys):
     code, out, _ = run_cli(
         ["frontend", "--scenario", str(SCENARIOS / "frontend_netlist.json")], capsys
