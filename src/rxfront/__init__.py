@@ -38,8 +38,8 @@ _EXPORTS = {  # submodule -> the public names it defines
     ),
     "matching": ("TransformerMatch", "optimal_turns_ratio", "reflected_source", "snr_with_transformer"),
     "arrays": (
-        "ArrayModel", "TerminationStrategy", "full_conjugate_closed_form", "make_synthetic_model",
-        "open_circuit_voltages", "perturbation_sum_powers", "terminate_array", "termination_matrix",
+        "ArrayModel", "TerminationStrategy", "make_synthetic_model", "open_circuit_voltages",
+        "terminate_array", "termination_matrix",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

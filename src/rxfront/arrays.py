@@ -160,19 +160,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _currents(total: np.ndarray, v_oc: np.ndarray) -> np.ndarray:
-    # Stacked I = (Z_R + Z_L)^-1 V_oc along the leading axis, shape (N, K, 1);
-    # v_oc is (N, K) or one (K,) vector shared by the stack.
-    rhs = np.broadcast_to(v_oc[..., None], total.shape[:-1] + (1,))
-    return np.linalg.solve(total, rhs)
-
-
-def _voltages_and_power(currents: np.ndarray, z_l: np.ndarray) -> tuple:
-    # V = Z_L I and 0.5 Re(I^H V) along the leading axis.
-    volts = (z_l @ currents)[..., 0]
-    return volts, 0.5 * _dot(np.conj(currents[..., 0]), volts).real
-
-
 def _frobenius(stack: np.ndarray) -> np.ndarray:
     # Per-matrix sqrt(re.re + im.im): the dot products np.linalg.norm takes
     # for one matrix.
@@ -228,7 +215,7 @@ def terminate_array(model: ArrayModel, strategy: TerminationStrategy) -> ArrayTe
     z_l = termination_matrix(strategy, z_r)
     total = z_r + z_l
     try:
-        currents = _currents(total, v_oc)
+        currents = np.linalg.solve(total, v_oc[..., None])  # I = (Z_R + Z_L)^-1 V_oc, (F, K, 1)
         inverse = np.linalg.inv(total)
     except np.linalg.LinAlgError as exc:
         # A zero pivot: check every index, then name the worst-conditioned one.
@@ -241,33 +228,11 @@ def terminate_array(model: ArrayModel, strategy: TerminationStrategy) -> ArrayTe
     suspects = np.flatnonzero(~(bound <= COND_WARN * 1e-2))
     if suspects.size:
         _check_condition(np.linalg.cond(total[suspects]), suspects)
-    voltages, power = _voltages_and_power(currents, z_l)
+    voltages = (z_l @ currents)[..., 0]
+    power = 0.5 * _dot(np.conj(currents[..., 0]), voltages).real  # 0.5 Re(I^H V)
     divider = z_l @ inverse
     del inverse  # freed before _offdiag_ratio's copies, which reuse its memory
     return ArrayTermination(voltages, power, _offdiag_ratio(divider))
-
-
-def full_conjugate_closed_form(z_r: np.ndarray, v_oc: np.ndarray) -> np.ndarray:
-    """Closed form 0.5 * conj(z_r) @ (Re z_r)^-1 @ v_oc for the full conjugate match."""
-    z_r = np.asarray(z_r, dtype=np.complex128)
-    try:
-        scaled = np.linalg.solve(z_r.real, np.asarray(v_oc, dtype=np.complex128))
-    except np.linalg.LinAlgError as exc:
-        raise SingularCircuitError("Re(z_r) is singular") from exc
-    return 0.5 * np.conj(z_r) @ scaled
-
-
-def perturbation_sum_powers(
-    z_r: np.ndarray, z_l: np.ndarray, v_oc: np.ndarray, perturbations: np.ndarray
-) -> np.ndarray:
-    """Sum extracted power for each perturbed load z_l + delta in the stack.
-
-    perturbations has shape (P, K, K); the caller is responsible for keeping
-    the perturbed loads passive and the sums nonsingular.
-    """
-    z_r = np.asarray(z_r, dtype=np.complex128)
-    loads = np.asarray(z_l, dtype=np.complex128) + np.asarray(perturbations, dtype=np.complex128)
-    return _voltages_and_power(_currents(z_r + loads, np.asarray(v_oc, dtype=np.complex128)), loads)[1]
 
 
 def make_synthetic_model(
@@ -277,7 +242,6 @@ def make_synthetic_model(
     coupling: float,
     decay: float,
     frequencies,
-    i_t=None,
     rng=None,
     max_tries: int = 100,
 ) -> ArrayModel:
@@ -287,7 +251,8 @@ def make_synthetic_model(
     of self-impedances and C a symmetric random-phase coupling matrix whose
     magnitude decays geometrically with port index distance. Draws failing
     passivity are rejected. Reactances scale with frequency relative to the
-    first grid point; real parts are frequency-flat.
+    first grid point; real parts are frequency-flat. Every transmit port
+    carries a unit current at every frequency.
     """
     n = n_tx + n_rx
     if n_tx < 1 or n_rx < 1:
@@ -335,6 +300,4 @@ def make_synthetic_model(
     for fi, freq in enumerate(grid):
         mats[fi] = base.real + 1j * base.imag * (freq / f_ref)
     zms = ImpedanceMatrixSeries(grid, mats, dims=(n_tx, n_rx))
-    if i_t is None:
-        i_t = np.ones((len(grid), n_tx), dtype=np.complex128)
-    return ArrayModel(zms, i_t)
+    return ArrayModel(zms, np.ones((len(grid), n_tx), dtype=np.complex128))

@@ -32,6 +32,7 @@ from .core import (
     ToolkitError,
     ValidationError,
     load_impedance_csv,
+    read_text,
     stack_bytes,
     validate_passivity,
     validate_reciprocity,
@@ -257,9 +258,8 @@ def _load(value):
     return out
 
 
-_OPTIMIZE = {  # n_re, n_im: sizes of the grid the exact search replaced; no effect
-    "r_max_ohms": (_num, REQUIRED), "x_max_ohms": (_num, REQUIRED),
-    "n_re": (_int, REQUIRED), "n_im": (_int, REQUIRED), "include_open": (_bool, True),
+_OPTIMIZE = {
+    "r_max_ohms": (_num, REQUIRED), "x_max_ohms": (_num, REQUIRED), "include_open": (_bool, True),
 }
 
 _LINK = {
@@ -424,18 +424,12 @@ def _run_capacity(scenario: Scenario):
     n0 = section["noise_density"]
     bound = shannon.capacity_bound(power, n0)
 
-    def worker(bandwidth: float) -> dict:
+    def row(bandwidth: float) -> tuple:
         spec = shannon.AwgnChannelSpec(power, bandwidth, n0)
-        cap = shannon.capacity(spec)
-        return {
-            "bandwidth": bandwidth,
-            "capacity_bits": cap,
-            "capacity_bound_bits": bound,
-            "eb_n0": shannon.eb_n0(spec) if power > 0 else None,
-        }
+        return bandwidth, shannon.capacity(spec), bound, shannon.eb_n0(spec) if power > 0 else None
 
-    rows = [worker(bandwidth) for bandwidth in section["bandwidths"]]
-    return _columns(["bandwidth", "capacity_bits", "capacity_bound_bits", "eb_n0"], rows), True
+    rows = [row(bandwidth) for bandwidth in section["bandwidths"]]
+    return _from_rows(("bandwidth", "capacity_bits", "capacity_bound_bits", "eb_n0"), rows), True
 
 
 _ARITHMETIC_MESSAGES = {  # Python's own messages, without OverflowError's errno
@@ -476,47 +470,43 @@ def _run_link(scenario: Scenario):
     if lnk.z_r.real > 0 and amp.n_na > 0:
         ratio = link_mod.snr_ratio_oc_over_match(lnk, amp)
     note = "" if ratio is None else f"oc_over_match={fmt(ratio)}"
-    open_row = (math.inf, math.inf, 1.0, 0.0, link_mod.output_snr(lnk, amp, OPEN_CIRCUIT), note)
+    # an open circuit's z_l prints inf
+    open_cells = (math.inf, math.inf, 1.0, 0.0, link_mod.output_snr(lnk, amp, OPEN_CIRCUIT), note)
     z_r, match = lnk.z_r, lnk.z_r.conjugate()
     divider, voltage, power = link_mod._divider, link_mod._voltage, link_mod._power
     snr = link_mod._snr_of(lnk, amp)
 
-    def row(z: complex) -> tuple:
-        """A finite load's z_l, divided voltage and power per unit V_oc (the
+    def row(label: str, z: complex) -> tuple:
+        """A finite load's z_l, divider magnitude and power per unit V_oc (the
         power scaled by s_voc) and SNR. _divider's checks come first, then
-        the power's division, then the SNR's squares."""
+        the power's division, then the SNR's squares. abs() is C's hypot,
+        which overflows only from two large finite parts, and a passive
+        load's z_l / (z_r + z_l) has at most one: Re(z_r + z_l) >= Re z_l,
+        and Im(z_r + z_l) is 0 or at least an ulp of Im z_l."""
         den, d2 = divider(z_r, z)
-        return z.real, z.imag, voltage(1 + 0j, z, den), s_voc * power(1.0, z.real, d2), snr(z, d2), ""
+        return (label, z.real, z.imag, abs(voltage(1 + 0j, z, den)), s_voc * power(1.0, z.real, d2),
+                snr(z, d2), "")
 
-    labels, rows = [], []
+    rows = []
     for load in section["loads"]:  # one pass: the first bad load raises
-        labels.append(load["label"])
-        kind = load["kind"]
+        label, kind = load["label"], load["kind"]
         if kind == "open_circuit":
-            rows.append(open_row)  # its z_l prints inf
+            rows.append((label, *open_cells))
             continue
         z = match if kind == "conjugate_match" else _as_complex(load["z_l_ohms"])
         try:
-            rows.append(row(z))
+            rows.append(row(label, z))
         except (ToolkitError, ArithmeticError) as exc:
             # A load both negative and singular fails the divider first.
             failed = SingularCircuitError if z_r + z == 0 else type(exc)
-            raise failed(f"load {labels[-1]!r}: {_LOAD_MESSAGES[failed]}") from exc
+            raise failed(f"load {label!r}: {_LOAD_MESSAGES[failed]}") from exc
     if "optimize" in section:
         opt = section["optimize"]
         search = link_mod.SearchBox(opt["r_max_ohms"], opt["x_max_ohms"], opt["include_open"])
         best, _ = link_mod.optimize_load(lnk, amp, search)
-        labels.append("optimal")
-        rows.append(open_row if best is OPEN_CIRCUIT else row(complex(best)))
-    re, im, volts, powers, snrs, notes = map(list, zip(*rows))
-    # abs() is C's hypot; it raises only where hypot overflows from two finite
-    # parts. A passive load's z_l / (z_r + z_l) has at most one large part:
-    # Re(z_r + z_l) >= Re z_l, and Im(z_r + z_l) is 0 or at least an ulp of Im z_l.
-    columns = {
-        "label": labels, "z_l_re_ohms": re, "z_l_im_ohms": im, "divider_mag": list(map(abs, volts)),
-        "extracted_power_w_per_hz": powers, "snr": snrs, "annotations": notes,
-    }
-    return columns, True
+        rows.append(("optimal", *open_cells) if best is OPEN_CIRCUIT else row("optimal", complex(best)))
+    names = ("label", "z_l_re_ohms", "z_l_im_ohms", "divider_mag", "extracted_power_w_per_hz", "snr", "annotations")
+    return _from_rows(names, rows), True
 
 
 def _run_noisefig(scenario: Scenario):
@@ -528,28 +518,21 @@ def _run_noisefig(scenario: Scenario):
     )
     ampd = section["amp"]
 
-    def worker(r_l_token) -> dict:
-        r_l = _to_float(r_l_token)
+    def row(r_l_token) -> tuple:
         amp = noisefig.VoltageAmplifierStage(
-            ampd["gain"], ampd["n_na_v2_per_hz"], r_l, ampd["r_out_ohms"]
+            ampd["gain"], ampd["n_na_v2_per_hz"], _to_float(r_l_token), ampd["r_out_ohms"]
         )
         factor = noisefig.noise_factor(gen, amp)
-        return {
-            "r_l_ohms": r_l_token,
-            "friis_gain": noisefig.friis_gain(gen, amp),
-            "output_snr": noisefig.output_snr_friis(gen, amp),
-            "noise_factor": factor,
-            "noise_figure_db": 10.0 * math.log10(factor) if math.isfinite(factor) else math.inf,
-            "annotations": "",
-        }
+        return (r_l_token, noisefig.friis_gain(gen, amp), noisefig.output_snr_friis(gen, amp), factor,
+                10.0 * math.log10(factor) if math.isfinite(factor) else math.inf, "")
 
     try:
-        rows = [worker(r_l) for r_l in section["r_l_sweep_ohms"]]
+        rows = [row(r_l) for r_l in section["r_l_sweep_ohms"]]
     except OverflowError:  # output_snr_friis squares v_s, after a row's checks
         _check_squares(("noisefig.v_s_volts", gen.v_s))
         raise
-    fields = ["r_l_ohms", "friis_gain", "output_snr", "noise_factor", "noise_figure_db", "annotations"]
-    return _columns(fields, rows), True
+    names = ("r_l_ohms", "friis_gain", "output_snr", "noise_factor", "noise_figure_db", "annotations")
+    return _from_rows(names, rows), True
 
 
 def _to_float(canon) -> float:
@@ -569,17 +552,17 @@ def _run_frontend(scenario: Scenario):
     if "netlist" in section:
         from . import mna
 
-        text = (scenario.base_dir / section["netlist"]).read_text()
+        text = read_text(scenario.base_dir / section["netlist"])
         solution = mna.mna_solve(mna.parse_netlist(text))
         rows = []
         for node in sorted(solution.node_voltages):
             value = solution.node_voltages[node]
-            rows.append({"kind": "node", "name": str(node), "value_re": value.real, "value_im": value.imag})
+            rows.append(("node", str(node), value.real, value.imag))
         for el in solution.netlist.elements:
             if el.kind in ("V", "E"):
                 value = solution.branch_currents[el.name]
-                rows.append({"kind": "branch", "name": el.name, "value_re": value.real, "value_im": value.imag})
-        return _columns(["kind", "name", "value_re", "value_im"], rows), True
+                rows.append(("branch", el.name, value.real, value.imag))
+        return _from_rows(("kind", "name", "value_re", "value_im"), rows), True
 
     from . import frontend
 
@@ -593,7 +576,7 @@ def _run_frontend(scenario: Scenario):
     z_cm = _optional_cx(opamp_d["z_cm_ohms"])
     cc = section.get("constant_current")
 
-    def worker(topo: str, a: float) -> dict:
+    def row(topo: str, a: float) -> tuple:
         amp = frontend.OpAmpModel(a, z_id, z_cm, opamp_d["r_out_ohms"])
         if topo == "buffer":
             sol = frontend.solve_buffer(source, amp)
@@ -604,24 +587,18 @@ def _run_frontend(scenario: Scenario):
                 source, amp, _as_complex(cc["v_c_volts"]), _to_float(cc["r_c_ohms"])
             )
         z_eff = sol.z_effective
-        return {
-            "topology": topo,
-            "open_loop_gain": "inf" if math.isinf(a) else a,
-            "v_out_re": sol.v_out.real,
-            "v_out_im": sol.v_out.imag,
-            "i_source_re": sol.i_source.real,
-            "i_source_im": sol.i_source.imag,
-            "z_eff_re_ohms": "inf" if z_eff is None else z_eff.real,
-            "z_eff_im_ohms": "inf" if z_eff is None else z_eff.imag,
-            "p_extracted_w": sol.p_extracted,
-        }
+        return (
+            topo, "inf" if math.isinf(a) else a, sol.v_out.real, sol.v_out.imag, sol.i_source.real,
+            sol.i_source.imag, "inf" if z_eff is None else z_eff.real, "inf" if z_eff is None else z_eff.imag,
+            sol.p_extracted,
+        )
 
-    rows = [worker(topo, a) for topo in section["topologies"] for a in gains]
-    fields = [
+    rows = [row(topo, a) for topo in section["topologies"] for a in gains]
+    names = (
         "topology", "open_loop_gain", "v_out_re", "v_out_im", "i_source_re",
         "i_source_im", "z_eff_re_ohms", "z_eff_im_ohms", "p_extracted_w",
-    ]
-    return _columns(fields, rows), True
+    )
+    return _from_rows(names, rows), True
 
 
 def _linspace(start: float, stop: float, count: int) -> list:
@@ -670,7 +647,7 @@ def _run_match(scenario: Scenario):
                 f"its optimum {fmt(best)} to {fmt(end)}"
             )
 
-    def worker(exponent: float, ratio: float) -> dict:
+    def row(exponent: float, ratio: float) -> tuple:
         xf = matching.TransformerMatch(ratio, cancel)
         try:
             snr = matching.snr_with_transformer(lnk, r_in, amp, xf)
@@ -678,10 +655,10 @@ def _run_match(scenario: Scenario):
             if type(exc) is OverflowError:  # the squares that no turns ratio changes come first
                 _check_squares(("match.amp_input_resistance_ohms", r_in), ("match.link.z_rt_ohms", lnk.z_rt))
             raise type(exc)(f"turns_ratio {fmt(ratio)}: {_ARITHMETIC_MESSAGES[type(exc)]}") from exc
-        return {"turns_ratio": ratio, "snr": snr, "annotations": "at_optimal" if exponent == 0 else ""}
+        return ratio, snr, "at_optimal" if exponent == 0 else ""
 
-    rows = [worker(e, ratio) for e, ratio in zip(exponents, ratios)]
-    return _columns(["turns_ratio", "snr", "annotations"], rows), True
+    rows = [row(e, ratio) for e, ratio in zip(exponents, ratios)]
+    return _from_rows(("turns_ratio", "snr", "annotations"), rows), True
 
 
 def _scaled(ratio: float, exponent: float) -> float:
@@ -757,9 +734,11 @@ _RUNNERS = {
 }
 
 
-def _columns(fieldnames: list, rows: list) -> dict:
-    """Report columns from the rows of a runner that computes one row at a time."""
-    return {name: [row[name] for row in rows] for name in fieldnames}
+def _from_rows(names: tuple, rows: list) -> dict:
+    """Report columns from the rows of a runner that computes one row at a
+    time, each row a tuple of cells in the order of ``names``. No rows
+    gives empty columns, which render as the header alone."""
+    return dict(zip(names, map(list, zip(*rows)))) if rows else {name: [] for name in names}
 
 
 def _spec(column) -> tuple:
@@ -901,7 +880,7 @@ def _main(argv) -> int:
             print(f"{args.command}: validation failed", file=sys.stderr)
             return 1
         return 0
-    except (ParseError, UnicodeDecodeError) as exc:  # a referenced CSV or netlist may not be UTF-8
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except _numerical_errors() as exc:

@@ -20,6 +20,10 @@ DEFAULT_TOL = 1e-9
 
 CSV_HEADER = ("freq_hz", "row", "col", "re_ohms", "im_ohms")
 
+MIRROR_TOL = 1e-12
+"""Relative tolerance to which two listings of one impedance-CSV cell, or of a
+cell and its mirror, must agree."""
+
 MAX_ARRAY_BYTES = 2**31
 """Largest array, in bytes, that an impedance CSV or a scenario size may ask for (2 GiB)."""
 
@@ -183,10 +187,6 @@ class FrequencyGrid(Frozen):
 
         return np.asarray(self.points, dtype=float)
 
-    def omega(self) -> np.ndarray:
-        """Angular frequencies 2*pi*f in rad/s."""
-        return 2.0 * math.pi * self.as_array()
-
 
 class ImpedanceMatrixSeries(Frozen):
     """One square complex impedance matrix per grid frequency.
@@ -227,12 +227,6 @@ class ImpedanceMatrixSeries(Frozen):
         """(F, M, M) transmit block."""
         m = self.dims[0]
         return self.matrices[:, :m, :m]
-
-    @property
-    def z_tr(self) -> np.ndarray:
-        """(F, M, K) transmit-from-receive block."""
-        m = self.dims[0]
-        return self.matrices[:, :m, m:]
 
     @property
     def z_rt(self) -> np.ndarray:
@@ -323,6 +317,23 @@ def thevenin_from_link(z_rt, i_t, z_r) -> TheveninSource:
     return TheveninSource(v_oc, as_complex(z_r, "z_r"))
 
 
+def _undecodable(path, exc: UnicodeDecodeError, line: int) -> ParseError:
+    """ParseError naming the file and the 1-based line of the first byte that
+    does not decode; ``line`` is the line on which ``exc.object``, the bytes
+    the decoder was given, begins."""
+    line += exc.object.count(b"\n", 0, exc.start)
+    return ParseError(f"{path}: line {line}: byte {exc.object[exc.start]:#04x} is not valid {exc.encoding}")
+
+
+def read_text(path) -> str:
+    """The whole text of a file; a byte that does not decode is a ParseError."""
+    with open(path) as handle:
+        try:
+            return handle.read()  # one decode of every byte
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc, 1) from exc
+
+
 _CSV_DTYPE = [("freq", "f8"), ("row", "i8"), ("col", "i8"), ("re", "f8"), ("im", "f8")]  # a numpy dtype spec
 
 
@@ -386,13 +397,13 @@ def _read_lines(reader):
     return np.array(freq), rows, cols, np.array(values, dtype=np.complex128), 1 + max(max(rows), max(cols))
 
 
-def load_impedance_csv(path, dims: tuple = None, mirror_tol: float = 1e-12) -> ImpedanceMatrixSeries:
+def load_impedance_csv(path, dims: tuple = None) -> ImpedanceMatrixSeries:
     """Load an impedance-matrix series from sparse CSV.
 
     Format: header ``freq_hz,row,col,re_ohms,im_ohms``, one row per nonzero
     entry per frequency, 0-based indices. Missing entries are zero. A
     symmetric entry may be listed once (it is mirrored) or twice (the two
-    listings must agree to ``mirror_tol`` relative), and a repeated listing
+    listings must agree to ``MIRROR_TOL`` relative), and a repeated listing
     of one cell must agree with the listing before it; the last one wins.
     """
     import csv
@@ -417,13 +428,17 @@ def load_impedance_csv(path, dims: tuple = None, mirror_tol: float = 1e-12) -> I
                 columns = _read_lines(reader)
         except csv.Error as exc:  # a cell over the csv module's field size limit, say
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            # The handle decodes a chunk at a time. The reader has taken every
+            # line that ends before the chunk that failed, which begins on the next.
+            raise _undecodable(path, exc, reader.line_num + 1) from exc
     if columns is None:
         raise ParseError(f"{path}: no data rows")
-    grid, mats = _assemble(*columns, mirror_tol, path)
+    grid, mats = _assemble(*columns, path)
     return ImpedanceMatrixSeries(FrequencyGrid(tuple(grid.tolist())), mats, dims)
 
 
-def _assemble(freqs, rows, cols, values, n: int, tol: float, path) -> tuple:
+def _assemble(freqs, rows, cols, values, n: int, path) -> tuple:
     """Sorted grid and (F, n, n) stack from sparse listings.
 
     A repeated listing must agree with the one before it, and the last one
@@ -449,7 +464,7 @@ def _assemble(freqs, rows, cols, values, n: int, tol: float, path) -> tuple:
     key, values = key[order], values[order]
     new_cell = np.insert(key[1:] != key[:-1], 0, True)
     repeat = np.flatnonzero(~new_cell)
-    bad = repeat[_conflicts(values[repeat - 1], values[repeat], tol)]
+    bad = repeat[_conflicts(values[repeat - 1], values[repeat])]
     if len(bad):
         conflict(order[bad].min())
     first_listing = order[new_cell]
@@ -466,13 +481,13 @@ def _assemble(freqs, rows, cols, values, n: int, tol: float, path) -> tuple:
     single = (skew != 0) & ~listed
     flat[mirror[single]] = values[single]
     pair = np.flatnonzero((skew != 0) & listed)
-    bad = pair[_conflicts(flat[mirror[pair]], values[pair], tol)]
+    bad = pair[_conflicts(flat[mirror[pair]], values[pair])]
     if len(bad):
         conflict(first_listing[bad[np.lexsort((first_listing[bad], fi[kept[bad]]))[0]]])
     return grid, mats
 
 
-def _conflicts(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+def _conflicts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     import numpy as np
 
-    return np.abs(a - b) > tol * np.maximum(np.abs(a), np.abs(b))
+    return np.abs(a - b) > MIRROR_TOL * np.maximum(np.abs(a), np.abs(b))

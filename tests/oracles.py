@@ -254,6 +254,13 @@ def sum_power_batch_ref(z_r, z_loads, v_oc):
     return out
 
 
+def full_conjugate_closed_form_ref(z_r, v_oc):
+    """Voltages under the full conjugate load conj(Z_R): the loop matrix
+    Z_R + conj(Z_R) is 2 Re Z_R, so V = conj(Z_R) (2 Re Z_R)^-1 v_oc."""
+    currents = np.linalg.solve(2.0 * np.real(z_r), np.asarray(v_oc, dtype=complex))
+    return np.conj(z_r) @ currents
+
+
 def load_matrix_ref(kind, z_r, z_l=None):
     """Per-frequency load matrix for a termination kind (not open circuit)."""
     if kind == "per_antenna_conjugate":
@@ -365,8 +372,45 @@ def _mirror_ref(a, b, freq, r, c, tol, path):
         raise ParseError(f"{path}: conflicting entries for ({r},{c})/({c},{r}) at freq {freq:g}")
 
 
+def undecodable_ref(path):
+    """ParseError naming the 1-based line of the first byte of the file that
+    does not decode, from one decode of all its bytes."""
+    with open(path, newline="") as handle:
+        encoding, data = handle.encoding, handle.buffer.read()
+    try:
+        data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = 1 + data[:exc.start].count(b"\n")
+        return ParseError(f"{path}: line {line}: byte {data[exc.start]:#04x} is not valid {exc.encoding}")
+    raise AssertionError(f"{path} decodes")
+
+
 def load_impedance_csv_ref(path, dims=None, mirror_tol=1e-12):
     """Sparse impedance CSV to an ImpedanceMatrixSeries, line by line."""
+    try:
+        entries = _csv_entries_ref(path, mirror_tol)
+    except UnicodeDecodeError:
+        raise undecodable_ref(path) from None
+    if not entries:
+        raise ParseError(f"{path}: no data rows")
+    freqs = sorted(entries)
+    n = 1 + max(max(max(r, c) for r, c in cell) for cell in entries.values())
+    mats = np.zeros((len(freqs), n, n), dtype=np.complex128)
+    for fi, freq in enumerate(freqs):
+        for (r, c), value in entries[freq].items():
+            mats[fi, r, c] = value
+        for (r, c), value in entries[freq].items():
+            if r == c:
+                continue
+            if (c, r) in entries[freq]:
+                _mirror_ref(entries[freq][(c, r)], value, freq, r, c, mirror_tol, path)
+            else:
+                mats[fi, c, r] = value
+    return ImpedanceMatrixSeries(FrequencyGrid(tuple(freqs)), mats, dims)
+
+
+def _csv_entries_ref(path, mirror_tol):
+    """freq -> {(row, col): value} of the listed cells, line by line."""
     entries = {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -384,22 +428,7 @@ def load_impedance_csv_ref(path, dims=None, mirror_tol=1e-12):
             if (r, c) in cell:
                 _mirror_ref(cell[(r, c)], value, freq, r, c, mirror_tol, path)
             cell[(r, c)] = value
-    if not entries:
-        raise ParseError(f"{path}: no data rows")
-    freqs = sorted(entries)
-    n = 1 + max(max(max(r, c) for r, c in cell) for cell in entries.values())
-    mats = np.zeros((len(freqs), n, n), dtype=np.complex128)
-    for fi, freq in enumerate(freqs):
-        for (r, c), value in entries[freq].items():
-            mats[fi, r, c] = value
-        for (r, c), value in entries[freq].items():
-            if r == c:
-                continue
-            if (c, r) in entries[freq]:
-                _mirror_ref(entries[freq][(c, r)], value, freq, r, c, mirror_tol, path)
-            else:
-                mats[fi, c, r] = value
-    return ImpedanceMatrixSeries(FrequencyGrid(tuple(freqs)), mats, dims)
+    return entries
 
 
 def validate_reciprocity_ref(zms, tol=1e-9):

@@ -231,7 +231,21 @@ def test_referenced_csv_not_utf8_exits_2(tmp_path, capsys):
     scen.write_text(json.dumps({"validate": {"impedance_csv": "pair.csv"}}))
     code, _, err = run_cli(["validate", "--scenario", str(scen)], capsys)
     assert code == 2
-    assert "parse error" in err
+    assert err.startswith(f"parse error: {tmp_path / 'pair.csv'}: line 2: byte 0xff is not valid ")
+    assert err.count("\n") == 1
+
+
+def test_referenced_netlist_not_utf8_exits_2(tmp_path, capsys):
+    netlist = (SCENARIOS / "divider.cir").read_bytes()
+    lines = netlist.splitlines(keepends=True)
+    lines[3] = lines[3].replace(b"1e5", b"1e\xe95")  # 1-based line 4
+    (tmp_path / "bad.cir").write_bytes(b"".join(lines))
+    scen = tmp_path / "fe.json"
+    scen.write_text(json.dumps({"frontend": {"netlist": "bad.cir"}}))
+    code, _, err = run_cli(["frontend", "--scenario", str(scen)], capsys)
+    assert code == 2
+    assert err.startswith(f"parse error: {tmp_path / 'bad.cir'}: line 4: byte 0xe9 is not valid ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("index", [10**12, 10**23], ids=["beyond_memory", "beyond_int64"])
@@ -406,6 +420,15 @@ def test_negative_ratio_sweep_count_exits_2(tmp_path, capsys):
     assert "match.ratio_sweep.count must be >= 0" in err
 
 
+@pytest.mark.parametrize("fmt_kind,want", [
+    ("csv", "turns_ratio,snr,annotations\n"),
+    ("text", "report: match-step-up match\n"),
+])
+def test_a_report_without_rows_is_its_header(tmp_path, capsys, fmt_kind, want):
+    scen = _edited_example(tmp_path, "match_step_up", ("match", "ratio_sweep", "count"), 0)
+    assert run_cli(["match", "--scenario", str(scen), "--format", fmt_kind], capsys) == (0, want, "")
+
+
 @pytest.mark.parametrize("span,code,message", [
     # 10**300 turns the ratio into 1e77, whose reflected impedance overflows a square
     (600, 3, "numerical error: turns_ratio 1e+77: Numerical result out of range\n"),
@@ -501,7 +524,7 @@ def test_numerical_failures_exit_3(tmp_path, capsys, name, path, value):
 @pytest.mark.parametrize("name,path,value,message", [
     ("array_synthetic", ("array",), None, "array must be an object"),
     ("capacity_demo", ("capacity", "power"), 10**400, "capacity.power must be finite"),
-    ("link_crossover", ("link", "optimize", "n_re"), 2**63, "n_re must fit in a 64-bit integer"),
+    ("validate_pair", ("validate", "dims_m"), 2**63, "validate.dims_m must fit in a 64-bit integer"),
     ("match_step_up", ("match", "ratio_sweep", "count"), 10**400, "must fit in a 64-bit integer"),
     ("link_crossover", ("link", "loads", 0, "label"), None, "link.loads[].label must be a string"),
     ("link_crossover", ("link", "loads", 0, "kind"), ["explicit"], "kind ['explicit'] unknown"),
@@ -886,7 +909,7 @@ def test_link_report_matches_the_cell_by_cell_rendering(tmp_path, fmt_kind):
     scenario.write_text(json.dumps({
         "link": {"z_r_ohms": {"re": 5.0, "im": 37.0}, "z_rt_ohms": {"re": 10.0}, "s_it_a2_per_hz": 1e-12,
                  "loads": loads,
-                 "optimize": {"r_max_ohms": 500.0, "x_max_ohms": 500.0, "n_re": 11, "n_im": 11}},
+                 "optimize": {"r_max_ohms": 500.0, "x_max_ohms": 500.0}},
         "amplifier": {"gain": 10, "n_na_v2_per_hz": 1e-9, "temp_kelvin": 290},
     }))
     columns, _ = cli._run_link(cli.parse_scenario(scenario))

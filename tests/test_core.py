@@ -65,11 +65,10 @@ def test_thevenin_source_requires_passive_series_impedance():
         TheveninSource(1.0, -1 + 0j)
 
 
-def test_frequency_grid_ordering_and_omega():
+def test_frequency_grid_ordering():
     grid = FrequencyGrid([1e6, 2e6, 5e6])
     assert len(grid) == 3
     assert grid[1] == 2e6
-    assert np.allclose(grid.omega(), 2.0 * math.pi * grid.as_array())
     with pytest.raises(ValidationError):
         FrequencyGrid([])
     with pytest.raises(ValidationError):

@@ -28,7 +28,7 @@ from rxfront.core import (
     validate_reciprocity,
 )
 
-from oracles import load_impedance_csv_ref, validate_passivity_ref, validate_reciprocity_ref
+from oracles import load_impedance_csv_ref, undecodable_ref, validate_passivity_ref, validate_reciprocity_ref
 
 HEADER = "freq_hz,row,col,re_ohms,im_ohms"
 # Lines that are not faults, all skipped; numpy refuses all but the first.
@@ -38,7 +38,7 @@ FAULTS = [
     "nan,0,0,1,0", "1e6,0,0,nan,0", "1e6,0,0,1,inf", "1e6,-1,0,1,0", "1e6,0,-1,1,0",
     "1e6,1.0,0,1,0", "1e6,0,0,1", "1e6,0,0,1,0,0", "1e6,zero,0,1,0", "0,0,0,1,0", "-1e6,0,0,1,0",
 ]
-OFFSETS = [0.0, 1e-13, 1e-9]  # relative; only 1e-9 conflicts at the default 1e-12
+OFFSETS = [0.0, 1e-13, 1e-9]  # relative; only 1e-9 conflicts at core.MIRROR_TOL, 1e-12
 
 
 def _cell(rng, text, walk):
@@ -229,17 +229,14 @@ def test_a_name_that_parses_as_a_url_is_read_from_disk(tmp_path, monkeypatch):
     assert _outcome(load_impedance_csv, "http://host/z.csv") == want
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("body", [BODY, BODY.replace("60", "6_0")], ids=["numpy_reads", "line_walk"])
-def test_a_pipe_is_read_once(tmp_path, body):
-    plain, pipe = tmp_path / "z.csv", tmp_path / "pipe.csv"
-    plain.write_text(HEADER + "\n" + body)
+def _outcome_through_pipe(pipe, data: bytes):
+    """The loader's outcome on ``data`` written to the named pipe ``pipe``."""
     os.mkfifo(pipe)
     got = {}
 
     def write():
-        with open(pipe, "w") as handle:
-            handle.write(HEADER + "\n" + body)
+        with open(pipe, "wb") as handle:
+            handle.write(data)
 
     threads = [threading.Thread(target=write, daemon=True),
                threading.Thread(target=lambda: got.update(outcome=_outcome(load_impedance_csv, pipe)), daemon=True)]
@@ -252,7 +249,45 @@ def test_a_pipe_is_read_once(tmp_path, body):
     for thread in threads:
         thread.join(10)
     assert not hung
-    assert got["outcome"] == _outcome(load_impedance_csv_ref, plain)
+    return got["outcome"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("body", [BODY, BODY.replace("60", "6_0")], ids=["numpy_reads", "line_walk"])
+def test_a_pipe_is_read_once(tmp_path, body):
+    plain = tmp_path / "z.csv"
+    plain.write_text(HEADER + "\n" + body)
+    got = _outcome_through_pipe(tmp_path / "pipe.csv", (HEADER + "\n" + body).encode())
+    assert got == _outcome(load_impedance_csv_ref, plain)
+
+
+def _with_bad_byte(line: int, newline: str) -> bytes:
+    """A 3,001-line file, about 77 KB, whose 1-based ``line`` holds the byte 0xff."""
+    lines = [HEADER] + [f"{1e6 * (i + 1)!r},0,0,50.0,1.0" for i in range(3000)]
+    data = bytearray(newline.join(lines).encode() + newline.encode())
+    start = sum(len(text) + len(newline) for text in lines[:line - 1])
+    data[start + 3] = 0xff
+    return bytes(data)
+
+
+# The loader's handle decodes 8 KiB at a time: with LF line ends, line 332
+# holds the first chunk's last byte, and line 2999 lies eight chunks further.
+@pytest.mark.parametrize("line", [1, 2, 331, 332, 333, 2999, 3001])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_byte_that_does_not_decode_names_its_line(tmp_path, line, newline):
+    path = tmp_path / "z.csv"
+    path.write_bytes(_with_bad_byte(line, newline))
+    with pytest.raises(ParseError) as caught:
+        load_impedance_csv(path)
+    assert str(caught.value) == str(undecodable_ref(path))
+    assert str(caught.value).startswith(f"{path}: line {line}: byte 0xff is not valid ")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_byte_that_does_not_decode_names_its_line_in_a_pipe(tmp_path):
+    kind, message = _outcome_through_pipe(tmp_path / "pipe.csv", _with_bad_byte(2999, "\n"))
+    assert kind is ParseError
+    assert message.startswith(f"{tmp_path / 'pipe.csv'}: line 2999: byte 0xff is not valid ")
 
 
 def _report_fields(report):

@@ -96,20 +96,24 @@ def test_oversized_size_field_is_a_parse_error(workdir, name, path, value):
         cli.parse_scenario(_write_edit(workdir, name, path, value))
 
 
-def test_grid_sizes_have_no_effect(workdir, tmp_path):
-    # link.optimize.n_re/n_im size nothing since the load search is exact:
-    # 2**62 of each parses and gives the shipped report
-    doc = copy.deepcopy(DOCS["link_crossover"])
-    doc["link"]["optimize"].update(n_re=2**62, n_im=2**62)
-    scenario = workdir / "huge_grid.json"
-    scenario.write_text(json.dumps(doc))
-    assert cli.parse_scenario(scenario).data["link"]["optimize"]["n_re"] == 2**62
-    reports = []
-    for path in (scenario, SCENARIOS / "link_crossover.json"):
-        out = tmp_path / f"{path.stem}.csv"
-        assert cli.main(["link", "--scenario", str(path), "--out", str(out)]) == 0
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+def test_old_grid_size_keys_are_ignored(workdir, tmp_path):
+    # link.optimize.n_re/n_im sized the grid that the exact load search
+    # replaced; any value of them, or none, parses to the same data and gives
+    # the shipped report
+    shipped = (SCENARIOS.parent / "perfbench" / "reference" / "link_crossover.csv").read_bytes()
+    for sizes in ({"n_re": 2**62, "n_im": 2**62}, {"n_re": "x", "n_im": "x"}, {}):
+        doc = copy.deepcopy(DOCS["link_crossover"])
+        optimize = doc["link"]["optimize"]
+        for key in ("n_re", "n_im"):
+            optimize.pop(key)
+        optimize.update(sizes)
+        scenario = workdir / "grid_sizes.json"
+        scenario.write_text(json.dumps(doc))
+        parsed = cli.parse_scenario(scenario).data["link"]["optimize"]
+        assert "n_re" not in parsed and "n_im" not in parsed, sizes
+        out = tmp_path / "grid_sizes.csv"
+        assert cli.main(["link", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert out.read_bytes() == shipped, sizes
 
 
 def test_single_field_edit_exits_0_to_4(workdir):

@@ -52,7 +52,7 @@ def _link_doc(loads, optimize=None) -> dict:
         "amplifier": {"gain": 10, "n_na_v2_per_hz": 1e-9, "temp_kelvin": 290},
     }
     if optimize:
-        doc["link"]["optimize"] = {**optimize, "n_re": 3, "n_im": 3}
+        doc["link"]["optimize"] = optimize
     return doc
 
 

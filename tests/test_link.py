@@ -183,7 +183,7 @@ def _run_optimum(tmp_path, z_r, box) -> tuple:
             "z_rt_ohms": {"re": 10, "im": 0},
             "s_it_a2_per_hz": 1e-12,
             "loads": [{"kind": "open_circuit"}],
-            "optimize": {**box, "n_re": 3, "n_im": 3},
+            "optimize": box,
         },
         "amplifier": {"gain": 10, "n_na_v2_per_hz": 1e-9, "temp_kelvin": 290},
     }
