@@ -238,12 +238,17 @@ _EXPLICIT_LOAD = {**_LOAD, "z_l_ohms": (_cx, REQUIRED)}
 
 def _load(value):
     """One link load. A valid explicit load, nearly every load of a long
-    sweep, is accepted in one step, with the result the table walk gives;
-    every other load takes the walk, which alone builds error messages."""
+    sweep, is accepted in one step, with the result the table walk gives:
+    the load itself if it is already that result (kind, label and z_l_ohms,
+    whose re and im are finite floats, and no other key), else a copy.
+    Every other load takes the walk, which alone builds error messages."""
     if type(value) is dict and value.get("kind") == "explicit":
         label, z = value.get("label", "explicit"), value.get("z_l_ohms")
         if type(label) is str and type(z) is dict:
             re, im = z.get("re"), z.get("im", 0)
+            if (type(re) is type(im) is float and math.isfinite(re) and math.isfinite(im)
+                    and len(z) == 2 and len(value) == 3 and "label" in value):
+                return value
             if type(re) in (int, float) and type(im) in (int, float):  # bool is not a JSON number
                 try:
                     re, im = float(re), float(im)
@@ -465,46 +470,36 @@ def _run_link(scenario: Scenario):
     )
     amp = link_mod.AmplifierNoiseModel(ampd["gain"], ampd["n_na_v2_per_hz"], ampd["temp_kelvin"])
     _check_squares(("link.z_rt_ohms", lnk.z_rt), ("link.z_r_ohms", lnk.z_r))  # s_voc, then the SNR
-    s_voc = link_mod._signal_voc_density(lnk)
     ratio = None
     if lnk.z_r.real > 0 and amp.n_na > 0:
         ratio = link_mod.snr_ratio_oc_over_match(lnk, amp)
     note = "" if ratio is None else f"oc_over_match={fmt(ratio)}"
     # an open circuit's z_l prints inf
     open_cells = (math.inf, math.inf, 1.0, 0.0, link_mod.output_snr(lnk, amp, OPEN_CIRCUIT), note)
-    z_r, match = lnk.z_r, lnk.z_r.conjugate()
-    divider, voltage, power = link_mod._divider, link_mod._voltage, link_mod._power
-    snr = link_mod._snr_of(lnk, amp)
-
-    def row(label: str, z: complex) -> tuple:
-        """A finite load's z_l, divider magnitude and power per unit V_oc (the
-        power scaled by s_voc) and SNR. _divider's checks come first, then
-        the power's division, then the SNR's squares. abs() is C's hypot,
-        which overflows only from two large finite parts, and a passive
-        load's z_l / (z_r + z_l) has at most one: Re(z_r + z_l) >= Re z_l,
-        and Im(z_r + z_l) is 0 or at least an ulp of Im z_l."""
-        den, d2 = divider(z_r, z)
-        return (label, z.real, z.imag, abs(voltage(1 + 0j, z, den)), s_voc * power(1.0, z.real, d2),
-                snr(z, d2), "")
-
-    rows = []
-    for load in section["loads"]:  # one pass: the first bad load raises
-        label, kind = load["label"], load["kind"]
-        if kind == "open_circuit":
-            rows.append((label, *open_cells))
-            continue
-        z = match if kind == "conjugate_match" else _as_complex(load["z_l_ohms"])
-        try:
-            rows.append(row(label, z))
-        except (ToolkitError, ArithmeticError) as exc:
-            # A load both negative and singular fails the divider first.
-            failed = SingularCircuitError if z_r + z == 0 else type(exc)
-            raise failed(f"load {label!r}: {_LOAD_MESSAGES[failed]}") from exc
+    match = lnk.z_r.conjugate()
+    solve, loads, rows = link_mod._row_kernel(lnk, amp), section["loads"], []
+    append = rows.append
+    try:  # one pass: the first bad load raises, and it is loads[len(rows)]
+        for load in loads:
+            kind = load["kind"]
+            if kind == "explicit":
+                z = load["z_l_ohms"]
+                re, im = z["re"], z["im"]
+            elif kind == "open_circuit":
+                append((load["label"], *open_cells))
+                continue
+            else:
+                re, im = match.real, match.imag
+            mag, power, snr = solve(re, im)
+            append((load["label"], re, im, mag, power, snr, ""))
+    except (ToolkitError, ArithmeticError) as exc:
+        raise type(exc)(f"load {loads[len(rows)]['label']!r}: {_LOAD_MESSAGES[type(exc)]}") from exc
     if "optimize" in section:
         opt = section["optimize"]
         search = link_mod.SearchBox(opt["r_max_ohms"], opt["x_max_ohms"], opt["include_open"])
         best, _ = link_mod.optimize_load(lnk, amp, search)
-        rows.append(("optimal", *open_cells) if best is OPEN_CIRCUIT else row("optimal", complex(best)))
+        cells = open_cells if best is OPEN_CIRCUIT else (best.re, best.im, *solve(best.re, best.im), "")
+        rows.append(("optimal", *cells))
     names = ("label", "z_l_re_ohms", "z_l_im_ohms", "divider_mag", "extracted_power_w_per_hz", "snr", "annotations")
     return _from_rows(names, rows), True
 

@@ -83,11 +83,8 @@ def _signal_voc_density(link: SingleLink) -> float:
     return (link.z_rt.real**2 + link.z_rt.imag**2) * link.s_it
 
 
-_SOURCE, _RECEIVER = ("z_series", "z_in"), ("z_r", "z_l")  # how the errors name the two impedances
-
-
-def _divider(z_series: complex, z: complex, names: tuple = _RECEIVER, passive: bool = True) -> tuple:
-    """z_series + z and |z_series + z|^2 for one finite load z.
+def _divider(z_series: complex, z: complex, passive: bool = True) -> tuple:
+    """z_series + z and |z_series + z|^2 for one finite load z of a source.
 
     The checks come in the order the one-load formulas meet them: a negative
     Re z (ValidationError), z_series + z = 0 (SingularCircuitError), and a
@@ -96,31 +93,21 @@ def _divider(z_series: complex, z: complex, names: tuple = _RECEIVER, passive: b
     passive false only the divider is checked, and the square is None.
     """
     if passive and z.real < 0.0:
-        raise ValidationError(f"{names[1]} must have nonnegative real part")
+        raise ValidationError("z_in must have nonnegative real part")
     den = z_series + z
     if den == 0:
-        raise SingularCircuitError(f"{names[0]} + {names[1]} = 0: divider is singular")
+        raise SingularCircuitError("z_series + z_in = 0: divider is singular")
     return den, (den.real**2 + den.imag**2 if passive else None)
 
 
-def _voltage(v_oc: complex, z: complex, den: complex) -> complex:
-    """Load-node voltage v_oc * z / den, den = z_series + z from _divider."""
-    return v_oc * z / den
-
-
-def _power(v2: float, re: float, d2: float) -> float:
-    """Power |v_oc|^2 Re z / (2 |z_series + z|^2) into a load of real part re;
-    d2 = 0 (an underflow) raises ZeroDivisionError, as Python floats do."""
-    return v2 * re / (2.0 * d2)
-
-
 def extracted_power(source: TheveninSource, z_in) -> float:
-    """Average power delivered into z_in, in watts; OPEN_CIRCUIT yields 0."""
+    """Average power delivered into z_in, in watts; OPEN_CIRCUIT yields 0.
+    An |z_series + z_in|^2 that underflowed to 0 raises ZeroDivisionError."""
     if z_in is OPEN_CIRCUIT:
         return 0.0
     z = as_complex(z_in, "z_in")
-    _, d2 = _divider(source.z_series, z, _SOURCE)
-    return _power(source.v_oc.real**2 + source.v_oc.imag**2, z.real, d2)
+    _, d2 = _divider(source.z_series, z)
+    return (source.v_oc.real**2 + source.v_oc.imag**2) * z.real / (2.0 * d2)
 
 
 def max_available_power(source: TheveninSource) -> float:
@@ -136,28 +123,45 @@ def divided_voltage(source: TheveninSource, z_in) -> complex:
     if z_in is OPEN_CIRCUIT:
         return source.v_oc
     z = as_complex(z_in, "z_in")
-    den, _ = _divider(source.z_series, z, _SOURCE, passive=False)
-    return _voltage(source.v_oc, z, den)
+    den, _ = _divider(source.z_series, z, passive=False)
+    return source.v_oc * z / den
 
 
-def _snr_of(link: SingleLink, amp: AmplifierNoiseModel):
-    """output_snr's formula for one link and amplifier, as a function of a
-    finite passive load z and d2 = |z_r + z|^2 from _divider.
+def _row_kernel(link: SingleLink, amp: AmplifierNoiseModel):
+    """The link's per-load formulas, built once per link and amplifier, as
+    one function of a finite load's parts (re, im). It returns the divider
+    magnitude |z_l / (z_r + z_l)|, the power per unit V_oc scaled by s_voc
+    (the report's power per Hz) and output_snr's SNR.
 
-    A square that overflows raises OverflowError and d2 = 0 (an underflow)
-    ZeroDivisionError, as Python floats do; zero total noise gives inf.
+    A divider z_r + z_l = 0 raises SingularCircuitError, even for an active
+    load; then a negative re raises ValidationError. The rest is Python
+    arithmetic: OverflowError for a square that overflows (squares are **,
+    which differs from x * x in the last bit for some doubles),
+    ZeroDivisionError for an |z_r + z_l|^2 that underflowed to 0; zero total
+    noise gives an SNR of inf. abs() is C's hypot, which overflows only from
+    two large finite parts, and a passive load's z_l / (z_r + z_l) has at
+    most one: Re(z_r + z_l) >= Re z_l, and Im(z_r + z_l) is 0 or at least an
+    ulp of Im z_l. Building the kernel squares z_rt and z_r.
     """
-    g2 = amp.gain * amp.gain
-    s_voc = _signal_voc_density(link)
-    abs2_r = link.z_r.real**2 + link.z_r.imag**2
-    n_na, two_kt = amp.n_na, 2.0 * BOLTZMANN * amp.temperature  # two_kt * R is johnson_density
+    z_r, s_voc, g2, n_na = link.z_r, _signal_voc_density(link), amp.gain * amp.gain, amp.n_na
+    abs2_r = z_r.real**2 + z_r.imag**2
+    two_kt = 2.0 * BOLTZMANN * amp.temperature  # two_kt * R is johnson_density
 
-    def snr(z: complex, d2: float) -> float:
-        w2 = (z.real**2 + z.imag**2) / d2
-        noise = n_na + g2 * (abs2_r / d2) * (two_kt * z.real)
-        return math.inf if noise == 0 else g2 * w2 * s_voc / noise
+    def row(re: float, im: float) -> tuple:
+        z = complex(re, im)
+        den = z_r + z
+        if den == 0:
+            raise SingularCircuitError("z_r + z_l = 0: divider is singular")
+        if re < 0.0:
+            raise ValidationError("z_l must have nonnegative real part")
+        d2 = den.real**2 + den.imag**2
+        mag = abs(z / den)
+        power = s_voc * (re / (2.0 * d2))
+        w2 = (re**2 + im**2) / d2
+        noise = n_na + g2 * (abs2_r / d2) * (two_kt * re)
+        return mag, power, math.inf if noise == 0 else g2 * w2 * s_voc / noise
 
-    return snr
+    return row
 
 
 def output_snr(link: SingleLink, amp: AmplifierNoiseModel, z_l) -> float:
@@ -165,15 +169,17 @@ def output_snr(link: SingleLink, amp: AmplifierNoiseModel, z_l) -> float:
 
     Signal and the load's Johnson noise both pass through the divider formed
     with z_r; amplifier noise n_na adds at the output. Zero total noise gives
-    math.inf (flagged result), not an exception.
+    math.inf (flagged result), not an exception. An active load raises
+    ValidationError before a singular divider is looked for.
     """
     if z_l is OPEN_CIRCUIT:
         g2, s_voc = amp.gain * amp.gain, _signal_voc_density(link)
         return math.inf if amp.n_na == 0 else g2 * s_voc / amp.n_na
     z = as_complex(z_l, "z_l")
-    snr = _snr_of(link, amp)
-    _, d2 = _divider(link.z_r, z)
-    return snr(z, d2)
+    row = _row_kernel(link, amp)
+    if z.real < 0.0:
+        raise ValidationError("z_l must have nonnegative real part")
+    return row(z.real, z.imag)[2]
 
 
 def snr_matched(link: SingleLink, amp: AmplifierNoiseModel) -> float:
@@ -215,10 +221,10 @@ def optimize_load(link: SingleLink, amp: AmplifierNoiseModel, search: SearchBox)
     z_r = link.z_r
     if z_r.real == 0.0 and z_r.imag != 0.0 and abs(z_r.imag) <= search.x_max and amp.n_na > 0:
         raise NumericalError(f"output SNR is unbounded toward the lossless resonance z_l = {-z_r.imag!r}j")
-    snr_of, best = _snr_of(link, amp), None
+    row, best = _row_kernel(link, amp), None
     for z in _candidates(link, amp, search):
         try:
-            snr = snr_of(z, _divider(z_r, z)[1])
+            snr = row(z.real, z.imag)[2]
         except ArithmeticError:  # singular, or a square overflowed, or |z_r + z|^2 underflowed
             continue
         key = z.real * z.real + z.imag * z.imag

@@ -770,6 +770,33 @@ def _link_text(load_texts):
     )
 
 
+def _is_normalized(load) -> bool:
+    """Whether a load is already what the table walk makes of it: an explicit
+    load with a string label and finite float parts, and no other key."""
+    z = load.get("z_l_ohms") if type(load) is dict else None
+    return (type(z) is dict and sorted(load) == ["kind", "label", "z_l_ohms"] and load["kind"] == "explicit"
+            and type(load["label"]) is str and sorted(z) == ["im", "re"]
+            and all(type(part) is float and math.isfinite(part) for part in z.values()))
+
+
+def _dumped(monkeypatch, text):
+    """The normalized scenario as --dump-normalized writes it, or the ParseError message."""
+    # the scenario file is read from memory: one open() per load would dominate the test
+    monkeypatch.setattr(cli, "open", lambda path: io.StringIO(text), raising=False)
+    try:
+        return json.dumps(cli.parse_scenario("scenario.json").data, indent=2, sort_keys=True)
+    except ParseError as exc:
+        return "ParseError: " + str(exc)
+
+
+def _checked_and_walked(monkeypatch, text):
+    """_dumped with the load check, then with the table walk alone."""
+    checked = _dumped(monkeypatch, text)
+    with monkeypatch.context() as patch:
+        patch.setitem(cli._LINK, "loads", (cli._list_of(_walk_only), cli._LINK["loads"][1]))
+        return checked, _dumped(patch, text)
+
+
 def test_load_check_matches_the_table_walk(monkeypatch):
     rng = random.Random(20_002)
     texts = [json.dumps(_corpus_load(rng, i)).replace(f'"{BIG}"', "1e999") for i in range(20_000)]
@@ -781,29 +808,49 @@ def test_load_check_matches_the_table_walk(monkeypatch):
         except cli._Invalid:
             invalid.append(text)
     assert len(valid) > 8_000 and len(invalid) > 8_000
-    walk = (cli._list_of(_walk_only), cli._LINK["loads"][1])
+    normalized = [text for text in valid if _is_normalized(json.loads(text))]
+    assert len(normalized) > 2_500
+    for text in valid:  # an already normalized load is returned as it is, any other one is copied
+        load = json.loads(text)
+        assert (cli._load(load) is load) == _is_normalized(load), text
 
-    def parsed(text):
-        """The normalized scenario as --dump-normalized writes it, or the ParseError message."""
-        # the scenario file is read from memory: one open() per load would dominate the test
-        monkeypatch.setattr(cli, "open", lambda path: io.StringIO(text), raising=False)
-        try:
-            return json.dumps(cli.parse_scenario("scenario.json").data, indent=2, sort_keys=True)
-        except ParseError as exc:
-            return "ParseError: " + str(exc)
-
-    def both(text):
-        checked = parsed(text)
-        with monkeypatch.context() as patch:
-            patch.setitem(cli._LINK, "loads", walk)
-            return checked, parsed(text)
-
-    checked, walked = (text.splitlines() for text in both(_link_text(valid)))
-    assert not checked[0].startswith("ParseError") and len(checked) == len(walked)
-    assert next((pair for pair in zip(checked, walked) if pair[0] != pair[1]), None) is None
+    for texts in (valid, normalized):
+        checked, walked = (text.splitlines() for text in _checked_and_walked(monkeypatch, _link_text(texts)))
+        assert not checked[0].startswith("ParseError") and len(checked) == len(walked)
+        assert next((pair for pair in zip(checked, walked) if pair[0] != pair[1]), None) is None
     for text in invalid:
-        checked, walked = both(_link_text([text]))
+        checked, walked = _checked_and_walked(monkeypatch, _link_text([text]))
         assert checked.startswith("ParseError") and checked == walked, text
+
+
+# Explicit loads one step from the normalized form, and whether the load
+# check returns them as they are. JSON's -0 is the integer 0; -0.0 is a
+# finite float, already normalized, and keeps its sign either way.
+NEAR_NORMALIZED = {
+    "normalized": ('{"label": "a", "kind": "explicit", "z_l_ohms": {"re": 50.0, "im": -1.5}}', True),
+    "negative_zero_floats": ('{"label": "a", "kind": "explicit", "z_l_ohms": {"re": -0.0, "im": -0.0}}', True),
+    "negative_zero_ints": ('{"label": "a", "kind": "explicit", "z_l_ohms": {"re": -0, "im": -0}}', False),
+    "int_re": ('{"label": "a", "kind": "explicit", "z_l_ohms": {"re": 50, "im": -1.5}}', False),
+    "int_im": ('{"label": "a", "kind": "explicit", "z_l_ohms": {"re": 50.0, "im": 2}}', False),
+    "missing_im": ('{"label": "a", "kind": "explicit", "z_l_ohms": {"re": 50.0}}', False),
+    "missing_label": ('{"kind": "explicit", "z_l_ohms": {"re": 50.0, "im": -1.5}}', False),
+    "extra_load_key": ('{"label": "a", "kind": "explicit", "z_l_ohms": {"re": 50.0, "im": -1.5}, "x": 1}', False),
+    "extra_part_key": ('{"label": "a", "kind": "explicit", "z_l_ohms": {"re": 50.0, "im": -1.5, "x": 1}}', False),
+    "bool_part": ('{"label": "a", "kind": "explicit", "z_l_ohms": {"re": 50.0, "im": true}}', False),
+    "infinite_part": ('{"label": "a", "kind": "explicit", "z_l_ohms": {"re": 1e999, "im": -1.5}}', False),
+    "nan_part": ('{"label": "a", "kind": "explicit", "z_l_ohms": {"re": 50.0, "im": NaN}}', False),
+}
+
+
+@pytest.mark.parametrize("text,as_is", NEAR_NORMALIZED.values(), ids=NEAR_NORMALIZED)
+def test_near_normalized_loads_match_the_table_walk(monkeypatch, text, as_is):
+    checked, walked = _checked_and_walked(monkeypatch, _link_text([text]))
+    assert checked == walked
+    load = json.loads(text)
+    try:
+        assert (cli._load(load) is load) == as_is
+    except cli._Invalid:
+        assert not as_is and checked.startswith("ParseError: scenario: link.loads[].z_l_ohms.")
 
 
 EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e16, 0.1 + 0.2, 1.0 / 3.0, -2.5e-300]

@@ -301,39 +301,60 @@ def _array_cases():
             yield SingleLink(z_r, 3 - 2j, 1e-12), amp, TheveninSource(0.7 - 1.3j, z_r), z
 
 
-def _link_scenario(path, lnk, amp, loads):
-    """Write a link scenario with one explicit load per complex in ``loads``,
-    labelled z0, z1, ...; return its path."""
+def _link_scenario(path, lnk, amp, loads, **section):
+    """Write a link scenario with one load per item of ``loads``, and
+    ``section`` added to its link section; return its path. A dict is a load
+    as it is; a complex, or a (re, im) pair of JSON numbers, is an explicit
+    load labelled z0, z1, ... by its index."""
     def cx(z):
         return {"re": z.real, "im": z.imag}
 
+    def load(i, z):
+        if isinstance(z, dict):
+            return z
+        part = dict(zip(("re", "im"), z)) if isinstance(z, tuple) else cx(complex(z))
+        return {"label": f"z{i}", "kind": "explicit", "z_l_ohms": part}
+
     path.write_text(json.dumps({
         "link": {"z_r_ohms": cx(lnk.z_r), "z_rt_ohms": cx(lnk.z_rt), "s_it_a2_per_hz": lnk.s_it,
-                 "loads": [{"label": f"z{i}", "kind": "explicit", "z_l_ohms": cx(complex(z))}
-                           for i, z in enumerate(loads)]},
+                 "loads": [load(i, z) for i, z in enumerate(loads)], **section},
         "amplifier": {"gain": amp.gain, "n_na_v2_per_hz": amp.n_na, "temp_kelvin": amp.temperature},
     }))
     return path
 
 
 def test_array_loads_match_the_scalar_formulas_bit_for_bit(tmp_path):
-    # the link report's columns have the bits of the one-load formulas
-    # (tests/oracles.py), per unit v_oc, with the power scaled by s_voc
+    # the link report's rows come from one row kernel and have the bits of
+    # the one-load formulas (tests/oracles.py), per unit v_oc, with the power
+    # scaled by s_voc: the conjugate match, explicit loads (JSON floats, JSON
+    # integers and -0.0 parts) and the optimal load
+    box = SearchBox(500.0, 2000.0, include_open=False)
     for lnk, amp, source, z in _array_cases():
         loads = z.tolist()
-        scenario = cli.parse_scenario(_link_scenario(tmp_path / "loads.json", lnk, amp, loads))
-        columns, _ = cli._run_link(scenario)
+        parts = [(int(x.real), int(x.imag)) for x in loads[1000::100]]  # JSON integers
+        parts += [(-0.0, x.imag) for x in loads[1000:1005]] + [(x.real, -0.0) for x in loads[1005:1010]]
+        lossy = lnk.z_r.real > 0  # else the match is singular, and the optimum unbounded in the box
+        match = [{"label": "match", "kind": "conjugate_match"}] if lossy else []
+        optimize = {"r_max_ohms": box.r_max, "x_max_ohms": box.x_max, "include_open": False}
+        section = {"optimize": optimize} if lossy else {}
+        path = _link_scenario(tmp_path / "loads.json", lnk, amp, match + loads + parts, **section)
+        columns, _ = cli._run_link(cli.parse_scenario(path))
+        loads = [lnk.z_r.conjugate()] * lossy + loads + [complex(*part) for part in parts]
+        if lossy:
+            loads.append(complex(optimize_load(lnk, amp, box)[0]))
+        assert columns["label"][-1] == ("optimal" if lossy else f"z{len(loads) - 1}")
         unit = TheveninSource(1.0, lnk.z_r)
         s_voc = (lnk.z_rt.real**2 + lnk.z_rt.imag**2) * lnk.s_it
-        assert np.array_equal(_bits(columns["z_l_re_ohms"]), _bits(z.real))
-        assert np.array_equal(_bits(columns["z_l_im_ohms"]), _bits(z.imag))
+        assert all(type(x) is float for x in columns["z_l_re_ohms"] + columns["z_l_im_ohms"])
+        assert _bits(columns["z_l_re_ohms"]).tolist() == _bits([x.real for x in loads]).tolist()
+        assert _bits(columns["z_l_im_ohms"]).tolist() == _bits([x.imag for x in loads]).tolist()
         # abs() of a Python complex is hypot, which np.abs does not always match
         want = [abs(divided_voltage_scalar(unit, load)) for load in loads]
-        assert np.array_equal(_bits(columns["divider_mag"]), _bits(want))
+        assert _bits(columns["divider_mag"]).tolist() == _bits(want).tolist()
         want = [s_voc * extracted_power_scalar(unit, load) for load in loads]
-        assert np.array_equal(_bits(columns["extracted_power_w_per_hz"]), _bits(want))
+        assert _bits(columns["extracted_power_w_per_hz"]).tolist() == _bits(want).tolist()
         want = [output_snr_scalar(lnk, amp, load) for load in loads]
-        assert np.array_equal(_bits(columns["snr"]), _bits(want))
+        assert _bits(columns["snr"]).tolist() == _bits(want).tolist()
         # the public one-load calls: Python scalars with the same bits
         for load in loads[::7]:
             assert type(output_snr(lnk, amp, load)) is float
@@ -397,6 +418,26 @@ def test_divider_underflow_is_a_division_by_zero_as_in_python_floats(tmp_path, c
         extracted_power(TheveninSource(1.0, 37j), load)
     assert _first_bad_load(tmp_path, capsys, link, amp, [1.0, load]) == (
         3, "numerical error: load 'z1': float division by zero\n")
+
+
+@pytest.mark.parametrize("re,im,code,message", [
+    (-1.0, 0.0, 1, "validation error: load 'bad': z_l_ohms must have nonnegative real part"),
+    (0.0, -37.0, 3, "numerical error: load 'bad': z_r_ohms + z_l_ohms = 0: divider is singular"),
+    (1e200, 0.0, 3, "numerical error: load 'bad': Numerical result out of range"),
+    (1e-170, -37.0, 3, "numerical error: load 'bad': float division by zero"),  # |z_r + z_l|^2 underflows
+], ids=["negative", "singular", "overflow", "underflow"])
+def test_a_long_sweep_names_its_bad_load(tmp_path, capsys, re, im, code, message):
+    # one bad load first, in the middle and last of a 20,000-load sweep on a lossless receiver
+    link, amp = SingleLink(37j, 10.0, 1e-12), AmplifierNoiseModel(10.0, 1e-9, 290.0)
+    rng = np.random.default_rng(7)
+    good = (rng.uniform(0.0, 500.0, 20_000) + 1j * rng.uniform(-500.0, 500.0, 20_000)).tolist()
+    bad = {"label": "bad", "kind": "explicit", "z_l_ohms": {"re": re, "im": im}}
+    out = tmp_path / "report.csv"
+    for at in (0, 10_000, 19_999):
+        path = _link_scenario(tmp_path / "sweep.json", link, amp, good[:at] + [bad] + good[at + 1:])
+        assert cli.main(["link", "--scenario", str(path), "--out", str(out)]) == code, at
+        assert capsys.readouterr().err == message + "\n", at
+        assert not out.exists(), at
 
 
 def test_optimal_load_extracts_no_power_on_random_links():
