@@ -228,6 +228,7 @@ def terminate_array(model: ArrayModel, strategy: TerminationStrategy) -> ArrayTe
     suspects = np.flatnonzero(~(bound <= COND_WARN * 1e-2))
     if suspects.size:
         _check_condition(np.linalg.cond(total[suspects]), suspects)
+    del total  # freed before the products below allocate theirs
     voltages = (z_l @ currents)[..., 0]
     power = 0.5 * _dot(np.conj(currents[..., 0]), voltages).real  # 0.5 Re(I^H V)
     divider = z_l @ inverse
@@ -253,6 +254,10 @@ def make_synthetic_model(
     passivity are rejected. Reactances scale with frequency relative to the
     first grid point; real parts are frequency-flat. Every transmit port
     carries a unit current at every frequency.
+
+    ``rng`` is a numpy Generator or a nonnegative integer seed (None means
+    0). A seed draws the stream of np.random.default_rng(seed) from a
+    pure-Python replica, so a seeded model never imports numpy.random.
     """
     n = n_tx + n_rx
     if n_tx < 1 or n_rx < 1:
@@ -269,8 +274,6 @@ def make_synthetic_model(
     if np.any(selfs.real <= 0):
         raise ValidationError("self-impedances must have positive real part")
     grid = FrequencyGrid(frequencies)  # checked before the scaling divides by its first point
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     # One uniform phase per pair i < j, row by row (np.triu_indices order),
     # from the stream a per-pair loop would read, and C_ij = C_ji =
@@ -278,6 +281,10 @@ def make_synthetic_model(
     # sin. The product is complex(mag, 0.0) * complex(cos, sin), so an entry
     # of magnitude 0 keeps the signed zeros it has always had.
     rows, cols = np.triu_indices(n, 1)
+    if rng is None or isinstance(rng, (int, np.integer)):
+        from ._pcg64 import SeededUniform
+
+        rng = SeededUniform(0 if rng is None else rng)
     mags = np.array([coupling * decay**k for k in range(n - 1)])[cols - rows - 1]
     base = None
     for _ in range(max_tries):
@@ -295,9 +302,12 @@ def make_synthetic_model(
         raise NumericalError(f"no passive coupling draw in {max_tries} tries")
     del rows, cols, mags, phases, cos, sin, entries  # per-pair arrays, freed before the stack is built
 
-    f_ref = grid[0]
+    # base.real + 1j * base.imag * (freq / f_ref) at every frequency, the
+    # same element operations in the same order, in place in one stack
     mats = np.empty((len(grid), n, n), dtype=np.complex128)
-    for fi, freq in enumerate(grid):
-        mats[fi] = base.real + 1j * base.imag * (freq / f_ref)
+    mats[...] = 1j * base.imag
+    mats *= (grid.as_array() / grid[0])[:, None, None]
+    mats += base.real
     zms = ImpedanceMatrixSeries(grid, mats, dims=(n_tx, n_rx))
+    del mats  # zms holds a copy; freed before ArrayModel's checks allocate
     return ArrayModel(zms, np.ones((len(grid), n_tx), dtype=np.complex128))

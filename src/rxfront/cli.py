@@ -675,7 +675,7 @@ def _run_array(scenario: Scenario):
         model = arrays.make_synthetic_model(
             syn["n_tx"], syn["n_rx"], _as_complex(syn["self_ohms"]),
             syn["coupling_ohms"], syn["decay"], syn["frequencies_hz"],
-            rng=np.random.default_rng(syn["seed"]),
+            rng=syn["seed"],
         )
     else:
         zms = load_impedance_csv(

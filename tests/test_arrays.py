@@ -1,13 +1,14 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rxfront import cli
+from rxfront import _pcg64, cli
 from rxfront.core import (
     FrequencyGrid,
     ImpedanceMatrixSeries,
@@ -248,6 +249,8 @@ def test_synthetic_draw_matches_the_per_pair_loop():
             want = _model_from_draw_ref(selfs, coupling, decay, freqs, rng_ref)
             assert np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64)), (seed, n)
             assert rng.bit_generator.state == rng_ref.bit_generator.state
+            seeded = make_synthetic_model(1, n - 1, selfs, coupling, decay, freqs, rng=seed).zms.matrices
+            assert np.array_equal(np.asarray(seeded).view(np.uint64), want.view(np.uint64)), (seed, n)
 
 
 def test_synthetic_draw_rejects_active_draws_as_the_loop_did():
@@ -257,10 +260,45 @@ def test_synthetic_draw_rejects_active_draws_as_the_loop_did():
     want = _model_from_draw_ref(selfs, 30.0, 0.9, freqs, np.random.default_rng(3))
     assert counting.calls > 1  # some draws were not passive
     assert np.array_equal(np.asarray(got).view(np.uint64), want.view(np.uint64))
-    with pytest.raises(NumericalError, match="no passive coupling draw in 3 tries"):
-        make_synthetic_model(1, 7, selfs, 200.0, 1.0, freqs, rng=np.random.default_rng(3), max_tries=3)
+    seeded = make_synthetic_model(1, 7, selfs, 30.0, 0.9, freqs, rng=3).zms.matrices
+    assert np.array_equal(np.asarray(seeded).view(np.uint64), want.view(np.uint64))
+    for rng in (np.random.default_rng(3), 3):
+        with pytest.raises(NumericalError, match="no passive coupling draw in 3 tries"):
+            make_synthetic_model(1, 7, selfs, 200.0, 1.0, freqs, rng=rng, max_tries=3)
     with pytest.raises(NumericalError, match="no passive coupling draw in 3 tries"):
         coupling_draw_ref(selfs, 200.0, 1.0, np.random.default_rng(3), 3)
+
+
+def _seeds():
+    yield from (0, 1, 2**32 - 1, 2**32, 2**63 - 1)
+    rng = np.random.default_rng(2014)
+    for bits in rng.integers(1, 160, size=300).tolist():  # past 128 bits: more entropy than the pool
+        yield int.from_bytes(rng.bytes(20), "little") >> (160 - bits)
+
+
+def test_seeded_uniform_matches_numpy_bit_for_bit():
+    seeds = list(_seeds())
+    assert len(seeds) == 305 and max(seeds) >= 2**128
+    for seed in seeds:
+        replica, numpy_rng = _pcg64.SeededUniform(seed), np.random.default_rng(seed)
+        for size in (0, 1, 136, 1, 0, 136):  # chained calls on one generator
+            got = replica.uniform(0.0, 2.0 * math.pi, size)
+            want = numpy_rng.uniform(0.0, 2.0 * math.pi, size=size)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (seed, size)
+    assert _pcg64.SeededUniform(np.uint64(2**64 - 1)).uniform(-3.0, 5.0, 9).tobytes() == \
+        np.random.default_rng(2**64 - 1).uniform(-3.0, 5.0, size=9).tobytes()
+
+
+def test_synthetic_model_defaults_to_seed_0():
+    default = make_synthetic_model(1, 3, 50 + 5j, 5.0, 0.5, [1e6, 2e6]).zms.matrices
+    assert default.tobytes() == _model(n_rx=3, seed=0).zms.matrices.tobytes()
+
+
+def test_negative_seed_is_rejected_as_numpy_rejects_it():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        make_synthetic_model(1, 3, 50 + 5j, 1.0, 0.5, [1e6], rng=-1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.default_rng(-1)
 
 
 def _stacked_cases():
@@ -283,6 +321,32 @@ def test_stacked_solve_matches_per_frequency_oracle():
         assert np.array_equal(result.voltages, terminated_voltages_ref(z_r, v_oc, kind, z_l))
         assert np.array_equal(result.power, sum_extracted_power_ref(z_r, v_oc, kind, z_l))
         assert np.array_equal(result.offdiag_ratio, coupling_offdiag_ratio_ref(z_r, kind, z_l))
+
+
+@pytest.mark.parametrize("kind", ["per_antenna_conjugate", "full_conjugate"])
+def test_one_strategy_peaks_below_three_and_a_half_stacks(kind):
+    # load, inverse, currents and divider: Z_R + Z_L is freed before the products
+    freqs, n_rx = np.linspace(1e6, 3e6, 400), 16
+    model = make_synthetic_model(1, n_rx, 50 + 5j, 4.0, 0.5, freqs, rng=1)
+    tracemalloc.start()
+    try:
+        terminate_array(model, TerminationStrategy(kind))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * len(freqs) * n_rx**2 * 16
+
+
+def test_synthetic_model_peaks_below_three_stacks():
+    # the stack built in place, the model's copy and the validators' temporaries
+    freqs, n = np.linspace(1e6, 3e6, 400), 17
+    tracemalloc.start()
+    try:
+        make_synthetic_model(1, n - 1, 50 + 5j, 4.0, 0.5, freqs, rng=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * len(freqs) * n**2 * 16
 
 
 def test_termination_matrix_accepts_a_stack():

@@ -327,3 +327,67 @@ def test_failed_stacked_eigensolve_names_its_frequency():
         with pytest.raises(NumericalError, match="eigenvalue solve failed at frequency index 1"):
             validator(zms)
     assert math.isfinite(float(np.abs(zms.matrices).max()))
+
+
+def _repeating_stacks():
+    """Stacks whose frequencies repeat matrices: runs, alternation, all
+    distinct, and neighbours that differ only in their last entry or in the
+    sign of a zero."""
+    rng = np.random.default_rng(12)
+    for n in (1, 3, 8):
+        a = rng.normal(scale=30.0, size=(7, n, n)) + 1j * rng.normal(scale=30.0, size=(7, n, n))
+        mats = (a + a.transpose(0, 2, 1)) / 2.0 + 2.0 * n * 30.0 * np.eye(n)
+        mats[2] -= 4.0 * n * 30.0 * np.eye(n)  # not passive
+        mats[3] = mats[0]
+        mats[3, -1, -1] = np.nextafter(mats[0, -1, -1].real, np.inf) + 1j * mats[0, -1, -1].imag
+        mats[4] = mats[0]
+        mats[4, 0, 0] = 0.0
+        mats[5] = mats[4]
+        mats[5, 0, 0] = complex(-0.0, mats[4, 0, 0].imag)
+        for order in (
+            [0, 0, 0, 1, 1, 2, 2, 2, 0],  # runs
+            [0, 1, 0, 1, 0, 1],  # alternating
+            [2, 0, 2, 0, 2],
+            [0, 1, 2, 3, 4, 5, 6],  # all distinct
+            [0, 3, 3, 0, 3],  # last entry one ulp apart
+            [4, 5, 5, 4, 4, 5],  # 0.0 and -0.0
+            [6],
+        ):
+            yield mats[order]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.5])
+def test_passivity_reuses_eigenvalues_only_for_identical_neighbours(tol, monkeypatch):
+    solved, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+    for mats in _repeating_stacks():
+        zms = ImpedanceMatrixSeries(FrequencyGrid(range(1, len(mats) + 1)), mats)
+        solved.clear()
+        got = validate_passivity(zms, tol)
+        runs = 1 + sum(a.real.tobytes() != b.real.tobytes() for a, b in zip(mats[1:], mats[:-1]))
+        assert solved == [runs]
+        assert _report_fields(got) == _report_fields(validate_passivity_ref(zms, tol))
+
+
+def test_a_frequency_flat_real_part_costs_one_eigensolve(monkeypatch):
+    from rxfront.arrays import make_synthetic_model
+
+    solved, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.shape) or eigvalsh(a))
+    model = make_synthetic_model(1, 16, 50 + 5j, 4.0, 0.5, np.linspace(1e6, 3e6, 400), rng=1)
+    assert solved == [(17, 17), (1, 17, 17)]  # the draw's check, then the model's
+    report = validate_passivity(model.zms)
+    assert _report_fields(report) == _report_fields(validate_passivity_ref(model.zms))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("order, index", [
+    ([0, 0, 1, 1, 0, 1], 2), ([1, 1, 0], 0), ([0, 1, 0, 1], 1), ([0, 0, 0, 1], 3),
+])
+def test_failed_eigensolve_names_the_first_frequency_of_its_run(order, index):
+    mats = np.array([np.eye(3) * 50.0] * 2, dtype=complex) + 1.0
+    mats[1, 0, 0] = mats[1, 2, 2] = 1e308  # a symmetrized diagonal of inf
+    zms = ImpedanceMatrixSeries(FrequencyGrid(range(1, len(order) + 1)), mats[order])
+    for validator in (validate_passivity, validate_passivity_ref):
+        with pytest.raises(NumericalError, match=f"eigenvalue solve failed at frequency index {index}$"):
+            validator(zms)

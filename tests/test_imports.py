@@ -261,3 +261,20 @@ def test_main_with_numpy_loaded_leaves_the_environment_alone(tmp_path, monkeypat
     argv = ["array", "--scenario", str(ROOT / "scenarios" / "array_pair.json"), "--out", str(tmp_path / "r")]
     assert cli.main(argv) == 0
     assert dict(os.environ) == before
+
+
+@pytest.mark.skipif(
+    _fresh("import json, sys, numpy; print(json.dumps('numpy.random' in sys.modules))"),
+    reason="this numpy loads numpy.random on import",
+)
+@pytest.mark.parametrize("scenario", ["array_synthetic", "array_pair"])
+def test_array_calls_leave_numpy_random_unloaded(tmp_path, scenario):
+    # a synthetic model draws its phases from a pure-Python replica of numpy's seeded stream
+    out = tmp_path / "report.csv"
+    argv = ["array", "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"), "--out", str(out)]
+    code, loaded = _fresh(f"""
+import json, sys, rxfront.cli
+print(json.dumps([rxfront.cli.main({argv!r}), sorted(m for m in sys.modules if m.startswith('numpy.random'))]))
+""")
+    assert (code, loaded) == (0, [])
+    assert out.read_bytes() == (ROOT / "perfbench" / "reference" / f"{scenario}.csv").read_bytes()
