@@ -15,9 +15,11 @@ from importlib import import_module
 _EXPORTS = {  # submodule -> the public names it defines
     "core": (
         "BOLTZMANN", "DEFAULT_TOL", "OPEN_CIRCUIT", "ComplexImpedance", "FrequencyGrid",
-        "ImpedanceMatrixSeries", "NumericalError", "ParseError", "SingularCircuitError",
-        "TheveninSource", "ToolkitError", "ValidationError", "ValidationReport", "as_complex",
-        "johnson_density", "load_impedance_csv", "thevenin_from_link", "validate_passivity",
+        "NumericalError", "ParseError", "SingularCircuitError", "TheveninSource", "ToolkitError",
+        "ValidationError", "as_complex", "johnson_density", "thevenin_from_link",
+    ),
+    "impedance": (
+        "ImpedanceMatrixSeries", "ValidationReport", "load_impedance_csv", "validate_passivity",
         "validate_reciprocity",
     ),
     "shannon": ("AwgnChannelSpec", "capacity", "capacity_bound", "eb_n0"),

@@ -19,13 +19,11 @@ from .core import (
     OPEN_CIRCUIT,
     FrequencyGrid,
     Frozen,
-    ImpedanceMatrixSeries,
     NumericalError,
     SingularCircuitError,
     ValidationError,
-    validate_passivity,
-    validate_reciprocity,
 )
+from .impedance import ImpedanceMatrixSeries, validate_passivity, validate_reciprocity
 
 COND_WARN = 1e12
 """Condition-number threshold above which a termination solve warns.

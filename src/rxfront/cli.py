@@ -13,13 +13,13 @@ singular-circuit error, 4 I/O error.
 
 from __future__ import annotations
 
-import argparse
+import atexit
 import gc
 import json
 import math
 import os
 import sys
-from functools import cache, partial
+from functools import partial
 from itertools import count
 from pathlib import Path
 
@@ -31,11 +31,8 @@ from .core import (
     SingularCircuitError,
     ToolkitError,
     ValidationError,
-    load_impedance_csv,
     read_text,
     stack_bytes,
-    validate_passivity,
-    validate_reciprocity,
 )
 
 SUBCOMMANDS = ("validate", "capacity", "link", "noisefig", "frontend", "match", "array")
@@ -401,6 +398,8 @@ def parse_scenario(path) -> Scenario:
 def _run_validate(scenario: Scenario):
     import numpy as np
 
+    from .impedance import load_impedance_csv, validate_passivity, validate_reciprocity
+
     section = scenario.data["validate"]
     tol = section["tol"]
     if tol <= 0:  # the validators' own check, made before the CSV is read
@@ -668,6 +667,7 @@ def _run_array(scenario: Scenario):
     import numpy as np
 
     from . import arrays
+    from .impedance import load_impedance_csv
 
     section = scenario.data["array"]
     if "synthetic" in section:
@@ -801,24 +801,90 @@ def _write_text(out_path, payload: str) -> None:
         handle.write(payload)
 
 
-@cache  # built once per process: parsing arguments leaves the parser unchanged
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rxfront",
-        description="Receiver front-end termination and noise analysis.",
-        epilog="Exit codes: 0 success, 1 validation, 2 parse, 3 numerical/singular, 4 I/O.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} analysis for a scenario")
-        p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "text"), default="csv")
-        p.add_argument("--dump-normalized", action="store_true",
-                       help="print the normalized scenario instead of running")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility (must be >= 1); has no effect")
-    return parser
+_USAGE = ("usage: rxfront [-h] {" + ",".join(SUBCOMMANDS) + "} --scenario SCENARIO [--out OUT]"
+          " [--format {csv,text}] [--dump-normalized] [--jobs JOBS]\n")
+_HELP = _USAGE + """
+Receiver front-end termination and noise analysis: run one subcommand's
+analysis for a scenario file.
+
+options:
+  -h, --help           show this help message and exit
+  --scenario SCENARIO  path to a scenario JSON file
+  --out OUT            output file (default: stdout)
+  --format {csv,text}  report format (default: csv)
+  --dump-normalized    print the normalized scenario instead of running
+  --jobs JOBS          accepted for compatibility (must be >= 1); has no effect
+
+Exit codes: 0 success, 1 validation, 2 parse, 3 numerical/singular, 4 I/O.
+"""
+# Option -> its key in the parsed arguments. Before the subcommand only help is known.
+_OPTIONS = {"-h": "help", "--help": "help", "--scenario": "scenario", "--out": "out",
+            "--format": "format", "--dump-normalized": "dump_normalized", "--jobs": "jobs"}
+_TOP_OPTIONS = {"-h": "help", "--help": "help"}
+_FLAGS = {"help": "-h/--help", "dump_normalized": "--dump-normalized"}  # the options that take no value
+
+
+def _refuse(message: str):
+    """Exit 2 with the usage line and an error line on stderr, as argparse does."""
+    sys.stderr.write(f"{_USAGE}rxfront: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _read_argv(argv: list) -> dict:
+    """The subcommand and options of a command line, read as argparse read
+    them: options in any order, ``--opt=value``, a unique prefix of a long
+    option, the last of a repeated option wins. -h/--help prints the help
+    and exits 0; a malformed line exits 2 with argparse's message. Unknown
+    options and extra words are reported after the required ones are."""
+    args = {"command": None, "scenario": None, "out": None, "format": "csv", "dump_normalized": False, "jobs": 1}
+    unknown = []
+    rest = iter(argv)
+    for arg in rest:
+        if not arg.startswith("-") or arg in ("-", "--"):  # a word; "--" ends no options here
+            if args["command"] is not None:
+                unknown.append(arg)
+            elif arg in SUBCOMMANDS:
+                args["command"] = arg
+            else:
+                choices = ", ".join(map(repr, SUBCOMMANDS))
+                _refuse(f"argument command: invalid choice: {arg!r} (choose from {choices})")
+            continue
+        name, attached, value = arg.partition("=")
+        known = _OPTIONS if args["command"] else _TOP_OPTIONS
+        matches = [name] if name in known else [o for o in known if name.startswith("--") and o.startswith(name)]
+        if len(matches) > 1:
+            _refuse(f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if not matches:
+            unknown.append(arg)
+            continue
+        key = known[matches[0]]
+        if key in _FLAGS:
+            if attached:
+                _refuse(f"argument {_FLAGS[key]}: ignored explicit argument {value!r}")
+            if key == "help":
+                sys.stdout.write(_HELP)
+                raise SystemExit(0)
+            args[key] = True
+            continue
+        if not attached:
+            value = next(rest, None)
+            if value is None or value.startswith("-") and value != "-":
+                _refuse(f"argument {matches[0]}: expected one argument")
+        if key == "format" and value not in ("csv", "text"):
+            _refuse(f"argument --format: invalid choice: {value!r} (choose from 'csv', 'text')")
+        if key == "jobs":
+            try:
+                value = int(value)
+            except ValueError:
+                _refuse(f"argument --jobs: invalid int value: {value!r}")
+        args[key] = value
+    if args["command"] is None:
+        _refuse("the following arguments are required: command")
+    if args["scenario"] is None:
+        _refuse("the following arguments are required: --scenario")
+    if unknown:
+        _refuse("unrecognized arguments: " + " ".join(unknown))
+    return args
 
 
 def _numerical_errors() -> tuple:
@@ -854,25 +920,25 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    command, out = args["command"], args["out"]
     try:
-        if args.jobs < 1:
+        if args["jobs"] < 1:
             raise ParseError("--jobs must be >= 1")
-        scenario = parse_scenario(args.scenario)
-        if scenario.kind != args.command:
+        scenario = parse_scenario(args["scenario"])
+        if scenario.kind != command:
             raise ParseError(
                 f"scenario {scenario.name!r} carries a {scenario.kind!r} section, "
-                f"not {args.command!r}"
+                f"not {command!r}"
             )
-        if args.dump_normalized:
-            _write_text(args.out, json.dumps(scenario.data, indent=2, sort_keys=True) + "\n")
+        if args["dump_normalized"]:
+            _write_text(out, json.dumps(scenario.data, indent=2, sort_keys=True) + "\n")
             return 0
-        columns, ok = _RUNNERS[args.command](scenario)
-        title = f"{scenario.name} {args.command}"
-        _write_text(args.out, render_report(columns, args.format, title))
+        columns, ok = _RUNNERS[command](scenario)
+        title = f"{scenario.name} {command}"
+        _write_text(out, render_report(columns, args["format"], title))
         if not ok:
-            print(f"{args.command}: validation failed", file=sys.stderr)
+            print(f"{command}: validation failed", file=sys.stderr)
             return 1
         return 0
     except ParseError as exc:
@@ -901,16 +967,31 @@ def run() -> None:
     """Process entry point of `rxfront` and `python -m rxfront.cli`: run
     main() on sys.argv and exit with its code.
 
-    At exit the interpreter runs full garbage collections that gc.disable()
-    does not skip, over every tracked object: about 5-6 ms each once numpy
-    is loaded. gc.freeze() moves those objects to the permanent generation,
-    which the collections leave alone. Stdio is still flushed, atexit
-    handlers still run and modules are still cleared; the process ends
-    right after, so nothing frozen outlives it.
+    The process ends without the interpreter's teardown, which clears every
+    module and runs full garbage collections over every tracked object (even
+    with the collector disabled): about 3-6 ms a call. As the interpreter
+    would, it runs the atexit hooks and then flushes stdout and stderr; then
+    os._exit ends it. The CLI starts no thread that teardown would wait for.
+    A flush that fails (a closed pipe, a full disk) falls back to
+    SystemExit, so the interpreter reports it and sets the exit code as it
+    always has; gc.freeze() keeps the heap out of the collections that
+    fallback still runs.
     """
     code = main()
     gc.freeze()
-    raise SystemExit(code)
+    atexit._run_exitfuncs()
+    try:
+        _flush()
+    except (OSError, ValueError):  # ValueError: a stream closed under us
+        raise SystemExit(code)
+    os._exit(code)
+
+
+def _flush() -> None:
+    """Flush stdout and stderr; either is None in a process started without it."""
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
 
 
 if __name__ == "__main__":

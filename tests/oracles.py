@@ -198,29 +198,6 @@ def constant_current_netlist(v_oc, z_s, a, z_id, z_cm, r_out, v_c, r_c):
     return "\n".join(lines), n_node, o_node
 
 
-def renumber_netlist(text):
-    """Relabel node ids in first-seen order so they are contiguous.
-
-    Returns (new_text, mapping old->new).
-    """
-    mapping = {0: 0}
-    out = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            out.append(line)
-            continue
-        tokens = stripped.split()
-        n_refs = 4 if tokens[0][0].upper() == "E" else 2
-        for pos in range(1, 1 + n_refs):
-            old = int(tokens[pos])
-            if old not in mapping:
-                mapping[old] = len(mapping)
-            tokens[pos] = str(mapping[old])
-        out.append(" ".join(tokens))
-    return "\n".join(out), mapping
-
-
 def snr_grid_ref(re_vals, im_vals, zr_re, zr_im, s_voc, gg, n_na, two_kt):
     """Grid SNR one load at a time; singular points -inf, noiseless +inf."""
     out = np.empty((re_vals.size, im_vals.size))

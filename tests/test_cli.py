@@ -353,6 +353,76 @@ def test_jobs_must_be_positive(capsys):
     assert code == 2
 
 
+CAPACITY = str(SCENARIOS / "capacity_demo.json")
+DEFAULT_ARGS = {"command": "capacity", "scenario": CAPACITY, "out": None, "format": "csv",
+                "dump_normalized": False, "jobs": 1}
+ACCEPTED = [  # argv, and what differs from DEFAULT_ARGS
+    (["capacity", "--scenario", CAPACITY], {}),
+    (["capacity", "--format", "text", "--jobs", "2", "--scenario", CAPACITY], {"format": "text", "jobs": 2}),
+    (["capacity", "--scenario=" + CAPACITY, "--format=text", "--jobs=3"], {"format": "text", "jobs": 3}),
+    (["capacity", "--scen", CAPACITY, "--form", "text", "--j=2"], {"format": "text", "jobs": 2}),
+    (["capacity", "--scenario", "other.json", "--scenario", CAPACITY], {}),  # the last one wins
+    (["capacity", "--dump-normalized", "--scenario", CAPACITY], {"dump_normalized": True}),
+    (["capacity", "--scenario", CAPACITY, "--du"], {"dump_normalized": True}),
+    (["capacity", "--scenario", CAPACITY, "--out", "-"], {"out": "-"}),
+    (["capacity", "--scenario", CAPACITY, "--jobs=-1"], {"jobs": -1}),  # main refuses it: parse error
+]
+
+
+@pytest.mark.parametrize("argv, changed", ACCEPTED, ids=range(len(ACCEPTED)))
+def test_argv_reader_accepts_what_argparse_accepted(argv, changed):
+    assert cli._read_argv(argv) == {**DEFAULT_ARGS, **changed}
+
+
+SUBCOMMAND_CHOICES = "'validate', 'capacity', 'link', 'noisefig', 'frontend', 'match', 'array'"
+REFUSED = [  # argv, argparse's message
+    ([], "the following arguments are required: command"),
+    (["--scenario", CAPACITY], f"argument command: invalid choice: {CAPACITY!r} (choose from {SUBCOMMAND_CHOICES})"),
+    (["capa", "--scenario", CAPACITY], f"argument command: invalid choice: 'capa' (choose from {SUBCOMMAND_CHOICES})"),
+    (["capacity"], "the following arguments are required: --scenario"),
+    (["capacity", "--out", "r.csv"], "the following arguments are required: --scenario"),
+    (["capacity", "--bogus"], "the following arguments are required: --scenario"),  # before unknown ones
+    (["capacity", "--scenario", CAPACITY, "--bogus"], "unrecognized arguments: --bogus"),
+    (["--bogus", "capacity", "--scenario", CAPACITY, "extra"], "unrecognized arguments: --bogus extra"),
+    (["capacity", "--scenario", CAPACITY, "--=x"],
+     "ambiguous option: --=x could match --help, --scenario, --out, --format, --dump-normalized, --jobs"),
+    (["--", "capacity", "--scenario", CAPACITY], f"argument command: invalid choice: '--' (choose from {SUBCOMMAND_CHOICES})"),
+    (["capacity", "--scenario", CAPACITY, "--"], "unrecognized arguments: --"),
+    (["--=x", "capacity", "--scenario", CAPACITY], "argument -h/--help: ignored explicit argument 'x'"),
+    (["capacity", "--scenario", CAPACITY, "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'csv', 'text')"),
+    (["capacity", "--scenario", CAPACITY, "--jobs", "two"], "argument --jobs: invalid int value: 'two'"),
+    (["capacity", "--scenario", CAPACITY, "--jobs=1.5"], "argument --jobs: invalid int value: '1.5'"),
+    (["capacity", "--scenario"], "argument --scenario: expected one argument"),
+    (["capacity", "--scen", "--out", "r.csv"], "argument --scenario: expected one argument"),
+    (["capacity", "--scenario", CAPACITY, "--jobs", "-1"], "argument --jobs: expected one argument"),
+    (["capacity", "--scenario", CAPACITY, "--dump-normalized=yes"],
+     "argument --dump-normalized: ignored explicit argument 'yes'"),
+    (["capacity", "--scenario", CAPACITY, "--help=yes"], "argument -h/--help: ignored explicit argument 'yes'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSED, ids=range(len(REFUSED)))
+def test_argv_reader_refuses_what_argparse_refused(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exit_info.value.code, out) == (2, "")
+    assert err.splitlines() == [cli._USAGE.rstrip("\n"), f"rxfront: error: {message}"]
+    assert err.startswith("usage: rxfront ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"], ["capacity", "-h"],
+                                  ["capacity", "--scenario", CAPACITY, "--help", "--format", "xml"]])
+def test_help_exits_0_with_the_usage_line_first(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exit_info.value.code, err) == (0, "")
+    assert out.splitlines()[0] == cli._USAGE.rstrip("\n")
+    assert "--scenario SCENARIO" in out and "Exit codes:" in out
+
+
 def test_undefined_token_for_zero_power_ebn0(tmp_path, capsys):
     scen = tmp_path / "zp.json"
     scen.write_text(json.dumps({
@@ -651,9 +721,16 @@ def test_main_leaves_the_gc_state_as_it_found_it(tmp_path, capsys, enabled, case
         (gc.enable if was_enabled else gc.disable)()
 
 
+def _stdio_env(unbuffered: str) -> dict:
+    """The child environment, with PYTHONUNBUFFERED set to ``unbuffered`` ("" unsets it)."""
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": unbuffered} if unbuffered else env
+
+
 def test_process_exit_flushes_a_large_report_to_a_pipe(tmp_path):
-    # run() freezes the heap before it exits; the interpreter still flushes
-    # all of stdout, byte for byte what --out writes
+    # run() ends the process without the interpreter's teardown, after
+    # flushing stdout: all of it, byte for byte what --out writes, with
+    # stdout buffered or not
     rng = random.Random(16)
     loads = [{"label": f"z{i:05d}", "kind": "explicit",
               "z_l_ohms": {"re": rng.uniform(0.0, 500.0), "im": rng.uniform(-500.0, 500.0)}}
@@ -666,26 +743,71 @@ def test_process_exit_flushes_a_large_report_to_a_pipe(tmp_path):
     }))
     out = tmp_path / "sweep.csv"
     argv = [sys.executable, "-m", "rxfront.cli", "link", "--scenario", str(scenario)]
-    piped = subprocess.run(argv, capture_output=True, env=_child_env(), timeout=120)
-    assert (piped.returncode, piped.stderr) == (0, b"")
     assert subprocess.run([*argv, "--out", str(out)], env=_child_env(), timeout=120).returncode == 0
-    assert piped.stdout.count(b"\n") == 20_001  # the header and one row per load
-    assert piped.stdout == out.read_bytes()
+    assert out.read_bytes().count(b"\n") == 20_001  # the header and one row per load
+    for unbuffered in ("", "1"):
+        piped = subprocess.run(argv, capture_output=True, env=_stdio_env(unbuffered), timeout=120)
+        assert (piped.returncode, piped.stderr) == (0, b""), unbuffered
+        assert piped.stdout == out.read_bytes(), unbuffered
+
+
+# The exit path run() replaced, as the reference for what a failed flush does:
+# SystemExit, and the interpreter's own flush and report at shutdown.
+SYSTEM_EXIT = "import gc, rxfront.cli\ncode = rxfront.cli.main()\ngc.freeze()\nraise SystemExit(code)"
+HOOK = "import atexit, os\natexit.register(os.write, 2, b'hook ran\\n')\n"
+STDOUT_HOOK = "import atexit, sys\natexit.register(sys.stdout.write, 'written at exit\\n')\n"
+EXIT_CASES = [
+    *[([sub, "--scenario", path], "", sink, unbuffered)
+      for sub, path in (("capacity", CAPACITY), ("validate", str(SCENARIOS / "validate_pair.json")))
+      for sink in ("dev_full", "closed_pipe") for unbuffered in ("", "1")],
+    # the report goes to a file, and only a hook writes to stdout: the second flush fails
+    *[(["capacity", "--scenario", CAPACITY, "--out", os.devnull], STDOUT_HOOK, sink, "")
+      for sink in ("dev_full", "closed_pipe")],
+]
+
+
+def _exit_outcome(code: str, argv: list, sink: str, env: dict) -> tuple:
+    """Exit code and stderr of a child running ``code`` on ``argv``, its
+    stdout /dev/full or a pipe whose reading end is closed before it starts."""
+    cmd = [sys.executable, "-c", code, *argv]
+    if sink == "dev_full":
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
+        return proc.returncode, proc.stderr.decode()
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    return proc.wait(timeout=120), err.decode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv, hooks, sink, unbuffered", EXIT_CASES, ids=[
+    f"{argv[0]}{'-report_to_file' if hooks else ''}-{sink}-{'unbuffered' if unbuffered else 'buffered'}"
+    for argv, hooks, sink, unbuffered in EXIT_CASES])
+def test_a_failed_flush_at_exit_gives_the_interpreters_exit(argv, hooks, sink, unbuffered):
+    env = _stdio_env(unbuffered)
+    want = _exit_outcome(HOOK + hooks + SYSTEM_EXIT, argv, sink, env)
+    got = _exit_outcome(HOOK + hooks + "import rxfront.cli\nrxfront.cli.run()", argv, sink, env)
+    assert got == want
+    assert want[0] in (4, 120)  # main's i/o error, or the interpreter's failed flush
+    assert got[1].count("hook ran\n") == 1
 
 
 @pytest.mark.parametrize("name, sub, code", [("validate_pair", "validate", 0), ("link_crossover", "capacity", 2)])
 def test_atexit_hooks_run_on_the_process_exit_path(name, sub, code):
-    # the `python -m rxfront.cli` path, with an atexit hook registered first
+    # the `python -m rxfront.cli` path, with atexit hooks registered first;
+    # they run once, last registered first, before buffered stdout is flushed
     child = """
-import atexit, gc, runpy
+import atexit, gc, os, runpy
 atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0))
+atexit.register(os.write, 1, b"hook ran\\n")
 runpy.run_module("rxfront.cli", run_name="__main__", alter_sys=True)
 """
     proc = subprocess.run([sys.executable, "-c", child, sub, "--scenario", str(SCENARIOS / f"{name}.json")],
-                          capture_output=True, text=True, env=_child_env(), timeout=120)
+                          capture_output=True, text=True, env=_stdio_env(""), timeout=120)
     assert proc.returncode == code, proc.stderr
     report = (SCENARIOS.parent / "perfbench" / "reference" / f"{name}.csv").read_text() if code == 0 else ""
-    assert proc.stdout == report + "frozen: True\n"
+    assert proc.stdout == "hook ran\n" + report + "frozen: True\n"
 
 
 EXAMPLES = [path.stem for path in sorted(SCENARIOS.glob("*.json"))]

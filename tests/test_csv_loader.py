@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rxfront import core
+from rxfront import impedance
 from rxfront.core import (
     FrequencyGrid,
     ImpedanceMatrixSeries,
@@ -38,7 +38,7 @@ FAULTS = [
     "nan,0,0,1,0", "1e6,0,0,nan,0", "1e6,0,0,1,inf", "1e6,-1,0,1,0", "1e6,0,-1,1,0",
     "1e6,1.0,0,1,0", "1e6,0,0,1", "1e6,0,0,1,0,0", "1e6,zero,0,1,0", "0,0,0,1,0", "-1e6,0,0,1,0",
 ]
-OFFSETS = [0.0, 1e-13, 1e-9]  # relative; only 1e-9 conflicts at core.MIRROR_TOL, 1e-12
+OFFSETS = [0.0, 1e-13, 1e-9]  # relative; only 1e-9 conflicts at impedance.MIRROR_TOL, 1e-12
 
 
 def _cell(rng, text, walk):
@@ -173,7 +173,7 @@ def test_files_numpy_reads_never_take_the_line_walk(tmp_path, monkeypatch):
     path = tmp_path / "z.csv"
     path.write_text(HEADER + "\n" + _upper_triangle(60, 24))
     want = _outcome(load_impedance_csv_ref, path)
-    monkeypatch.setattr(core, "_read_lines", _wrong_route)
+    monkeypatch.setattr(impedance, "_read_lines", _wrong_route)
     assert _outcome(load_impedance_csv, path) == want
     rng = np.random.default_rng(17)
     for index in range(300):
@@ -206,13 +206,13 @@ def test_reading_by_name_loads_like_the_oracle(tmp_path, monkeypatch, name, data
     path.write_bytes(data.encode("latin-1"))
     want = _outcome(load_impedance_csv_ref, path)
     if forbidden:
-        monkeypatch.setattr(core, forbidden, _wrong_route)
+        monkeypatch.setattr(impedance, forbidden, _wrong_route)
     assert _outcome(load_impedance_csv, path) == want
 
 
 def test_the_line_walk_covers_every_suffix_numpy_decompresses():
     # a numpy release that decompresses one more suffix must fail here, not in a user's load
-    assert set(np.lib._datasource._file_openers.keys()) - {None} <= set(core._DECOMPRESSED_SUFFIXES)
+    assert set(np.lib._datasource._file_openers.keys()) - {None} <= set(impedance._DECOMPRESSED_SUFFIXES)
 
 
 def test_a_name_that_parses_as_a_url_is_read_from_disk(tmp_path, monkeypatch):
@@ -225,7 +225,7 @@ def test_a_name_that_parses_as_a_url_is_read_from_disk(tmp_path, monkeypatch):
     want = _outcome(load_impedance_csv_ref, "http://host/z.csv")
     monkeypatch.setattr(np.lib._datasource.DataSource, "_cache", no_download)
     monkeypatch.setattr(urllib.request, "urlopen", no_download)
-    monkeypatch.setattr(core, "_read_lines", _wrong_route)
+    monkeypatch.setattr(impedance, "_read_lines", _wrong_route)
     assert _outcome(load_impedance_csv, "http://host/z.csv") == want
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SUBMODULES = ("core", "shannon", "link", "noisefig", "mna", "frontend", "matching", "arrays")
+SUBMODULES = ("core", "impedance", "shannon", "link", "noisefig", "mna", "frontend", "matching", "arrays")
 
 
 def _fresh(code: str, env: dict = None):
@@ -57,8 +57,9 @@ def _link_doc(loads, optimize=None) -> dict:
 
 
 # Standard-library modules that a numpy-free call has no use for. dataclasses
-# alone costs about 13 ms of start-up, most of it in inspect.
-UNUSED_AT_STARTUP = ("csv", "dataclasses", "inspect", "numbers")
+# alone costs about 13 ms of start-up, most of it in inspect; argparse and
+# the gettext it loads about 3.4 ms, and building its parsers 5 ms more.
+UNUSED_AT_STARTUP = ("argparse", "csv", "dataclasses", "gettext", "inspect", "numbers")
 
 
 @pytest.mark.parametrize("command, scenario", [
@@ -79,6 +80,30 @@ import json, sys, rxfront.cli
 print(json.dumps(sorted(set({UNUSED_AT_STARTUP!r}) & set(sys.modules))))
 """)
     assert loaded == []
+
+
+@pytest.mark.parametrize("command, scenario, loads", [
+    (None, None, False),  # import rxfront.cli only
+    ("capacity", "capacity_demo", False),
+    ("noisefig", "noisefig_sweep", False),
+    ("link", "link_crossover", False),
+    ("match", "match_step_up", False),
+    ("frontend", "frontend_buffer", False),
+    ("frontend", "frontend_netlist", False),
+    ("validate", "validate_pair", True),
+    ("array", "array_pair", True),
+    ("array", "array_synthetic", True),
+])
+def test_only_matrix_stack_calls_load_the_impedance_module(tmp_path, command, scenario, loads):
+    run = ""
+    if command:
+        argv = [command, "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"), "--out", str(tmp_path / "r")]
+        run = f"assert rxfront.cli.main({argv!r}) == 0"
+    assert _fresh(f"""
+import json, sys, rxfront.cli
+{run}
+print(json.dumps("rxfront.impedance" in sys.modules))
+""") is loads
 
 
 def test_link_and_match_run_without_numpy(tmp_path):
