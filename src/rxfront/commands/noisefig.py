@@ -1,0 +1,56 @@
+"""``noisefig``: Friis gain, output SNR and noise factor of one amplifier
+stage over a sweep of its input resistance."""
+
+from __future__ import annotations
+
+import math
+
+from ..scenario import (
+    REQUIRED,
+    Scenario,
+    _as_complex,
+    _check_squares,
+    _cx,
+    _from_rows,
+    _list_of,
+    _num,
+    _obj,
+    _or_inf,
+    _to_float,
+)
+
+_NOISEFIG = {
+    "v_s_volts": (_cx, REQUIRED), "r_s_ohms": (_num, REQUIRED), "temp_kelvin": (_num, REQUIRED),
+    "amp": (_obj({
+        "gain": (_num, REQUIRED), "n_na_v2_per_hz": (_num, REQUIRED),
+        "r_out_ohms": (_num, REQUIRED),
+    }), REQUIRED),
+    "r_l_sweep_ohms": (_list_of(_or_inf(_num)), REQUIRED),
+}
+FIELDS = {"noisefig": (_obj(_NOISEFIG), REQUIRED)}
+
+
+def run(scenario: Scenario):
+    from .. import noisefig
+
+    section = scenario.data["noisefig"]
+    gen = noisefig.SignalGenerator(
+        _as_complex(section["v_s_volts"]), section["r_s_ohms"], section["temp_kelvin"]
+    )
+    ampd = section["amp"]
+
+    def row(r_l_token) -> tuple:
+        amp = noisefig.VoltageAmplifierStage(
+            ampd["gain"], ampd["n_na_v2_per_hz"], _to_float(r_l_token), ampd["r_out_ohms"]
+        )
+        factor = noisefig.noise_factor(gen, amp)
+        return (r_l_token, noisefig.friis_gain(gen, amp), noisefig.output_snr_friis(gen, amp), factor,
+                10.0 * math.log10(factor) if math.isfinite(factor) else math.inf, "")
+
+    try:
+        rows = [row(r_l) for r_l in section["r_l_sweep_ohms"]]
+    except OverflowError:  # output_snr_friis squares v_s, after a row's checks
+        _check_squares(("noisefig.v_s_volts", gen.v_s))
+        raise
+    names = ("r_l_ohms", "friis_gain", "output_snr", "noise_factor", "noise_figure_db", "annotations")
+    return _from_rows(names, rows), True

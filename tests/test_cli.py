@@ -14,6 +14,9 @@ import pytest
 from oracles import cells_ref, render_report_ref
 
 from rxfront import cli
+from rxfront import scenario as shared
+from rxfront.commands import link as link_command
+from rxfront.commands import match as match_command
 from rxfront.core import ParseError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -830,6 +833,16 @@ def test_text_reports_match_goldens(tmp_path, scenario):
     assert out.read_text() == (GOLDEN / "text" / f"{scenario.stem}.txt").read_text()
 
 
+@pytest.mark.parametrize("scenario", [SCENARIOS / f"{name}.json" for name in EXAMPLES]
+                         + sorted(GOLDEN.glob("*.json")), ids=lambda path: path.stem)
+def test_normalized_scenarios_match_goldens(tmp_path, scenario):
+    # every default, key and value each field table gives, as --dump-normalized writes it
+    out = tmp_path / "normalized.json"
+    argv = [scenario.stem.split("_")[0], "--scenario", str(scenario), "--dump-normalized", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / "normalized" / f"{scenario.stem}.json").read_bytes()
+
+
 # The explicit-load check against the table walk. A corpus load is mostly a
 # valid explicit load; the rest have one or more fields off. "1e999" stands
 # for that literal in the file, which JSON reads as an infinite float.
@@ -879,7 +892,7 @@ def _corpus_load(rng, i):
 
 def _walk_only(value):
     explicit = isinstance(value, dict) and value.get("kind") == "explicit"
-    out = cli._walk(cli._EXPLICIT_LOAD if explicit else cli._LOAD, value)
+    out = shared._walk(link_command._EXPLICIT_LOAD if explicit else link_command._LOAD, value)
     out.setdefault("label", out["kind"])
     return out
 
@@ -904,7 +917,7 @@ def _is_normalized(load) -> bool:
 def _dumped(monkeypatch, text):
     """The normalized scenario as --dump-normalized writes it, or the ParseError message."""
     # the scenario file is read from memory: one open() per load would dominate the test
-    monkeypatch.setattr(cli, "open", lambda path: io.StringIO(text), raising=False)
+    monkeypatch.setattr(shared, "open", lambda path: io.StringIO(text), raising=False)
     try:
         return json.dumps(cli.parse_scenario("scenario.json").data, indent=2, sort_keys=True)
     except ParseError as exc:
@@ -915,7 +928,7 @@ def _checked_and_walked(monkeypatch, text):
     """_dumped with the load check, then with the table walk alone."""
     checked = _dumped(monkeypatch, text)
     with monkeypatch.context() as patch:
-        patch.setitem(cli._LINK, "loads", (cli._list_of(_walk_only), cli._LINK["loads"][1]))
+        patch.setitem(link_command._LINK, "loads", (shared._list_of(_walk_only), link_command._LINK["loads"][1]))
         return checked, _dumped(patch, text)
 
 
@@ -927,14 +940,14 @@ def test_load_check_matches_the_table_walk(monkeypatch):
         try:
             _walk_only(json.loads(text))
             valid.append(text)
-        except cli._Invalid:
+        except shared._Invalid:
             invalid.append(text)
     assert len(valid) > 8_000 and len(invalid) > 8_000
     normalized = [text for text in valid if _is_normalized(json.loads(text))]
     assert len(normalized) > 2_500
     for text in valid:  # an already normalized load is returned as it is, any other one is copied
         load = json.loads(text)
-        assert (cli._load(load) is load) == _is_normalized(load), text
+        assert (link_command._load(load) is load) == _is_normalized(load), text
 
     for texts in (valid, normalized):
         checked, walked = (text.splitlines() for text in _checked_and_walked(monkeypatch, _link_text(texts)))
@@ -970,8 +983,8 @@ def test_near_normalized_loads_match_the_table_walk(monkeypatch, text, as_is):
     assert checked == walked
     load = json.loads(text)
     try:
-        assert (cli._load(load) is load) == as_is
-    except cli._Invalid:
+        assert (link_command._load(load) is load) == as_is
+    except shared._Invalid:
         assert not as_is and checked.startswith("ParseError: scenario: link.loads[].z_l_ohms.")
 
 
@@ -1002,14 +1015,14 @@ MIXED_COLUMNS = [
 
 def test_cells_match_the_cell_by_cell_rendering():
     for column in [*EDGE_COLUMNS.values(), *MIXED_COLUMNS]:
-        assert cli._cells(column) == cells_ref(column)
+        assert shared._cells(column) == cells_ref(column)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 10])
 def test_port_cells_join_each_rows_cells(k):
     for name in ("finite", "with_nan"):
         cells = cells_ref(EDGE_COLUMNS[name])
-        assert cli._port_cells(EDGE_COLUMNS[name], k) == [";".join(cells[i:i + k]) for i in range(0, len(cells), k)]
+        assert shared._port_cells(EDGE_COLUMNS[name], k) == [";".join(cells[i:i + k]) for i in range(0, len(cells), k)]
 
 
 def test_float_lists_convert_like_float_arrays(monkeypatch):
@@ -1018,21 +1031,36 @@ def test_float_lists_convert_like_float_arrays(monkeypatch):
     float_lists = [EDGE_FLOATS, EDGE_FLOATS + [math.nan], [math.nan], [-0.0], [1e16, 5e-324]]
     mixed = [1.5, 2, True, -0.0, math.inf]
     for column in float_lists:
-        assert cli._cells(column) == cells_ref(column) == cells_ref(np.array(column))
-    assert cli._cells(mixed) == cells_ref(mixed)
-    calls, real = [], cli.fmt
-    monkeypatch.setattr(cli, "fmt", lambda value: calls.append(value) or real(value))
-    assert cli._spec(EDGE_FLOATS)[0] == "%.12g" and calls == []
-    assert cli._spec([-0.0, math.nan])[0] == "%s" and len(calls) == 2
-    assert cli._spec(mixed)[0] == "%s" and calls[2:] == mixed
+        assert shared._cells(column) == cells_ref(column) == cells_ref(np.array(column))
+    assert shared._cells(mixed) == cells_ref(mixed)
+    calls, real = [], shared.fmt
+    monkeypatch.setattr(shared, "fmt", lambda value: calls.append(value) or real(value))
+    assert shared._spec(EDGE_FLOATS)[0] == "%.12g" and calls == []
+    assert shared._spec([-0.0, math.nan])[0] == "%s" and len(calls) == 2
+    assert shared._spec(mixed)[0] == "%s" and calls[2:] == mixed
+
+
+def test_cells_of_random_lists_are_their_fmt_cells():
+    # a float list's NaN test is its sum: a NaN, both infinities and sums that
+    # overflow to either infinity must all come out as fmt's cells
+    rng = random.Random(20_023)
+    pool = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.7e308, -1.7e308, 5e-324, 1.0 / 3.0, 3, 0, True, False,
+            "x", "inf"]
+    floats = [x for x in pool if type(x) is float]
+    columns = [[math.inf, -math.inf], [1.7e308, 1.7e308, -math.inf], [-0.0, math.nan, 1.0]]
+    for _ in range(3000):
+        source = floats if rng.random() < 0.7 else pool
+        columns.append([rng.choice(source + [rng.uniform(-1e3, 1e3)]) for _ in range(rng.randint(1, 8))])
+    for column in columns:
+        assert shared._cells(column) == list(map(shared.fmt, column)), column
 
 
 def test_string_columns_skip_fmt(monkeypatch):
-    calls, real = [], cli.fmt
-    monkeypatch.setattr(cli, "fmt", lambda value: calls.append(value) or real(value))
-    cli._cells(["inf", "x"])
+    calls, real = [], shared.fmt
+    monkeypatch.setattr(shared, "fmt", lambda value: calls.append(value) or real(value))
+    shared._cells(["inf", "x"])
     assert calls == []
-    cli._cells(["x", None])
+    shared._cells(["x", None])
     assert calls == ["x", None]
 
 
@@ -1081,7 +1109,7 @@ def test_link_report_matches_the_cell_by_cell_rendering(tmp_path, fmt_kind):
                  "optimize": {"r_max_ohms": 500.0, "x_max_ohms": 500.0}},
         "amplifier": {"gain": 10, "n_na_v2_per_hz": 1e-9, "temp_kelvin": 290},
     }))
-    columns, _ = cli._run_link(cli.parse_scenario(scenario))
+    columns, _ = link_command.run(cli.parse_scenario(scenario))
     assert len(columns["label"]) == 20_003
     assert cli.render_report(columns, fmt_kind, "sweep link") == render_report_ref(columns, fmt_kind, "sweep link")
 
@@ -1091,7 +1119,7 @@ def test_linspace_matches_numpy_bit_for_bit(span):
     # (0, 5e-324) has a step that underflows to 0: numpy's i / div * delta branch
     for start, stop in [(-span / 2.0, span / 2.0), (0.0, span), (span, 0.0), (-span, -0.0)]:
         for count in range(201):
-            got = cli._linspace(start, stop, count)
+            got = match_command._linspace(start, stop, count)
             assert all(type(x) is float for x in got)
             want = np.linspace(start, stop, count)
             assert np.array_equal(np.array(got, dtype=float).view(np.uint64), want.view(np.uint64)), (start, stop, count)

@@ -28,8 +28,28 @@ MODULES = "sorted(m for m in sys.modules if m == 'numpy' or m.startswith('rxfron
 LOADED = f"json.dumps({MODULES})"
 
 
-def test_cli_import_loads_only_core():
-    assert _fresh(f"import json, sys, rxfront.cli; print({LOADED})") == ["rxfront", "rxfront.cli", "rxfront.core"]
+def test_cli_import_loads_no_command_module():
+    loaded = _fresh(f"import json, sys, rxfront.cli; print({LOADED})")
+    assert loaded == ["rxfront", "rxfront.cli", "rxfront.core", "rxfront.scenario"]
+
+
+EXAMPLES = sorted(path.stem for path in (ROOT / "scenarios").glob("*.json"))
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_each_call_loads_only_its_own_command_module(name):
+    # under `python -m` the CLI's file runs as __main__: importing rxfront.cli
+    # as well would compile and run it a second time
+    command = name.split("_")[0]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "rxfront.cli", command, "--scenario", f"scenarios/{name}.json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (ROOT / "perfbench" / "reference" / f"{name}.csv").read_text()
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "rxfront.scenario" in imported and "rxfront.cli" not in imported
+    assert [m for m in imported if m.startswith("rxfront.commands.")] == [f"rxfront.commands.{command}"]
 
 
 @pytest.mark.parametrize("command, scenario, module", [
@@ -40,7 +60,8 @@ def test_closed_form_subcommands_run_without_numpy(tmp_path, command, scenario, 
     out = tmp_path / "report.csv"
     argv = [command, "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"), "--out", str(out)]
     loaded = _fresh(f"import json, sys, rxfront.cli; assert rxfront.cli.main({argv!r}) == 0; print({LOADED})")
-    assert loaded == sorted(["rxfront", "rxfront.cli", "rxfront.core", module])
+    assert loaded == sorted(["rxfront", "rxfront.cli", "rxfront.commands", f"rxfront.commands.{command}",
+                             "rxfront.core", "rxfront.scenario", module])
     assert out.read_text().startswith("bandwidth," if command == "capacity" else "r_l_ohms,")
 
 
@@ -122,7 +143,8 @@ import json, sys, rxfront.cli
 print(json.dumps([[rxfront.cli.main(argv) for argv in {calls!r}], {MODULES}]))
 """)
     assert codes == [0, 0, 0]
-    assert loaded == ["rxfront", "rxfront.cli", "rxfront.core", "rxfront.link", "rxfront.matching"]
+    assert loaded == ["rxfront", "rxfront.cli", "rxfront.commands", "rxfront.commands.link", "rxfront.commands.match",
+                      "rxfront.core", "rxfront.link", "rxfront.matching", "rxfront.scenario"]
     assert reports[0].read_bytes() == (ROOT / "perfbench" / "reference" / "link_crossover.csv").read_bytes()
     assert reports[1].read_text().splitlines()[-1].startswith("optimal,0,-37.6756756757,")
     assert reports[2].read_bytes() == (ROOT / "perfbench" / "reference" / "match_step_up.csv").read_bytes()

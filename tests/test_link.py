@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rxfront import cli
+from rxfront.commands import link as link_command
 from rxfront.core import (
     OPEN_CIRCUIT,
     NumericalError,
@@ -338,7 +339,7 @@ def test_array_loads_match_the_scalar_formulas_bit_for_bit(tmp_path):
         optimize = {"r_max_ohms": box.r_max, "x_max_ohms": box.x_max, "include_open": False}
         section = {"optimize": optimize} if lossy else {}
         path = _link_scenario(tmp_path / "loads.json", lnk, amp, match + loads + parts, **section)
-        columns, _ = cli._run_link(cli.parse_scenario(path))
+        columns, _ = link_command.run(cli.parse_scenario(path))
         loads = [lnk.z_r.conjugate()] * lossy + loads + [complex(*part) for part in parts]
         if lossy:
             loads.append(complex(optimize_load(lnk, amp, box)[0]))
