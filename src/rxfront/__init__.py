@@ -10,7 +10,7 @@ Public names load on first use (PEP 562): ``import rxfront`` imports no
 submodule, and ``rxfront.output_snr`` imports ``rxfront.link`` only then.
 """
 
-from importlib import import_module
+import sys
 
 _EXPORTS = {  # submodule -> the public names it defines
     "core": (
@@ -55,9 +55,16 @@ def __getattr__(name: str):
     # Not a public name: AttributeError, so `from rxfront import arrays` imports the submodule.
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    value = getattr(_load(f"{__name__}.{_MODULE_OF[name]}"), name)
     globals()[name] = value  # later lookups skip this hook
     return value
+
+
+def _load(name: str):
+    """The module ``name``, imported by the import statement's route, which
+    ``python -X importtime`` lists; every lazy import in the package uses it."""
+    __import__(name)
+    return sys.modules[name]
 
 
 def __dir__() -> list:

@@ -19,12 +19,12 @@ import json
 import os
 import sys
 
+from . import _load
 from .core import ParseError, ToolkitError, ValidationError
 from .scenario import (  # Scenario and fmt: callers use them by these names
     _ARITHMETIC_MESSAGES,
     SUBCOMMANDS,
     Scenario,  # noqa: F401
-    command_module,
     fmt,  # noqa: F401
     parse_scenario,
     render_report,
@@ -172,7 +172,7 @@ def _main(argv) -> int:
         if args["dump_normalized"]:
             _write_text(out, json.dumps(scenario.data, indent=2, sort_keys=True) + "\n")
             return 0
-        columns, ok = command_module(command).run(scenario)
+        columns, ok = _load(f"{__package__}.commands.{command}").run(scenario)
         title = f"{scenario.name} {command}"
         _write_text(out, render_report(columns, args["format"], title))
         if not ok:

@@ -1,4 +1,5 @@
-"""One module per subcommand: its scenario field tables (``FIELDS``) and its
-runner, ``run(scenario) -> (columns, ok)``. ``rxfront.scenario`` imports the
-scenario's module once it has found the scenario's section, so each call
-compiles and loads only its own subcommand's code."""
+"""One module per subcommand: ``FIELDS``, the table that checks a scenario's
+top-level keys besides ``name``, and ``run(scenario) -> (columns, ok)``, the
+report columns and whether every check passed. ``rxfront.scenario`` imports
+the scenario's module once it has found its section, so each call compiles
+and loads only its own subcommand's code."""

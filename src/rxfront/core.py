@@ -214,8 +214,8 @@ _IMPEDANCE_NAMES = frozenset({
 def __getattr__(name: str):
     if name not in _IMPEDANCE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import impedance
+    from . import _load
 
-    value = getattr(impedance, name)
+    value = getattr(_load(f"{__package__}.impedance"), name)
     globals()[name] = value  # later lookups skip this hook
     return value

@@ -13,13 +13,12 @@ inside-out follower's input-impedance advantage over the buffer exists only
 when z_cm is finite: the buffer's non-inverting input drives z_cm directly,
 while the inside-out inputs sit at virtual ground. With both inputs ideal
 the two topologies draw no current at any gain and the comparison is empty.
+The ideal-gain paths are pure Python: numpy loads only in ``_solve3``.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .core import (
     Frozen,
@@ -87,6 +86,8 @@ def _finish(source: TheveninSource, v_port: complex, v_out: complex, i_source: c
 
 
 def _solve3(matrix, rhs, label: str) -> tuple:
+    import numpy as np
+
     try:
         x = np.linalg.solve(np.asarray(matrix, dtype=np.complex128),
                             np.asarray(rhs, dtype=np.complex128))

@@ -11,7 +11,7 @@ ground. Element kinds, taken from the first character of the element name:
 
 Values are a single complex token (``50+10j``) or two real tokens (re im).
 Lines starting with ``#`` and blank lines are ignored. Parsing needs no
-numpy; only the solve (and ``MnaSolution.element_power``) imports it.
+numpy; only the solve imports it.
 """
 
 from __future__ import annotations
@@ -157,12 +157,10 @@ class MnaSolution(Frozen):
 
     def element_power(self, name: str) -> complex:
         """Complex power absorbed by the named element (passive sign convention)."""
-        import numpy as np
-
         for el in self.netlist.elements:
             if el.name == name:
                 v_drop = self.node_voltages[el.pos] - self.node_voltages[el.neg]
-                return 0.5 * v_drop * np.conj(self.element_current(name))
+                return 0.5 * v_drop * self.element_current(name).conjugate()
         raise KeyError(name)
 
     def power_balance(self) -> complex:

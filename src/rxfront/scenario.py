@@ -17,6 +17,7 @@ from functools import partial
 from itertools import count
 from pathlib import Path
 
+from . import _load
 from .core import Frozen, ParseError
 
 SUBCOMMANDS = ("validate", "capacity", "link", "noisefig", "frontend", "match", "array")
@@ -178,15 +179,6 @@ _LINK_FIELDS = {
 _DIMS = {"dims_m": (_int, REQUIRED), "dims_k": (_int, REQUIRED)}
 
 
-def command_module(kind: str):
-    """The module of one subcommand. Its ``FIELDS`` table checks the
-    scenario's top-level keys besides ``name``; its ``run(scenario)``
-    returns the report columns and whether every check passed."""
-    name = f"{__package__}.commands.{kind}"
-    __import__(name)  # the import statement's path, which -X importtime reports; importlib's is not
-    return sys.modules[name]
-
-
 def parse_scenario(path) -> Scenario:
     """Load, validate, and normalize a scenario file."""
     path = Path(path)
@@ -204,7 +196,7 @@ def parse_scenario(path) -> Scenario:
         )
     kind = present[0]
     try:
-        data = _walk({"name": (_str, OPTIONAL), **command_module(kind).FIELDS}, raw)
+        data = _walk({"name": (_str, OPTIONAL), **_load(f"{__package__}.commands.{kind}").FIELDS}, raw)
     except _Invalid as exc:
         raise ParseError(f"scenario: {exc.head}{exc.path[1:]}{exc.tail}") from None
     data.setdefault("name", path.stem)

@@ -334,7 +334,9 @@ def test_one_strategy_peaks_below_three_and_a_half_stacks(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * len(freqs) * n_rx**2 * 16
+    stack = len(freqs) * n_rx**2 * 16
+    print(f"{kind}: peak {peak / stack:.3f} stacks (bound 3.5), numpy {np.__version__}")
+    assert peak <= 3.5 * stack
 
 
 def test_synthetic_model_peaks_below_three_stacks():
@@ -346,7 +348,9 @@ def test_synthetic_model_peaks_below_three_stacks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.75 * len(freqs) * n**2 * 16
+    stack = len(freqs) * n**2 * 16
+    print(f"synthetic model: peak {peak / stack:.3f} stacks (bound 2.75), numpy {np.__version__}")
+    assert peak <= 2.75 * stack
 
 
 def test_termination_matrix_accepts_a_stack():

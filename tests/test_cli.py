@@ -535,6 +535,22 @@ def test_match_optimum_beyond_the_float_range_names_its_fields(tmp_path, capsys,
     assert (got, out, err) == (1, "", message)
 
 
+@pytest.mark.parametrize("r_in,re_z_r", [(1e150, 1e-160), (1e308, 1e-10), (1e-300, 1e300), (1e-160, 1e150)],
+                         ids=["overflow_1e310", "overflow_1e318", "underflow_1e-600", "underflow_1e-310"])
+def test_match_optimum_past_the_float_range_never_reports_a_nonfinite_snr(tmp_path, capsys, r_in, re_z_r):
+    # The quotient under the optimum's root leaves the float range where the
+    # root itself would not. Taking the root of each side first yields a
+    # finite optimum, but snr_with_transformer then squares it (n * n), which
+    # overflows: such a fix must rearrange the SNR too, or it reports inf rows.
+    scen = _edited_example(tmp_path, "match_step_up", ("match", "amp_input_resistance_ohms"), r_in)
+    doc = json.loads(scen.read_text())
+    doc["match"]["link"]["z_r_ohms"]["re"] = re_z_r
+    scen.write_text(json.dumps(doc))
+    got, out, _ = run_cli(["match", "--scenario", str(scen)], capsys)
+    snrs = [row["snr"] for row in csv.DictReader(io.StringIO(out))]
+    assert got != 0 or all(cell != "undefined" and math.isfinite(float(cell)) for cell in snrs), out
+
+
 @pytest.mark.parametrize("name,path", [
     ("link_crossover", ("link", "z_rt_ohms", "re")),
     ("link_crossover", ("link", "z_r_ohms", "re")),

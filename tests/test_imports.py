@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from rxfront import _EXPORTS  # loads no submodule
+
 ROOT = Path(__file__).resolve().parent.parent
 SUBMODULES = ("core", "impedance", "shannon", "link", "noisefig", "mna", "frontend", "matching", "arrays")
 
@@ -245,6 +247,50 @@ except AttributeError:
 from rxfront import arrays
 print(json.dumps([raised, hasattr(rxfront, "kernels"), arrays.__name__]))
 """) == [True, False, "rxfront.arrays"]
+
+
+@pytest.mark.parametrize("module, name", [(module, names[0]) for module, names in _EXPORTS.items()])
+def test_importtime_lists_the_module_a_public_name_loads(module, name):
+    # a check that reads -X importtime, as CI's import checks do, must see
+    # every module that a public name loads on first use
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", f"import rxfront; rxfront.{name}"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert f"rxfront.{module}" in imported
+
+
+def test_ideal_gain_frontend_runs_without_numpy(tmp_path):
+    # A = inf: every topology's row is a closed form in Python complex numbers
+    out = tmp_path / "report.csv"
+    argv = ["frontend", "--scenario", str(ROOT / "tests" / "golden" / "frontend_ideal.json"), "--out", str(out)]
+    assert _fresh(f"""
+import json, sys
+sys.modules["numpy"] = None  # any numpy import now raises ImportError
+import rxfront.cli
+print(json.dumps(rxfront.cli.main({argv!r})))
+""") == 0
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / "frontend_ideal.csv").read_bytes()
+
+
+def test_mna_powers_need_no_numpy_after_the_solve():
+    # the solve loads numpy; the element powers and their balance are then
+    # Python complex arithmetic, equal to the np.conj formula
+    same, balanced = _fresh(f"""
+import json, sys
+import numpy
+from rxfront import mna
+solution = mna.mna_solve(mna.parse_netlist(open({str(ROOT / "scenarios" / "divider.cir")!r}).read()))
+elements, volts = solution.netlist.elements, solution.node_voltages
+expected = [0.5 * (volts[el.pos] - volts[el.neg]) * numpy.conj(solution.element_current(el.name)) for el in elements]
+sys.modules["numpy"] = None  # any numpy import now raises ImportError
+powers = [solution.element_power(el.name) for el in elements]
+bits = lambda values: [repr(complex(value)) for value in values]  # repr tells -0.0 from 0.0
+print(json.dumps([bits(powers) == bits(expected), bits([solution.power_balance()]) == bits([sum(expected)])]))
+""")
+    assert same and balanced
 
 
 def test_netlist_parses_without_numpy():
