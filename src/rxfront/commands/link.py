@@ -35,26 +35,17 @@ _EXPLICIT_LOAD = {**_LOAD, "z_l_ohms": (_cx, REQUIRED)}
 
 
 def _load(value):
-    """One link load. A valid explicit load, nearly every load of a long
-    sweep, is accepted in one step, with the result the table walk gives:
-    the load itself if it is already that result (kind, label and z_l_ohms,
-    whose re and im are finite floats, and no other key), else a copy.
-    Every other load takes the walk, which alone builds error messages."""
-    if type(value) is dict and value.get("kind") == "explicit":
-        label, z = value.get("label", "explicit"), value.get("z_l_ohms")
-        if type(label) is str and type(z) is dict:
-            re, im = z.get("re"), z.get("im", 0)
-            if (type(re) is type(im) is float and math.isfinite(re) and math.isfinite(im)
-                    and len(z) == 2 and len(value) == 3 and "label" in value):
+    """One link load. A normalized explicit load (kind, label and z_l_ohms,
+    whose re and im are finite floats, and no other key), nearly every load
+    of a long sweep, is already what the table walk returns, and is returned
+    as it is. Every other load takes the walk, which alone builds error
+    messages."""
+    if type(value) is dict and value.get("kind") == "explicit" and len(value) == 3:
+        z = value.get("z_l_ohms")
+        if type(value.get("label")) is str and type(z) is dict and len(z) == 2:
+            re, im = z.get("re"), z.get("im")
+            if type(re) is type(im) is float and math.isfinite(re) and math.isfinite(im):
                 return value
-            if type(re) in (int, float) and type(im) in (int, float):  # bool is not a JSON number
-                try:
-                    re, im = float(re), float(im)
-                except OverflowError:  # an integer beyond the float range
-                    pass
-                else:
-                    if math.isfinite(re) and math.isfinite(im):
-                        return {"kind": "explicit", "label": label, "z_l_ohms": {"re": re, "im": im}}
     explicit = isinstance(value, dict) and value.get("kind") == "explicit"
     out = _walk(_EXPLICIT_LOAD if explicit else _LOAD, value)
     out.setdefault("label", out["kind"])

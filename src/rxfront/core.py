@@ -1,11 +1,11 @@
 """Shared numeric types, errors, and Thevenin construction.
 
-Nothing here needs numpy but ``FrequencyGrid.as_array``, which imports it
-when called. The matrix-stack half of the package
-(``ImpedanceMatrixSeries``, the validators and the CSV loader) is
-``rxfront.impedance``; its names still resolve here, importing that module on
-first use (PEP 562), so a call that never touches a matrix stack never
-compiles or loads it.
+Nothing here needs numpy but ``FrequencyGrid.as_array`` and ``solve_circuit``
+(the one solve of ``mna`` and ``frontend``), which import it when called. The
+matrix-stack half of the package (``ImpedanceMatrixSeries``, the validators
+and the CSV loader) is ``rxfront.impedance``; its names still resolve here,
+importing that module on first use (PEP 562), so a call that never touches a
+matrix stack never compiles or loads it.
 """
 
 from __future__ import annotations
@@ -180,6 +180,18 @@ class FrequencyGrid(Frozen):
         import numpy as np
 
         return np.asarray(self.points, dtype=float)
+
+
+def solve_circuit(matrix, rhs, what: str) -> list:
+    """Solution, as Python complex numbers, of one small linear circuit system
+    given as nested lists or arrays; a singular one raises
+    SingularCircuitError("<what> is singular")."""
+    import numpy as np
+
+    try:
+        return np.linalg.solve(np.asarray(matrix, dtype=np.complex128), np.asarray(rhs, dtype=np.complex128)).tolist()
+    except np.linalg.LinAlgError as exc:
+        raise SingularCircuitError(f"{what} is singular") from exc
 
 
 def thevenin_from_link(z_rt, i_t, z_r) -> TheveninSource:

@@ -13,7 +13,7 @@ inside-out follower's input-impedance advantage over the buffer exists only
 when z_cm is finite: the buffer's non-inverting input drives z_cm directly,
 while the inside-out inputs sit at virtual ground. With both inputs ideal
 the two topologies draw no current at any gain and the comparison is empty.
-The ideal-gain paths are pure Python: numpy loads only in ``_solve3``.
+The ideal-gain paths are pure Python: numpy loads only in ``core.solve_circuit``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .core import (
     TheveninSource,
     ValidationError,
     as_complex,
+    solve_circuit,
 )
 
 
@@ -85,17 +86,6 @@ def _finish(source: TheveninSource, v_port: complex, v_out: complex, i_source: c
     return FrontEndSolution(v_out, i_source, z_eff, p)
 
 
-def _solve3(matrix, rhs, label: str) -> tuple:
-    import numpy as np
-
-    try:
-        x = np.linalg.solve(np.asarray(matrix, dtype=np.complex128),
-                            np.asarray(rhs, dtype=np.complex128))
-    except np.linalg.LinAlgError as exc:
-        raise SingularCircuitError(f"{label} circuit matrix is singular") from exc
-    return complex(x[0]), complex(x[1]), complex(x[2])
-
-
 def solve_buffer(source: TheveninSource, amp: OpAmpModel) -> FrontEndSolution:
     """Unity-gain buffer: source at the non-inverting input, output fed back
     to the inverting input."""
@@ -120,7 +110,7 @@ def solve_buffer(source: TheveninSource, amp: OpAmpModel) -> FrontEndSolution:
         [1.0, 0.0, source.z_series],
     ]
     rhs = [0.0, 0.0, source.v_oc]
-    v_p, v_o, i_s = _solve3(matrix, rhs, "buffer")
+    v_p, v_o, i_s = solve_circuit(matrix, rhs, "buffer circuit matrix")
     return _finish(source, v_p, v_o, i_s)
 
 
@@ -145,7 +135,7 @@ def solve_constant_current(source: TheveninSource, amp: OpAmpModel, v_c, r_c: fl
         [1.0, -1.0, -source.z_series],
     ]
     rhs = [-v_c * y_c, 0.0, -source.v_oc]
-    v_n, v_o, i = _solve3(matrix, rhs, "constant-current")
+    v_n, v_o, i = solve_circuit(matrix, rhs, "constant-current circuit matrix")
     return _finish(source, v_o - v_n, v_o, i)
 
 

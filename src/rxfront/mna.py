@@ -11,14 +11,14 @@ ground. Element kinds, taken from the first character of the element name:
 
 Values are a single complex token (``50+10j``) or two real tokens (re im).
 Lines starting with ``#`` and blank lines are ignored. Parsing needs no
-numpy; only the solve imports it.
+numpy; only the solve imports it, to stamp the system for ``core.solve_circuit``.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import MAX_ARRAY_BYTES, Frozen, NumericalError, ParseError, SingularCircuitError
+from .core import MAX_ARRAY_BYTES, Frozen, NumericalError, ParseError, SingularCircuitError, solve_circuit
 
 RESIDUAL_TOL = 1e-10
 _LISTED_GAPS = 20  # a parse error lists the skipped node indices up to this many
@@ -54,7 +54,7 @@ class LinearNetlist(Frozen):
         if skipped:
             raise ParseError(f"netlist skips node indices {sorted(set(range(top + 1)) - nodes)}")
         sources = sum(el.kind in ("V", "E") for el in elements)
-        if (top + sources) ** 2 * 16 > MAX_ARRAY_BYTES:  # the complex MNA matrix, before it exists
+        if (top + 1 + sources) ** 2 * 16 > MAX_ARRAY_BYTES:  # the complex matrix, ground included, before it exists
             raise ParseError(
                 f"netlist with {top} nodes and {sources} sources exceeds the {MAX_ARRAY_BYTES}-byte matrix limit"
             )
@@ -177,75 +177,63 @@ def _suspect_node(matrix: np.ndarray, n_nodes: int) -> int:
     return 0
 
 
+def _max_abs(values) -> float:
+    """Largest magnitude in an array, 0 in an empty one, NaN if any is NaN."""
+    return abs(values).max(initial=0.0)
+
+
 def mna_solve(netlist: LinearNetlist) -> MnaSolution:
     """Solve the netlist; raises SingularCircuitError when no unique solution exists."""
     import numpy as np
 
     n = netlist.n_nodes
     branches = [el for el in netlist.elements if el.kind in ("V", "E")]
-    size = n + len(branches)
+    # ground is row and column 0, sliced off after stamping; branch k is n + 1 + k
+    size = n + 1 + len(branches)
     matrix = np.zeros((size, size), dtype=np.complex128)
     rhs = np.zeros(size, dtype=np.complex128)
-
-    def stamp_node(row_col: int):
-        # Ground row/column is eliminated; node k maps to index k - 1.
-        return row_col - 1 if row_col > 0 else None
-
-    for el in netlist.elements:
-        a = stamp_node(el.pos)
-        b = stamp_node(el.neg)
-        if el.kind == "Z":
-            y = 1.0 / el.value
-            if a is not None:
+    row = n
+    with np.errstate(all="ignore"):  # an overflow shows in the residual test
+        for el in netlist.elements:
+            a, b = el.pos, el.neg
+            if el.kind == "Z":
+                y = 1.0 / el.value
                 matrix[a, a] += y
-            if b is not None:
                 matrix[b, b] += y
-            if a is not None and b is not None:
                 matrix[a, b] -= y
                 matrix[b, a] -= y
-        elif el.kind == "I":
-            if a is not None:
+            elif el.kind == "I":
                 rhs[a] -= el.value
-            if b is not None:
                 rhs[b] += el.value
-
-    for k, el in enumerate(branches):
-        row = n + k
-        a = stamp_node(el.pos)
-        b = stamp_node(el.neg)
-        if a is not None:
-            matrix[a, row] += 1.0
-            matrix[row, a] += 1.0
-        if b is not None:
-            matrix[b, row] -= 1.0
-            matrix[row, b] -= 1.0
-        if el.kind == "V":
-            rhs[row] = el.value
-        else:
-            c = stamp_node(el.ctrl_pos)
-            d = stamp_node(el.ctrl_neg)
-            if c is not None:
-                matrix[row, c] -= el.value
-            if d is not None:
-                matrix[row, d] += el.value
+            else:
+                row += 1
+                matrix[a, row] += 1.0
+                matrix[row, a] += 1.0
+                matrix[b, row] -= 1.0
+                matrix[row, b] -= 1.0
+                if el.kind == "V":
+                    rhs[row] = el.value
+                else:
+                    matrix[row, el.ctrl_pos] -= el.value
+                    matrix[row, el.ctrl_neg] += el.value
+    matrix, rhs = matrix[1:, 1:], rhs[1:]
 
     try:
-        solution = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
+        values = solve_circuit(matrix, rhs, "circuit matrix")
+    except SingularCircuitError as exc:
         node = _suspect_node(matrix, n)
-        hint = f"; node {node} appears isolated" if node else ""
-        raise SingularCircuitError(f"circuit matrix is singular{hint}") from exc
+        if not node:
+            raise
+        raise SingularCircuitError(f"{exc}; node {node} appears isolated") from exc
 
-    residual = np.linalg.norm(matrix @ solution - rhs, ord=np.inf)
-    scale = (
-        np.linalg.norm(matrix, ord=np.inf) * np.linalg.norm(solution, ord=np.inf)
-        + np.linalg.norm(rhs, ord=np.inf)
-    )
-    if scale > 0 and residual / scale > RESIDUAL_TOL:
-        raise NumericalError(f"solution residual {residual / scale:.3e} exceeds {RESIDUAL_TOL}")
+    solution = np.array(values, dtype=np.complex128)
+    with np.errstate(all="ignore"):  # a NaN or inf ratio fails the test below
+        residual = _max_abs(matrix @ solution - rhs)
+        scale = _max_abs(abs(matrix).sum(axis=1)) * _max_abs(solution) + _max_abs(rhs)
+        ratio = residual / scale if scale != 0 else 0.0
+    if not ratio <= RESIDUAL_TOL:
+        raise NumericalError(f"solution residual {ratio:.3e} exceeds {RESIDUAL_TOL}")
 
-    voltages = {0: 0j}
-    for node in range(1, n + 1):
-        voltages[node] = complex(solution[node - 1])
-    currents = {el.name: complex(solution[n + k]) for k, el in enumerate(branches)}
+    voltages = dict(enumerate([0j, *values[:n]]))
+    currents = {el.name: value for el, value in zip(branches, values[n:])}
     return MnaSolution(netlist, voltages, currents)

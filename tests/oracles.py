@@ -472,3 +472,83 @@ def render_report_ref(columns, fmt_kind, title):
         lines.append(f"row {index}:")
         lines.extend(f"  {name}: {cell}" for name, cell in zip(names, row))
     return "\n".join(lines) + "\n"
+
+
+# The MNA solve as it was before ground became row and column 0 of the
+# stamped matrix: the stamping verbatim, with ground eliminated through
+# stamp_node, then np.linalg.solve and the residual test on the result.
+
+
+def mna_system_ref(netlist):
+    """(matrix, rhs, n, branches) of the netlist, ground eliminated."""
+    n = netlist.n_nodes
+    branches = [el for el in netlist.elements if el.kind in ("V", "E")]
+    size = n + len(branches)
+    matrix = np.zeros((size, size), dtype=np.complex128)
+    rhs = np.zeros(size, dtype=np.complex128)
+
+    def stamp_node(row_col: int):
+        # Ground row/column is eliminated; node k maps to index k - 1.
+        return row_col - 1 if row_col > 0 else None
+
+    for el in netlist.elements:
+        a = stamp_node(el.pos)
+        b = stamp_node(el.neg)
+        if el.kind == "Z":
+            y = 1.0 / el.value
+            if a is not None:
+                matrix[a, a] += y
+            if b is not None:
+                matrix[b, b] += y
+            if a is not None and b is not None:
+                matrix[a, b] -= y
+                matrix[b, a] -= y
+        elif el.kind == "I":
+            if a is not None:
+                rhs[a] -= el.value
+            if b is not None:
+                rhs[b] += el.value
+
+    for k, el in enumerate(branches):
+        row = n + k
+        a = stamp_node(el.pos)
+        b = stamp_node(el.neg)
+        if a is not None:
+            matrix[a, row] += 1.0
+            matrix[row, a] += 1.0
+        if b is not None:
+            matrix[b, row] -= 1.0
+            matrix[row, b] -= 1.0
+        if el.kind == "V":
+            rhs[row] = el.value
+        else:
+            c = stamp_node(el.ctrl_pos)
+            d = stamp_node(el.ctrl_neg)
+            if c is not None:
+                matrix[row, c] -= el.value
+            if d is not None:
+                matrix[row, d] += el.value
+    return matrix, rhs, n, branches
+
+
+def mna_solve_ref(netlist):
+    """(node voltages, branch currents) of the netlist, or the error message
+    the solve raised, "singular: ..." or "numerical: ..."."""
+    matrix, rhs, n, branches = mna_system_ref(netlist)
+    try:
+        solution = np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:
+        node = next((i + 1 for i in range(n) if not np.any(matrix[i]) or not np.any(matrix[:, i])), 0)
+        hint = f"; node {node} appears isolated" if node else ""
+        return f"singular: circuit matrix is singular{hint}"
+    # the infinity norms of np.linalg.norm, written so that an empty system
+    # (a ground-only netlist) gives 0 on numpy releases whose norm raises there
+    residual = abs(matrix @ solution - rhs).max(initial=0.0)
+    scale = (
+        abs(matrix).sum(axis=1).max(initial=0.0) * abs(solution).max(initial=0.0)
+        + abs(rhs).max(initial=0.0)
+    )
+    if scale > 0 and residual / scale > 1e-10:
+        return f"numerical: solution residual {residual / scale:.3e} exceeds 1e-10"
+    voltages = {0: 0j, **{node: complex(solution[node - 1]) for node in range(1, n + 1)}}
+    return voltages, {el.name: complex(solution[n + k]) for k, el in enumerate(branches)}

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,18 @@ def test_singular_netlist_exits_3(tmp_path, capsys):
     code, _, err = run_cli(["frontend", "--scenario", str(scen)], capsys)
     assert code == 3
     assert "numerical error" in err
+
+
+def test_overflowing_netlist_exits_3_with_one_line(tmp_path, capsys):
+    # the solution is -inf and the residual ratio NaN: refused, with no numpy warning
+    (tmp_path / "bad.cir").write_text("I1 1 0 1e308 0\nZ1 1 0 1e308 0\nZ2 1 0 1e308 0\n")
+    scen = tmp_path / "fe.json"
+    scen.write_text(json.dumps({"frontend": {"netlist": "bad.cir"}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(["frontend", "--scenario", str(scen)], capsys)
+    assert result == (3, "", "numerical error: solution residual nan exceeds 1e-10\n")
+    assert caught == []
 
 
 def test_validate_failure_exits_1_but_writes_report(tmp_path, capsys):

@@ -11,11 +11,13 @@ from rxfront.core import (
     ImpedanceMatrixSeries,
     NumericalError,
     ParseError,
+    SingularCircuitError,
     TheveninSource,
     ValidationError,
     as_complex,
     johnson_density,
     load_impedance_csv,
+    solve_circuit,
     thevenin_from_link,
     validate_passivity,
     validate_reciprocity,
@@ -236,3 +238,10 @@ def test_passivity_singular_eigensolve_is_flagged():
     with pytest.raises((NumericalError, ValidationError)):
         zms = ImpedanceMatrixSeries(FrequencyGrid([1e6]), mats)
         validate_passivity(zms)
+
+
+def test_solve_circuit_gives_python_complex_numbers():
+    x = solve_circuit([[2.0, 1j], [0.0, 4]], np.array([1.0, 8.0]), "test matrix")
+    assert x == [0.5 - 1j, 2 + 0j] and all(type(v) is complex for v in x)
+    with pytest.raises(SingularCircuitError, match=r"^test matrix is singular$"):
+        solve_circuit([[1.0, 2.0], [2.0, 4.0]], [1.0, 0.0], "test matrix")

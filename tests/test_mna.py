@@ -1,10 +1,14 @@
+import collections
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
+from oracles import mna_solve_ref
 
 from rxfront.core import NumericalError, ParseError, SingularCircuitError
-from rxfront.mna import LinearNetlist, mna_solve, parse_netlist
+from rxfront.mna import Element, LinearNetlist, mna_solve, parse_netlist
 
 DIVIDER = """
 # series divider, 1 V across 50 + 100 ohm
@@ -149,6 +153,85 @@ def test_netlist_over_the_matrix_size_limit_is_a_parse_error():
         parse_netlist(text)
 
 
+@pytest.mark.parametrize("top, refused", [(11_584, False), (11_585, True)])
+def test_the_size_limit_charges_the_matrix_with_its_ground_row(top, refused):
+    # mna_solve allocates (top + 1)^2 complex entries: 11,585^2 * 16 fits 2 GiB, 11,586^2 * 16 does not
+    text = "\n".join(f"Z{i} {i} {i - 1} 1 0" for i in range(1, top + 1))
+    if refused:
+        with pytest.raises(ParseError, match="byte matrix limit"):
+            parse_netlist(text)
+    else:
+        assert parse_netlist(text).n_nodes == top
+
+
 def test_a_few_skipped_node_indices_are_listed():
     with pytest.raises(ParseError, match=r"skips node indices \[2, 3\]"):
         parse_netlist("V1 1 0 1 0\nZ1 4 0 1 0\n")
+
+
+# Overflowing netlists: the first solves to -inf, the second stamps an
+# infinite admittance. Each residual ratio is NaN.
+OVERFLOWING = {
+    "infinite_solution": "I1 1 0 1e308 0\nZ1 1 0 1e308 0\nZ2 1 0 1e308 0",
+    "infinite_stamp": "Z1 1 0 1e-308 0\nZ2 1 0 1e-308 0",
+}
+
+
+@pytest.mark.parametrize("text", OVERFLOWING.values(), ids=OVERFLOWING)
+def test_overflow_is_refused_without_warnings(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^solution residual nan exceeds 1e-10$"):
+            mna_solve(parse_netlist(text))
+
+
+def _random_netlist(rng):
+    """1 to 8 Z, V, I and E elements on up to 7 nodes, renumbered so that the
+    used nodes are contiguous. One netlist in 20 joins only ground to ground."""
+    top = rng.randint(1, 7)
+    ground_only = rng.random() < 0.05
+    raw = []
+    for i in range(rng.randint(1, 8)):
+        kind = rng.choice("ZI" if ground_only else "ZZZVIE")
+        nodes = [0 if ground_only else rng.randint(0, top) for _ in range(4 if kind == "E" else 2)]
+        if rng.random() < 0.1:
+            nodes[1] = nodes[0]  # joins a node to itself
+        if rng.random() < 0.3:
+            value = complex(rng.choice([1, 2, 50, 1000]))
+        else:
+            value = complex(rng.uniform(-1, 1) * 10 ** rng.uniform(-3, 6), rng.uniform(-1, 1) * 10 ** rng.uniform(-3, 6))
+        raw.append((kind, f"{kind}{i}", nodes, value))
+    renumber = {node: new for new, node in enumerate(sorted({0, *(n for *_, nodes, _ in raw for n in nodes)}))}
+    elements = []
+    for kind, name, nodes, value in raw:
+        pos, neg, *ctrl = (renumber[n] for n in nodes)
+        elements.append(Element(kind, name, pos, neg, value, *ctrl))
+    return LinearNetlist(tuple(elements))
+
+
+def _bits(values: dict) -> dict:
+    return {key: (value.real.hex(), value.imag.hex()) for key, value in values.items()}
+
+
+def test_solve_matches_the_ground_eliminated_system_bit_for_bit():
+    rng = random.Random(4_321)
+    outcomes = collections.Counter()
+    for _ in range(3_200):
+        netlist = _random_netlist(rng)
+        want = mna_solve_ref(netlist)
+        try:
+            sol = mna_solve(netlist)
+        except SingularCircuitError as exc:
+            got = f"singular: {exc}"
+        except NumericalError as exc:
+            got = f"numerical: {exc}"
+        else:
+            got = sol.node_voltages, sol.branch_currents
+        if isinstance(want, str):
+            assert got == want, netlist
+            outcomes["isolated node" if want.endswith("appears isolated") else want] += 1
+        else:
+            assert not isinstance(got, str), (got, netlist)
+            assert [_bits(part) for part in got] == [_bits(part) for part in want], netlist
+            outcomes["ground only" if got[0] == {0: 0j} and not got[1] else "solved"] += 1
+    assert min(outcomes.values()) >= 50 and len(outcomes) == 4, outcomes
