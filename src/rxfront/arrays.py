@@ -172,9 +172,7 @@ def _offdiag_ratio(divider: np.ndarray) -> np.ndarray:
     diag[:, ports, ports] = divider[:, ports, ports]
     divider[:, ports, ports] = 0.0
     diag_norm = _frobenius(diag)
-    off_norm = _frobenius(divider)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(diag_norm == 0, math.inf, off_norm / diag_norm)
+    return np.where(diag_norm == 0, math.inf, _frobenius(divider) / diag_norm)
 
 
 def _check_condition(cond: np.ndarray, indices: np.ndarray) -> None:
@@ -188,7 +186,7 @@ def _check_condition(cond: np.ndarray, indices: np.ndarray) -> None:
         warnings.warn(
             f"ill-conditioned termination at frequency index {index}: cond={value:.3e}",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -204,8 +202,26 @@ def terminate_array(model: ArrayModel, strategy: TerminationStrategy) -> ArrayTe
     COND_WARN), or at every index if the solve meets a zero pivot; the error
     then names the worst-conditioned index. The warnings and errors are
     those of an SVD at every frequency.
+
+    numpy's floating-point warnings are off while it runs. A V_oc, voltage
+    or power that leaves the float range raises NumericalError naming the
+    earliest such frequency index. An off-diagonal ratio of inf, where the
+    divider's diagonal is zero, is a result, not an overflow.
     """
-    v_oc = open_circuit_voltages(model)
+    with np.errstate(all="ignore"):
+        v_oc = open_circuit_voltages(model)
+        result = _terminate(model, strategy, v_oc)
+    names = ("open-circuit voltage", "voltage", "power")
+    finite = [np.isfinite(values).reshape(len(v_oc), -1).all(axis=1)
+              for values in (v_oc, result.voltages, result.power)]
+    index = int(np.argmin(np.logical_and.reduce(finite)))  # the earliest index where one is not
+    for name, ok in zip(names, finite):
+        if not ok[index]:
+            raise NumericalError(f"{strategy.kind}: {name} at frequency index {index} is outside the float range")
+    return result
+
+
+def _terminate(model: ArrayModel, strategy: TerminationStrategy, v_oc: np.ndarray) -> ArrayTermination:
     if strategy.kind == "open_circuit":
         zeros = np.zeros(len(v_oc))
         return ArrayTermination(v_oc, zeros, zeros.copy())
@@ -221,8 +237,7 @@ def terminate_array(model: ArrayModel, strategy: TerminationStrategy) -> ArrayTe
         _check_condition(cond, np.arange(len(cond)))
         index = int(np.argmax(cond))
         raise SingularCircuitError(f"singular termination at frequency index {index}") from exc
-    with np.errstate(all="ignore"):  # an overflowing bound is inf or nan: a suspect
-        bound = _frobenius(total) * _frobenius(inverse)
+    bound = _frobenius(total) * _frobenius(inverse)  # an overflowing bound is inf or nan: a suspect
     suspects = np.flatnonzero(~(bound <= COND_WARN * 1e-2))
     if suspects.size:
         _check_condition(np.linalg.cond(total[suspects]), suspects)
@@ -273,39 +288,40 @@ def make_synthetic_model(
         raise ValidationError("self-impedances must have positive real part")
     grid = FrequencyGrid(frequencies)  # checked before the scaling divides by its first point
 
-    # One uniform phase per pair i < j, row by row (np.triu_indices order),
-    # from the stream a per-pair loop would read, and C_ij = C_ji =
-    # decay ** (j - i - 1) * (cos + j sin) of that phase, with math's cos and
-    # sin. The product is complex(mag, 0.0) * complex(cos, sin), so an entry
-    # of magnitude 0 keeps the signed zeros it has always had.
-    rows, cols = np.triu_indices(n, 1)
-    if rng is None or isinstance(rng, (int, np.integer)):
-        from ._pcg64 import SeededUniform
+    with np.errstate(all="ignore"):  # an overflow is inf, which eigvalsh or the model's checks refuse
+        # One uniform phase per pair i < j, row by row (np.triu_indices order),
+        # from the stream a per-pair loop would read, and C_ij = C_ji =
+        # decay ** (j - i - 1) * (cos + j sin) of that phase, with math's cos and
+        # sin. The product is complex(mag, 0.0) * complex(cos, sin), so an entry
+        # of magnitude 0 keeps the signed zeros it has always had.
+        rows, cols = np.triu_indices(n, 1)
+        if rng is None or isinstance(rng, (int, np.integer)):
+            from ._pcg64 import SeededUniform
 
-        rng = SeededUniform(0 if rng is None else rng)
-    mags = np.array([coupling * decay**k for k in range(n - 1)])[cols - rows - 1]
-    base = None
-    for _ in range(max_tries):
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=rows.size).tolist()
-        cos = np.fromiter(map(math.cos, phases), np.float64, rows.size)
-        sin = np.fromiter(map(math.sin, phases), np.float64, rows.size)
-        entries = np.empty(rows.size, dtype=np.complex128)
-        entries.real, entries.imag = mags * cos - 0.0 * sin, mags * sin + 0.0 * cos
-        mat = np.diag(selfs).astype(np.complex128)
-        mat[rows, cols] = mat[cols, rows] = entries
-        if np.linalg.eigvalsh((mat.real + mat.real.T) / 2.0)[0] >= 0:
-            base = mat
-            break
-    if base is None:
-        raise NumericalError(f"no passive coupling draw in {max_tries} tries")
-    del rows, cols, mags, phases, cos, sin, entries  # per-pair arrays, freed before the stack is built
+            rng = SeededUniform(0 if rng is None else rng)
+        mags = np.array([coupling * decay**k for k in range(n - 1)])[cols - rows - 1]
+        base = None
+        for _ in range(max_tries):
+            phases = rng.uniform(0.0, 2.0 * math.pi, size=rows.size).tolist()
+            cos = np.fromiter(map(math.cos, phases), np.float64, rows.size)
+            sin = np.fromiter(map(math.sin, phases), np.float64, rows.size)
+            entries = np.empty(rows.size, dtype=np.complex128)
+            entries.real, entries.imag = mags * cos - 0.0 * sin, mags * sin + 0.0 * cos
+            mat = np.diag(selfs).astype(np.complex128)
+            mat[rows, cols] = mat[cols, rows] = entries
+            if np.linalg.eigvalsh((mat.real + mat.real.T) / 2.0)[0] >= 0:
+                base = mat
+                break
+        if base is None:
+            raise NumericalError(f"no passive coupling draw in {max_tries} tries")
+        del rows, cols, mags, phases, cos, sin, entries  # per-pair arrays, freed before the stack is built
 
-    # base.real + 1j * base.imag * (freq / f_ref) at every frequency, the
-    # same element operations in the same order, in place in one stack
-    mats = np.empty((len(grid), n, n), dtype=np.complex128)
-    mats[...] = 1j * base.imag
-    mats *= (grid.as_array() / grid[0])[:, None, None]
-    mats += base.real
-    zms = ImpedanceMatrixSeries(grid, mats, dims=(n_tx, n_rx))
-    del mats  # zms holds a copy; freed before ArrayModel's checks allocate
-    return ArrayModel(zms, np.ones((len(grid), n_tx), dtype=np.complex128))
+        # base.real + 1j * base.imag * (freq / f_ref) at every frequency, the
+        # same element operations in the same order, in place in one stack
+        mats = np.empty((len(grid), n, n), dtype=np.complex128)
+        mats[...] = 1j * base.imag
+        mats *= (grid.as_array() / grid[0])[:, None, None]
+        mats += base.real
+        zms = ImpedanceMatrixSeries(grid, mats, dims=(n_tx, n_rx))
+        del mats  # zms holds a copy; freed before ArrayModel's checks allocate
+        return ArrayModel(zms, np.ones((len(grid), n_tx), dtype=np.complex128))

@@ -24,6 +24,7 @@ from rxfront.arrays import (
     terminate_array,
     termination_matrix,
 )
+from rxfront.impedance import load_impedance_csv
 from oracles import (
     cond_check_ref,
     coupling_draw_ref,
@@ -197,6 +198,29 @@ def test_offdiag_ratio_properties():
     assert np.all(r == 0.0)
     coupled = terminate_array(model, TerminationStrategy("per_antenna_conjugate")).offdiag_ratio
     assert np.all(coupled > 0.0)
+
+
+def test_zero_diagonal_divider_gives_an_inf_ratio_and_no_warning():
+    # a zero load shorts every port: the divider is 0, and its ratio is the
+    # documented inf flag, not an overflow
+    model = _model(n_rx=3, seed=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = terminate_array(model, TerminationStrategy("explicit", np.zeros((3, 3))))
+    assert result.offdiag_ratio.tolist() == [math.inf, math.inf]
+    assert not result.voltages.any() and not result.power.any()
+
+
+@pytest.mark.parametrize("kind", ["open_circuit", "per_antenna_conjugate", "full_conjugate"])
+def test_an_overflowing_termination_is_refused_at_its_first_frequency(kind):
+    # |z_rt| is about 20.6 ohms, so a 1e308 A current at frequency index 1
+    # gives a V_oc outside the float range there and nowhere else
+    zms = load_impedance_csv(SCENARIOS / "coupled_pair.csv", (1, 1))
+    model = ArrayModel(zms, np.array([[1.0], [1e308], [1e308]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"^{kind}: .* at frequency index 1 is outside the float range$"):
+            terminate_array(model, TerminationStrategy(kind))
 
 
 def test_synthetic_rejects_bad_parameters():

@@ -17,6 +17,8 @@ such as 10**20, which is tested on the netlist parser alone.
 """
 
 import copy
+import csv
+import io
 import json
 import shutil
 import warnings
@@ -128,6 +130,115 @@ def test_single_field_edit_exits_0_to_4(workdir):
                     warnings.simplefilter("ignore")
                     code = cli.main(argv)
                 assert code in (0, 1, 2, 3, 4), (name, path, value, extra)
+
+
+REFERENCE = SCENARIOS.parent / "perfbench" / "reference"
+NONFINITE = {"inf", "-inf", "undefined"}
+
+
+def _nonfinite_columns(report: str) -> set:
+    """The columns of a CSV report that hold an inf or undefined cell, in a
+    port list ("1;inf") or an annotation ("offdiag_ratio=inf") too."""
+    header, *rows = csv.reader(io.StringIO(report))
+    return {name for j, name in enumerate(header) for row in rows
+            if any(part.rpartition("=")[2] in NONFINITE for part in row[j].split(";"))}
+
+
+def _case(name, path, value) -> str:
+    return f"{name}: {'.'.join(map(str, path))} = {'delete' if value is DELETE else json.dumps(value)}"
+
+
+# Single-field edits whose exit-0 report prints a non-finite cell in a column
+# that the shipped report prints finite, with those columns. An overflow
+# printed as inf is a fault that should exit 3; each one mended leaves this
+# list, and test_exit_0_nonfinite_cells_are_the_listed_ones fails until it does.
+REMAINING_OVERFLOWS = {
+    "frontend_buffer: frontend.source.v_oc_volts.re = 1e+308": "p_extracted_w",
+    "frontend_buffer: frontend.source.v_oc_volts.re = -1e+308": "p_extracted_w",
+    "frontend_buffer: frontend.source.v_oc_volts.im = 1e+308": "p_extracted_w",
+    "frontend_buffer: frontend.source.v_oc_volts.im = -1e+308": "p_extracted_w",
+    "frontend_buffer: frontend.opamp.z_id_ohms.re = 1e+308": "z_eff_re_ohms",
+    "frontend_buffer: frontend.opamp.z_id_ohms.re = 1e-300": "z_eff_im_ohms,z_eff_re_ohms",  # i_source 0: wrong
+    "frontend_buffer: frontend.opamp.z_id_ohms.im = 1e+308": "z_eff_im_ohms",
+    "frontend_buffer: frontend.opamp.z_id_ohms.im = -1e+308": "z_eff_im_ohms",
+    "frontend_buffer: frontend.opamp.r_out_ohms = 1e+308": "z_eff_im_ohms,z_eff_re_ohms",  # i_source 0: wrong
+    "frontend_buffer: frontend.constant_current.v_c_volts.re = 1e+308": "p_extracted_w",
+    "frontend_buffer: frontend.constant_current.v_c_volts.re = -1e+308": "p_extracted_w",
+    "frontend_buffer: frontend.constant_current.v_c_volts.im = 1e+308": "p_extracted_w",
+    "frontend_buffer: frontend.constant_current.v_c_volts.im = -1e+308": "p_extracted_w",
+    "frontend_buffer: frontend.gain_sweep.0 = 1e+308": "z_eff_re_ohms",
+    "frontend_buffer: frontend.gain_sweep.1 = 1e+308": "z_eff_re_ohms",
+    "frontend_buffer: frontend.gain_sweep.2 = 1e+308": "z_eff_re_ohms",
+    "frontend_buffer: frontend.gain_sweep.3 = 1e+308": "z_eff_re_ohms",
+    "link_crossover: link.s_it_a2_per_hz = 1e+308": "extracted_power_w_per_hz,snr",
+    "link_crossover: amplifier.gain = 1e+308": "annotations,snr",
+    "match_step_up: match.link.s_it_a2_per_hz = 1e+308": "snr",
+    "match_step_up: amplifier.gain = 1e+308": "snr",
+    "noisefig_sweep: noisefig.r_s_ohms = 1e+308": "friis_gain",
+    "noisefig_sweep: noisefig.amp.gain = 1e+308": "friis_gain,output_snr",
+    "noisefig_sweep: noisefig.amp.n_na_v2_per_hz = 1e+308": "noise_factor,noise_figure_db",
+    **{f"noisefig_sweep: noisefig.r_l_sweep_ohms.{i} = 1e-300": "noise_factor,noise_figure_db" for i in range(6)},
+}
+# The same, where the non-finite cell is a documented result: no signal
+# (Eb/N0 at zero power, a zero source current), no noise, or a label.
+DOCUMENTED_FLAGS = {
+    "capacity_demo: capacity.power = 0": "eb_n0",
+    "frontend_buffer: frontend.source.v_oc_volts = {\"re\": 0, \"im\": 0}": "z_eff_im_ohms,z_eff_re_ohms",
+    "frontend_buffer: frontend.source.v_oc_volts.re = 0": "z_eff_im_ohms,z_eff_re_ohms",
+    "frontend_buffer: frontend.opamp.z_id_ohms = \"inf\"": "z_eff_im_ohms,z_eff_re_ohms",
+    "frontend_buffer: frontend.opamp.z_id_ohms = delete": "z_eff_im_ohms,z_eff_re_ohms",
+    "link_crossover: amplifier.n_na_v2_per_hz = 0": "snr",
+    "noisefig_sweep: noisefig.r_s_ohms = 0": "noise_factor,noise_figure_db",
+    **{f"link_crossover: link.loads.{i}.label = \"inf\"": "label" for i in range(4)},
+}
+
+
+def test_exit_0_nonfinite_cells_are_the_listed_ones(workdir):
+    # every edit x the whole pool through main(), with warnings recorded: no
+    # edit may warn, and the non-finite cells of the exit-0 reports must be
+    # exactly the listed ones
+    found, warned = {}, {}
+    report = workdir / "report"
+    for name, path in EDITS:
+        shipped = (REFERENCE / f"{name}.csv").read_text()
+        finite = set(shipped.partition("\n")[0].split(",")) - _nonfinite_columns(shipped)
+        for value in POOL:
+            scenario = _write_edit(workdir, name, path, value)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main([name.split("_")[0], "--scenario", str(scenario), "--out", str(report)])
+            if caught:
+                warned[_case(name, path, value)] = sorted({str(w.message) for w in caught})
+            columns = sorted(_nonfinite_columns(report.read_text()) & finite) if code == 0 else []
+            if columns:
+                found[_case(name, path, value)] = ",".join(columns)
+    assert warned == {}
+    assert found == {**REMAINING_OVERFLOWS, **DOCUMENTED_FLAGS}
+
+
+# Edits that once printed inf or undefined at exit 0, or a numpy warning
+# before their message: each exits with one stderr line, warnings as errors.
+REFUSED = [
+    *((("array_pair", ("array", "i_t_amperes", 0, part), sign * 1e308), 3, "numerical error: ")
+      for part in ("re", "im") for sign in (1, -1)),
+    (("array_synthetic", ("array", "synthetic", "frequencies_hz", 0), 1e-300), 3, "numerical error: "),
+    (("array_synthetic", ("array", "synthetic", "frequencies_hz", 2), 1e308), 3, "numerical error: "),
+    (("array_synthetic", ("array", "synthetic", "self_ohms", "re"), 1e308), 3, "numerical error: "),
+    (("array_synthetic", ("array", "synthetic", "coupling_ohms"), 1e308), 3, "numerical error: "),
+    (("array_synthetic", ("array", "synthetic", "self_ohms", "im"), 1e308), 1, "validation error: "),
+    (("array_synthetic", ("array", "synthetic", "self_ohms", "im"), -1e308), 1, "validation error: "),
+]
+
+
+@pytest.mark.parametrize("edit,code,prefix", REFUSED, ids=[_case(*edit) for edit, _, _ in REFUSED])
+def test_overflowing_array_edit_exits_with_one_line(workdir, capsys, edit, code, prefix):
+    scenario = _write_edit(workdir, *edit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["array", "--scenario", str(scenario)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
 
 
 @pytest.mark.parametrize("index", [10**8, 10**20], ids=["1e8", "1e20"])
