@@ -166,13 +166,16 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
 
 
 def _offdiag_ratio(divider: np.ndarray) -> np.ndarray:
-    """Off-diagonal over diagonal Frobenius norm per matrix; divider is overwritten."""
+    """Off-diagonal over diagonal Frobenius norm per matrix; divider is
+    overwritten. A zero diagonal gives inf, and a ratio outside the float
+    range NaN, so that inf means a zero diagonal only."""
     ports = np.arange(divider.shape[-1])
     diag = np.zeros_like(divider)
     diag[:, ports, ports] = divider[:, ports, ports]
     divider[:, ports, ports] = 0.0
     diag_norm = _frobenius(diag)
-    return np.where(diag_norm == 0, math.inf, _frobenius(divider) / diag_norm)
+    ratio = _frobenius(divider) / diag_norm
+    return np.where(diag_norm == 0, math.inf, np.where(np.isfinite(ratio), ratio, math.nan))
 
 
 def _check_condition(cond: np.ndarray, indices: np.ndarray) -> None:
@@ -206,7 +209,8 @@ def terminate_array(model: ArrayModel, strategy: TerminationStrategy) -> ArrayTe
     numpy's floating-point warnings are off while it runs. A V_oc, voltage
     or power that leaves the float range raises NumericalError naming the
     earliest such frequency index. An off-diagonal ratio of inf, where the
-    divider's diagonal is zero, is a result, not an overflow.
+    divider's diagonal is zero, is a result; one outside the float range is
+    NaN, which the report refuses.
     """
     with np.errstate(all="ignore"):
         v_oc = open_circuit_voltages(model)
@@ -264,7 +268,8 @@ def make_synthetic_model(
     The full (n_tx + n_rx)-port matrix is D + coupling * C with D the diagonal
     of self-impedances and C a symmetric random-phase coupling matrix whose
     magnitude decays geometrically with port index distance. Draws failing
-    passivity are rejected. Reactances scale with frequency relative to the
+    passivity are rejected, and a draw whose real part leaves the float range
+    raises NumericalError. Reactances scale with frequency relative to the
     first grid point; real parts are frequency-flat. Every transmit port
     carries a unit current at every frequency.
 
@@ -288,7 +293,7 @@ def make_synthetic_model(
         raise ValidationError("self-impedances must have positive real part")
     grid = FrequencyGrid(frequencies)  # checked before the scaling divides by its first point
 
-    with np.errstate(all="ignore"):  # an overflow is inf, which eigvalsh or the model's checks refuse
+    with np.errstate(all="ignore"):  # an overflow is inf, which the draw's or the model's checks refuse
         # One uniform phase per pair i < j, row by row (np.triu_indices order),
         # from the stream a per-pair loop would read, and C_ij = C_ji =
         # decay ** (j - i - 1) * (cos + j sin) of that phase, with math's cos and
@@ -309,7 +314,10 @@ def make_synthetic_model(
             entries.real, entries.imag = mags * cos - 0.0 * sin, mags * sin + 0.0 * cos
             mat = np.diag(selfs).astype(np.complex128)
             mat[rows, cols] = mat[cols, rows] = entries
-            if np.linalg.eigvalsh((mat.real + mat.real.T) / 2.0)[0] >= 0:
+            sym = (mat.real + mat.real.T) / 2.0
+            if not np.isfinite(sym).all():  # eigvalsh would not converge on it
+                raise NumericalError("the synthetic impedance matrix is outside the float range")
+            if np.linalg.eigvalsh(sym)[0] >= 0:
                 base = mat
                 break
         if base is None:

@@ -3,9 +3,12 @@
 Scenario files are JSON with unit-suffixed keys (``re_ohms``, ``temp_kelvin``)
 and the literal token ``"inf"`` wherever an infinite value is meaningful.
 Reports are CSV (default) or indented text with numbers rendered to 12
-significant digits; exact zeros print as ``0`` and non-finite values as
-``inf`` / ``undefined``. Row order is fixed, so identical inputs give
-byte-identical reports.
+significant digits; exact zeros print as ``0``. A float prints ``inf`` only
+in the flag columns a command module lists in ``FLAGS``, where inf is a
+result (an SNR without noise, an open-circuit load); any other non-finite
+float exits 3 before the report is written (``scenario.check_range``).
+``undefined`` marks a quantity with no value, such as Eb/N0 at zero power.
+Row order is fixed, so identical inputs give byte-identical reports.
 
 Exit codes: 0 success, 1 validation failure, 2 parse error, 3 numerical or
 singular-circuit error, 4 I/O error.
@@ -25,6 +28,7 @@ from .scenario import (  # Scenario and fmt: callers use them by these names
     _ARITHMETIC_MESSAGES,
     SUBCOMMANDS,
     Scenario,  # noqa: F401
+    check_range,
     fmt,  # noqa: F401
     parse_scenario,
     render_report,
@@ -172,7 +176,9 @@ def _main(argv) -> int:
         if args["dump_normalized"]:
             _write_text(out, json.dumps(scenario.data, indent=2, sort_keys=True) + "\n")
             return 0
-        columns, ok = _load(f"{__package__}.commands.{command}").run(scenario)
+        module = _load(f"{__package__}.commands.{command}")
+        columns, ok = module.run(scenario)
+        check_range(columns, module.FLAGS)
         title = f"{scenario.name} {command}"
         _write_text(out, render_report(columns, args["format"], title))
         if not ok:

@@ -23,6 +23,7 @@ from ..scenario import (
     _port_cells,
     _str,
     _walk,
+    check_range,
 )
 
 
@@ -96,6 +97,7 @@ def _array(value):
 
 
 FIELDS = {"array": (_array, REQUIRED)}
+FLAGS = ("offdiag_ratio",)  # the annotation's ratio, inf where the divider's diagonal is zero
 
 
 def run(scenario: Scenario):
@@ -140,14 +142,17 @@ def run(scenario: Scenario):
     n_freqs, n_rx = solved[0].voltages.shape
     volts = flat("voltages")
     re, im = volts.real, volts.imag
-    phases = list(map(math.atan2, im.tolist(), re.tolist()))  # np.arctan2 can differ in the last bit
+    phases = np.array(list(map(math.atan2, im.tolist(), re.tolist())))  # np.arctan2 can differ in the last bit
+    mags, ratios = np.hypot(re, im), flat("offdiag_ratio")  # hypot: abs() of each voltage, to the last bit
+    # the numbers this runner formats itself pass the report's rule first; a row is a report row of n_rx ports
+    check_range({"v_mag_volts": mags.reshape(-1, n_rx), "v_phase_rad": phases.reshape(-1, n_rx),
+                 "offdiag_ratio": ratios}, FLAGS)
     columns = {
         "freq_hz": np.repeat(model.zms.grid.as_array(), len(solved)),
         "strategy": labels * n_freqs,
         "sum_power_w": flat("power"),
-        "v_mag_volts": _port_cells(np.hypot(re, im), n_rx),  # abs() of each voltage, to the last bit
-        "v_phase_rad": _port_cells(np.array(phases), n_rx),
-        "annotations": [f"offdiag_ratio={cell}{note}"
-                        for cell, note in zip(_cells(flat("offdiag_ratio")), notes * n_freqs)],
+        "v_mag_volts": _port_cells(mags, n_rx),
+        "v_phase_rad": _port_cells(phases, n_rx),
+        "annotations": [f"offdiag_ratio={cell}{note}" for cell, note in zip(_cells(ratios), notes * n_freqs)],
     }
     return columns, True

@@ -9,6 +9,7 @@ _CAPACITY = {
     "bandwidths": (_list_of(_num), REQUIRED),
 }
 FIELDS = {"capacity": (_obj(_CAPACITY), REQUIRED)}
+FLAGS = ()
 
 
 def run(scenario: Scenario):

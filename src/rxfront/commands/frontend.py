@@ -49,6 +49,7 @@ def _frontend(value):
 
 
 FIELDS = {"frontend": (_frontend, REQUIRED)}
+FLAGS = ()
 
 
 def _optional_cx(canon):

@@ -4,6 +4,7 @@ link for each load, and the best load in a search box."""
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from ..core import OPEN_CIRCUIT, SingularCircuitError, ToolkitError, ValidationError
 from ..scenario import (
@@ -62,6 +63,7 @@ _LINK = {
     "optimize": (_obj(_OPTIMIZE), OPTIONAL),
 }
 FIELDS = {"link": (_obj(_LINK), REQUIRED), "amplifier": (_obj(_AMPLIFIER), REQUIRED)}
+FLAGS = ("z_l_re_ohms", "z_l_im_ohms", "snr")  # inf: an open circuit's load, an SNR without noise
 
 _LOAD_MESSAGES = {  # the message of one bad load's error, in the scenario's field names
     ValidationError: "z_l_ohms must have nonnegative real part",
@@ -82,12 +84,17 @@ def run(scenario: Scenario):
     )
     amp = link_mod.AmplifierNoiseModel(ampd["gain"], ampd["n_na_v2_per_hz"], ampd["temp_kelvin"])
     _check_squares(("link.z_rt_ohms", lnk.z_rt), ("link.z_r_ohms", lnk.z_r))  # s_voc, then the SNR
-    ratio = None
-    if lnk.z_r.real > 0 and amp.n_na > 0:
-        ratio = link_mod.snr_ratio_oc_over_match(lnk, amp)
-    note = "" if ratio is None else f"oc_over_match={fmt(ratio)}"
-    # an open circuit's z_l prints inf
-    open_cells = (math.inf, math.inf, 1.0, 0.0, link_mod.output_snr(lnk, amp, OPEN_CIRCUIT), note)
+
+    @cache
+    def open_cells() -> tuple:
+        """An open circuit's cells after its label, for the rows that print
+        them: its z_l prints inf. The ratio's formula refuses a ratio that
+        is not finite, so the note formats only one that is."""
+        note = ""
+        if lnk.z_r.real > 0 and amp.n_na > 0:
+            note = f"oc_over_match={fmt(link_mod.snr_ratio_oc_over_match(lnk, amp))}"
+        return math.inf, math.inf, 1.0, 0.0, link_mod.output_snr(lnk, amp, OPEN_CIRCUIT), note
+
     match = lnk.z_r.conjugate()
     solve, loads, rows = link_mod._row_kernel(lnk, amp), section["loads"], []
     append = rows.append
@@ -98,19 +105,20 @@ def run(scenario: Scenario):
                 z = load["z_l_ohms"]
                 re, im = z["re"], z["im"]
             elif kind == "open_circuit":
-                append((load["label"], *open_cells))
+                append((load["label"], *open_cells()))
                 continue
             else:
                 re, im = match.real, match.imag
             mag, power, snr = solve(re, im)
             append((load["label"], re, im, mag, power, snr, ""))
     except (ToolkitError, ArithmeticError) as exc:
-        raise type(exc)(f"load {loads[len(rows)]['label']!r}: {_LOAD_MESSAGES[type(exc)]}") from exc
+        message = _LOAD_MESSAGES.get(type(exc), exc)  # the open-circuit ratio's own message
+        raise type(exc)(f"load {loads[len(rows)]['label']!r}: {message}") from exc
     if "optimize" in section:
         opt = section["optimize"]
         search = link_mod.SearchBox(opt["r_max_ohms"], opt["x_max_ohms"], opt["include_open"])
         best, _ = link_mod.optimize_load(lnk, amp, search)
-        cells = open_cells if best is OPEN_CIRCUIT else (best.re, best.im, *solve(best.re, best.im), "")
+        cells = open_cells() if best is OPEN_CIRCUIT else (best.re, best.im, *solve(best.re, best.im), "")
         rows.append(("optimal", *cells))
     names = ("label", "z_l_re_ohms", "z_l_im_ohms", "divider_mag", "extracted_power_w_per_hz", "snr", "annotations")
     return _from_rows(names, rows), True

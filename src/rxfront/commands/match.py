@@ -36,6 +36,7 @@ _MATCH = {
     }), {}),
 }
 FIELDS = {"match": (_obj(_MATCH), REQUIRED), "amplifier": (_obj(_AMPLIFIER), REQUIRED)}
+FLAGS = ("snr",)  # inf: an SNR without noise
 
 
 def _linspace(start: float, stop: float, count: int) -> list:

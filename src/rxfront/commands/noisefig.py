@@ -28,6 +28,7 @@ _NOISEFIG = {
     "r_l_sweep_ohms": (_list_of(_or_inf(_num)), REQUIRED),
 }
 FIELDS = {"noisefig": (_obj(_NOISEFIG), REQUIRED)}
+FLAGS = ("output_snr", "noise_factor", "noise_figure_db")  # inf: no noise, a noiseless source
 
 
 def run(scenario: Scenario):
@@ -45,7 +46,7 @@ def run(scenario: Scenario):
         )
         factor = noisefig.noise_factor(gen, amp)
         return (r_l_token, noisefig.friis_gain(gen, amp), noisefig.output_snr_friis(gen, amp), factor,
-                10.0 * math.log10(factor) if math.isfinite(factor) else math.inf, "")
+                10.0 * math.log10(factor), "")
 
     try:
         rows = [row(r_l) for r_l in section["r_l_sweep_ohms"]]

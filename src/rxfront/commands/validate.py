@@ -15,6 +15,7 @@ def _validate(value):
 
 
 FIELDS = {"validate": (_validate, REQUIRED)}
+FLAGS = ()
 
 
 def run(scenario: Scenario):

@@ -138,14 +138,16 @@ def _row_kernel(link: SingleLink, amp: AmplifierNoiseModel):
     arithmetic: OverflowError for a square that overflows (squares are **,
     which differs from x * x in the last bit for some doubles),
     ZeroDivisionError for an |z_r + z_l|^2 that underflowed to 0; zero total
-    noise gives an SNR of inf. abs() is C's hypot, which overflows only from
-    two large finite parts, and a passive load's z_l / (z_r + z_l) has at
-    most one: Re(z_r + z_l) >= Re z_l, and Im(z_r + z_l) is 0 or at least an
-    ulp of Im z_l. Building the kernel squares z_rt and z_r.
+    noise gives an SNR of inf, and an SNR outside the float range is NaN, so
+    that inf means no noise only. abs() is C's hypot, which overflows only
+    from two large finite parts, and a passive load's z_l / (z_r + z_l) has
+    at most one: Re(z_r + z_l) >= Re z_l, and Im(z_r + z_l) is 0 or at least
+    an ulp of Im z_l. Building the kernel squares z_rt and z_r.
     """
     z_r, s_voc, g2, n_na = link.z_r, _signal_voc_density(link), amp.gain * amp.gain, amp.n_na
     abs2_r = z_r.real**2 + z_r.imag**2
     two_kt = 2.0 * BOLTZMANN * amp.temperature  # two_kt * R is johnson_density
+    isfinite = math.isfinite
 
     def row(re: float, im: float) -> tuple:
         z = complex(re, im)
@@ -159,7 +161,10 @@ def _row_kernel(link: SingleLink, amp: AmplifierNoiseModel):
         power = s_voc * (re / (2.0 * d2))
         w2 = (re**2 + im**2) / d2
         noise = n_na + g2 * (abs2_r / d2) * (two_kt * re)
-        return mag, power, math.inf if noise == 0 else g2 * w2 * s_voc / noise
+        if noise == 0:
+            return mag, power, math.inf
+        snr = g2 * w2 * s_voc / noise
+        return mag, power, snr if isfinite(snr) else math.nan
 
     return row
 
@@ -169,12 +174,16 @@ def output_snr(link: SingleLink, amp: AmplifierNoiseModel, z_l) -> float:
 
     Signal and the load's Johnson noise both pass through the divider formed
     with z_r; amplifier noise n_na adds at the output. Zero total noise gives
-    math.inf (flagged result), not an exception. An active load raises
-    ValidationError before a singular divider is looked for.
+    math.inf (flagged result), not an exception; an SNR outside the float
+    range is NaN. An active load raises ValidationError before a singular
+    divider is looked for.
     """
     if z_l is OPEN_CIRCUIT:
         g2, s_voc = amp.gain * amp.gain, _signal_voc_density(link)
-        return math.inf if amp.n_na == 0 else g2 * s_voc / amp.n_na
+        if amp.n_na == 0:
+            return math.inf
+        snr = g2 * s_voc / amp.n_na
+        return snr if math.isfinite(snr) else math.nan
     z = as_complex(z_l, "z_l")
     row = _row_kernel(link, amp)
     if z.real < 0.0:
@@ -193,7 +202,8 @@ def snr_ratio_oc_over_match(link: SingleLink, amp: AmplifierNoiseModel) -> float
     """Closed-form ratio of open-circuit SNR to conjugate-matched SNR.
 
     Equals 4 |Re z_r / z_r|^2 plus the Johnson-to-amplifier noise ratio
-    g^2 * 2kT * Re z_r / n_na.
+    g^2 * 2kT * Re z_r / n_na. A ratio outside the float range raises
+    NumericalError.
     """
     zr = link.z_r
     if zr.real <= 0:
@@ -202,7 +212,10 @@ def snr_ratio_oc_over_match(link: SingleLink, amp: AmplifierNoiseModel) -> float
         raise NumericalError("ratio diverges for zero amplifier noise")
     mag2 = zr.real**2 + zr.imag**2
     g2 = amp.gain * amp.gain
-    return 4.0 * zr.real**2 / mag2 + g2 * johnson_density(amp.temperature, zr.real) / amp.n_na
+    ratio = 4.0 * zr.real**2 / mag2 + g2 * johnson_density(amp.temperature, zr.real) / amp.n_na
+    if not math.isfinite(ratio):
+        raise NumericalError("the open-circuit over matched SNR ratio is outside the float range")
+    return ratio
 
 
 def optimize_load(link: SingleLink, amp: AmplifierNoiseModel, search: SearchBox) -> tuple:
@@ -214,9 +227,11 @@ def optimize_load(link: SingleLink, amp: AmplifierNoiseModel, search: SearchBox)
     Hessian of N - SNR * D is 2 (1 - SNR n_na) I: a minimum if SNR < 1/n_na,
     and at R < 0 if SNR > 1/n_na. So the maximum is at a corner of the box or
     at a stationary point of an edge. Candidates are scored by output_snr's
-    formula, dropping singular and overflowing ones; ties go to the larger
-    |z_l|, then the earlier candidate, then OPEN_CIRCUIT. A lossless z_r whose
-    resonance -j X_r lies in the box has unbounded SNR: NumericalError.
+    formula, dropping singular ones and those whose squares overflow; ties
+    go to the larger |z_l|, then the earlier candidate, then OPEN_CIRCUIT. A
+    lossless z_r whose resonance -j X_r lies in the box has unbounded SNR,
+    and a candidate's SNR outside the float range cannot be ranked: both
+    raise NumericalError.
     """
     z_r = link.z_r
     if z_r.real == 0.0 and z_r.imag != 0.0 and abs(z_r.imag) <= search.x_max and amp.n_na > 0:
@@ -227,12 +242,16 @@ def optimize_load(link: SingleLink, amp: AmplifierNoiseModel, search: SearchBox)
             snr = row(z.real, z.imag)[2]
         except ArithmeticError:  # singular, or a square overflowed, or |z_r + z|^2 underflowed
             continue
+        if snr != snr:
+            raise NumericalError(f"output SNR at candidate load {z} is outside the float range")
         key = z.real * z.real + z.imag * z.imag
-        if snr == snr and (best is None or (snr, key) > best[:2]):  # NaN scores are dropped
+        if best is None or (snr, key) > best[:2]:
             best = snr, key, z
     best_finite = None if best is None else (ComplexImpedance(best[2].real, best[2].imag), best[0])
     if search.include_open:
         snr_oc = output_snr(link, amp, OPEN_CIRCUIT)
+        if snr_oc != snr_oc:
+            raise NumericalError("open-circuit output SNR is outside the float range")
         if best_finite is None or snr_oc >= best_finite[1]:
             return OPEN_CIRCUIT, snr_oc
     if best_finite is None:

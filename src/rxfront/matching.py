@@ -59,7 +59,8 @@ def snr_with_transformer(
     amp: AmplifierNoiseModel,
     xf: TransformerMatch,
 ) -> float:
-    """Amplifier-output SNR with the transformer between antenna and amplifier."""
+    """Amplifier-output SNR with the transformer between antenna and
+    amplifier: inf without noise, NaN where it leaves the float range."""
     if not math.isfinite(amp_input_resistance) or amp_input_resistance <= 0:
         raise ValidationError("amp_input_resistance must be finite and positive")
     n = xf.turns_ratio
@@ -74,4 +75,5 @@ def snr_with_transformer(
     noise = amp.n_na + g2 * h2 * johnson_density(amp.temperature, z_src.real)
     if noise == 0:
         return math.inf
-    return signal / noise
+    snr = signal / noise
+    return snr if math.isfinite(snr) else math.nan

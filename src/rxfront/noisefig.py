@@ -84,7 +84,8 @@ def friis_gain(gen: SignalGenerator, amp: VoltageAmplifierStage) -> float:
 
 
 def output_snr_friis(gen: SignalGenerator, amp: VoltageAmplifierStage) -> float:
-    """Amplifier-output SNR; independent of r_out by construction.
+    """Amplifier-output SNR; independent of r_out by construction. Without
+    noise it is inf; where it leaves the float range it is NaN.
 
     The loaded input divider scales the signal by r_l/(r_s + r_l) and the
     thermal noise source is the parallel resistance r_s*r_l/(r_s + r_l).
@@ -93,20 +94,21 @@ def output_snr_friis(gen: SignalGenerator, amp: VoltageAmplifierStage) -> float:
     v2 = _v2(gen)
     two_kt = 2.0 * BOLTZMANN * gen.temperature
     if math.isinf(amp.r_load_in):
-        den = two_kt * gen.r_s * g2 + amp.n_na
-        if den == 0:
-            return math.inf
-        return g2 * v2 / den
-    w = amp.r_load_in / (gen.r_s + amp.r_load_in)
-    r_par = gen.r_s * w  # r_s*r_l/(r_s + r_l) without the product r_s*r_l, which can overflow or underflow
-    den = two_kt * g2 * r_par + amp.n_na
+        signal, den = g2 * v2, two_kt * gen.r_s * g2 + amp.n_na
+    else:
+        w = amp.r_load_in / (gen.r_s + amp.r_load_in)
+        r_par = gen.r_s * w  # r_s*r_l/(r_s + r_l) without the product r_s*r_l, which can overflow or underflow
+        signal, den = g2 * v2 * w * w, two_kt * g2 * r_par + amp.n_na
     if den == 0:
         return math.inf
-    return g2 * v2 * w * w / den
+    snr = signal / den
+    return snr if math.isfinite(snr) else math.nan
 
 
 def noise_factor(gen: SignalGenerator, amp: VoltageAmplifierStage) -> float:
-    """Noise factor F = input SNR / output SNR; always >= 1, independent of r_out."""
+    """Noise factor F = input SNR / output SNR; always >= 1, independent of
+    r_out. A noiseless source (r_s = 0) gives inf; an F outside the float
+    range is NaN."""
     g2 = amp.gain * amp.gain
     two_kt = 2.0 * BOLTZMANN * gen.temperature
     if math.isinf(amp.r_load_in):
@@ -114,14 +116,15 @@ def noise_factor(gen: SignalGenerator, amp: VoltageAmplifierStage) -> float:
             return 1.0
         if gen.r_s == 0:
             return math.inf
-        return 1.0 + amp.n_na / (two_kt * gen.r_s * g2)
-    base = (gen.r_s + amp.r_load_in) / amp.r_load_in
-    if amp.n_na == 0:
-        return base
-    if gen.r_s == 0:
-        return math.inf
-    spread = 1.0 / gen.r_s + 1.0 / amp.r_load_in  # (r_s + r_l)/(r_s*r_l), again without r_s*r_l
-    return base * (1.0 + amp.n_na / (two_kt * g2) * spread)
+        factor = 1.0 + amp.n_na / (two_kt * gen.r_s * g2)
+    else:
+        factor = (gen.r_s + amp.r_load_in) / amp.r_load_in
+        if amp.n_na != 0:
+            if gen.r_s == 0:
+                return math.inf
+            spread = 1.0 / gen.r_s + 1.0 / amp.r_load_in  # (r_s + r_l)/(r_s*r_l), again without r_s*r_l
+            factor *= 1.0 + amp.n_na / (two_kt * g2) * spread
+    return factor if math.isfinite(factor) else math.nan
 
 
 def optimal_rs_for_noise_factor(amp: VoltageAmplifierStage, temperature: float) -> float:

@@ -4,8 +4,9 @@ A scenario is checked and normalized by walking field tables: the shared
 checkers and tables are here, and each subcommand's own tables, with its
 runner, are in its module under ``rxfront.commands``. ``parse_scenario``
 imports that module only once it has found the scenario's one section, so a
-call compiles no other subcommand's code. Report columns render to CSV or
-text through one %-template per report.
+call compiles no other subcommand's code. ``check_range`` is the one
+float-range rule a report's columns pass before they render, to CSV or text
+through one %-template per report.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import count
 from pathlib import Path
 
 from . import _load
-from .core import Frozen, ParseError
+from .core import Frozen, NumericalError, ParseError
 
 SUBCOMMANDS = ("validate", "capacity", "link", "noisefig", "frontend", "match", "array")
 
@@ -217,6 +218,46 @@ def _check_squares(*fields) -> None:
             value.real**2 + value.imag**2
         except OverflowError:
             raise OverflowError(f"|{field}|^2 is outside the float range") from None
+
+
+def check_range(columns: dict, flags: tuple = ()) -> None:
+    """The float-range rule of every report: a float cell is finite, or it
+    is +inf in a column named in ``flags``, whose formula gives inf as a
+    result (an SNR without noise, the load of an open circuit). Any other
+    float cell, a NaN anywhere or an inf elsewhere, raises NumericalError
+    naming the column and its row, counted from 1. A float array's first
+    axis is the row. Cells that are not floats (str, None) are not checked.
+
+    A list is summed first, as _spec sums it: a finite sum, or a +inf one
+    in a flag column, clears every cell, since a NaN makes the sum NaN and
+    a -inf makes it -inf or NaN. A list of strings alone is cleared by one
+    join. Any other list, an overflowing sum's included, is scanned cell by
+    cell."""
+    for name, column in columns.items():
+        flag = name in flags
+        if isinstance(column, list):
+            try:
+                total = sum(column)
+                if total - total == 0 or flag and total == math.inf:
+                    continue
+            except (TypeError, OverflowError):  # a str or None cell, or an int beyond the float range
+                try:
+                    "".join(column)  # a column of strings alone holds no float
+                    continue
+                except TypeError:
+                    pass
+            row = next((i for i, x in enumerate(column, 1)
+                        if isinstance(x, float) and not (x - x == 0 or flag and x == math.inf)), None)
+        elif column.dtype.kind == "f":  # a float array
+            numpy = sys.modules["numpy"]
+            ok = numpy.isfinite(column)
+            if flag:
+                ok |= column == math.inf
+            row = None if ok.all() else int(numpy.argmin(ok.reshape(len(ok), -1).all(axis=1))) + 1
+        else:
+            continue
+        if row is not None:
+            raise NumericalError(f"{name} row {row} is outside the float range")
 
 
 def _to_float(canon) -> float:

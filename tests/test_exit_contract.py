@@ -18,16 +18,21 @@ such as 10**20, which is tested on the netlist parser alone.
 
 import copy
 import csv
+import importlib
 import io
 import json
+import math
 import shutil
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rxfront import cli, mna
-from rxfront.core import ParseError
+from rxfront import cli, link, mna
+from rxfront.commands.link import FLAGS as LINK_FLAGS
+from rxfront.core import OPEN_CIRCUIT, NumericalError, ParseError
+from rxfront.scenario import check_range
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DOCS = {path.stem: json.loads(path.read_text()) for path in sorted(SCENARIOS.glob("*.json"))}
@@ -119,17 +124,17 @@ def test_old_grid_size_keys_are_ignored(workdir, tmp_path):
 
 
 def test_single_field_edit_exits_0_to_4(workdir):
-    # every edit x the whole pool through main(), with and without --dump-normalized
+    # every edit x the whole pool through main() with --dump-normalized; the
+    # runs without it are test_exit_0_nonfinite_cells_are_the_listed_ones
     for name, path in EDITS:
         subcommand = name.split("_")[0]  # each example's subcommand is the first word of its name
         for value in POOL:
             scenario = _write_edit(workdir, name, path, value)
-            for extra in ([], ["--dump-normalized"]):
-                argv = [subcommand, "--scenario", str(scenario), "--out", str(workdir / "report"), *extra]
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    code = cli.main(argv)
-                assert code in (0, 1, 2, 3, 4), (name, path, value, extra)
+            argv = [subcommand, "--scenario", str(scenario), "--out", str(workdir / "report"), "--dump-normalized"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = cli.main(argv)
+            assert code in (0, 1, 2, 3, 4), (name, path, value)
 
 
 REFERENCE = SCENARIOS.parent / "perfbench" / "reference"
@@ -151,33 +156,12 @@ def _case(name, path, value) -> str:
 # Single-field edits whose exit-0 report prints a non-finite cell in a column
 # that the shipped report prints finite, with those columns. An overflow
 # printed as inf is a fault that should exit 3; each one mended leaves this
-# list, and test_exit_0_nonfinite_cells_are_the_listed_ones fails until it does.
+# list, and test_exit_0_nonfinite_cells_are_the_listed_ones fails until it
+# does. Both left print the flag token of a zero source current, which is
+# wrong: the exact current is not 0.
 REMAINING_OVERFLOWS = {
-    "frontend_buffer: frontend.source.v_oc_volts.re = 1e+308": "p_extracted_w",
-    "frontend_buffer: frontend.source.v_oc_volts.re = -1e+308": "p_extracted_w",
-    "frontend_buffer: frontend.source.v_oc_volts.im = 1e+308": "p_extracted_w",
-    "frontend_buffer: frontend.source.v_oc_volts.im = -1e+308": "p_extracted_w",
-    "frontend_buffer: frontend.opamp.z_id_ohms.re = 1e+308": "z_eff_re_ohms",
-    "frontend_buffer: frontend.opamp.z_id_ohms.re = 1e-300": "z_eff_im_ohms,z_eff_re_ohms",  # i_source 0: wrong
-    "frontend_buffer: frontend.opamp.z_id_ohms.im = 1e+308": "z_eff_im_ohms",
-    "frontend_buffer: frontend.opamp.z_id_ohms.im = -1e+308": "z_eff_im_ohms",
-    "frontend_buffer: frontend.opamp.r_out_ohms = 1e+308": "z_eff_im_ohms,z_eff_re_ohms",  # i_source 0: wrong
-    "frontend_buffer: frontend.constant_current.v_c_volts.re = 1e+308": "p_extracted_w",
-    "frontend_buffer: frontend.constant_current.v_c_volts.re = -1e+308": "p_extracted_w",
-    "frontend_buffer: frontend.constant_current.v_c_volts.im = 1e+308": "p_extracted_w",
-    "frontend_buffer: frontend.constant_current.v_c_volts.im = -1e+308": "p_extracted_w",
-    "frontend_buffer: frontend.gain_sweep.0 = 1e+308": "z_eff_re_ohms",
-    "frontend_buffer: frontend.gain_sweep.1 = 1e+308": "z_eff_re_ohms",
-    "frontend_buffer: frontend.gain_sweep.2 = 1e+308": "z_eff_re_ohms",
-    "frontend_buffer: frontend.gain_sweep.3 = 1e+308": "z_eff_re_ohms",
-    "link_crossover: link.s_it_a2_per_hz = 1e+308": "extracted_power_w_per_hz,snr",
-    "link_crossover: amplifier.gain = 1e+308": "annotations,snr",
-    "match_step_up: match.link.s_it_a2_per_hz = 1e+308": "snr",
-    "match_step_up: amplifier.gain = 1e+308": "snr",
-    "noisefig_sweep: noisefig.r_s_ohms = 1e+308": "friis_gain",
-    "noisefig_sweep: noisefig.amp.gain = 1e+308": "friis_gain,output_snr",
-    "noisefig_sweep: noisefig.amp.n_na_v2_per_hz = 1e+308": "noise_factor,noise_figure_db",
-    **{f"noisefig_sweep: noisefig.r_l_sweep_ohms.{i} = 1e-300": "noise_factor,noise_figure_db" for i in range(6)},
+    "frontend_buffer: frontend.opamp.z_id_ohms.re = 1e-300": "z_eff_im_ohms,z_eff_re_ohms",
+    "frontend_buffer: frontend.opamp.r_out_ohms = 1e+308": "z_eff_im_ohms,z_eff_re_ohms",
 }
 # The same, where the non-finite cell is a documented result: no signal
 # (Eb/N0 at zero power, a zero source current), no noise, or a label.
@@ -194,9 +178,9 @@ DOCUMENTED_FLAGS = {
 
 
 def test_exit_0_nonfinite_cells_are_the_listed_ones(workdir):
-    # every edit x the whole pool through main(), with warnings recorded: no
-    # edit may warn, and the non-finite cells of the exit-0 reports must be
-    # exactly the listed ones
+    # every edit x the whole pool through main(), with warnings recorded:
+    # each exits 0 to 4, no edit may warn, and the non-finite cells of the
+    # exit-0 reports must be exactly the listed ones
     found, warned = {}, {}
     report = workdir / "report"
     for name, path in EDITS:
@@ -207,6 +191,7 @@ def test_exit_0_nonfinite_cells_are_the_listed_ones(workdir):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code = cli.main([name.split("_")[0], "--scenario", str(scenario), "--out", str(report)])
+            assert code in (0, 1, 2, 3, 4), (name, path, value)
             if caught:
                 warned[_case(name, path, value)] = sorted({str(w.message) for w in caught})
             columns = sorted(_nonfinite_columns(report.read_text()) & finite) if code == 0 else []
@@ -223,8 +208,9 @@ REFUSED = [
       for part in ("re", "im") for sign in (1, -1)),
     (("array_synthetic", ("array", "synthetic", "frequencies_hz", 0), 1e-300), 3, "numerical error: "),
     (("array_synthetic", ("array", "synthetic", "frequencies_hz", 2), 1e308), 3, "numerical error: "),
-    (("array_synthetic", ("array", "synthetic", "self_ohms", "re"), 1e308), 3, "numerical error: "),
-    (("array_synthetic", ("array", "synthetic", "coupling_ohms"), 1e308), 3, "numerical error: "),
+    *((("array_synthetic", ("array", "synthetic", *path), 1e308), 3,
+       "numerical error: the synthetic impedance matrix is outside the float range\n")
+      for path in (("self_ohms", "re"), ("coupling_ohms",))),
     (("array_synthetic", ("array", "synthetic", "self_ohms", "im"), 1e308), 1, "validation error: "),
     (("array_synthetic", ("array", "synthetic", "self_ohms", "im"), -1e308), 1, "validation error: "),
 ]
@@ -239,6 +225,71 @@ def test_overflowing_array_edit_exits_with_one_line(workdir, capsys, edit, code,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
+
+
+def test_float_range_rule_refuses_naming_column_and_row():
+    inf, nan = math.inf, math.nan
+    refused = [
+        ({"power": [1.0, inf]}, (), "power row 2"),  # inf in an undeclared column
+        ({"power": [1.0, 2.0, -inf]}, ("power",), "power row 3"),  # -inf is no flag
+        ({"snr": [inf, nan]}, ("snr",), "snr row 2"),  # NaN in a declared column
+        ({"eb_n0": [None, "x", 1.0, inf]}, (), "eb_n0 row 4"),  # a list the sum cannot add
+        ({"big": [1e308, 1e308, nan]}, (), "big row 3"),  # a sum that overflows before the NaN
+        ({"freq": np.array([1.0, nan])}, ("freq",), "freq row 2"),
+        ({"ports": np.array([[1.0, 2.0], [3.0, 4.0], [5.0, inf]])}, (), "ports row 3"),
+    ]
+    for columns, flags, message in refused:
+        with pytest.raises(NumericalError, match=f"^{message} is outside the float range$"):
+            check_range(columns, flags)
+    check_range({  # finite floats, +inf in a flag column, and cells that are not floats
+        "snr": [inf, 1.0], "flag": np.array([inf, 2.0]), "big": [1e308, 1e308], "label": ["inf", "nan"],
+        "eb_n0": [None, 1.0], "count": [10**400], "ints": np.array([1, 2]), "empty": [],
+    }, ("snr", "flag"))
+
+    # link_crossover at amplifier.gain 1e308: the SNR formulas' quotients
+    # overflow, which gives NaN, never the no-noise flag inf
+    lnk = link.SingleLink(50.0, 10.0, 1e-12)
+    amp = link.AmplifierNoiseModel(1e308, 1e-9, 290.0)
+    snr = [link.output_snr(lnk, amp, OPEN_CIRCUIT), link.output_snr(lnk, amp, 50 + 0j)]
+    with pytest.raises(NumericalError, match="^snr row 1 is outside the float range$"):
+        check_range({"snr": snr}, LINK_FLAGS)
+
+
+def _float_cells(column) -> list:
+    if isinstance(column, list):
+        return [x for x in column if isinstance(x, float)]
+    return column.ravel().tolist() if column.dtype.kind == "f" else []
+
+
+def test_exit_0_nonfinite_float_cells_lie_in_flag_columns(workdir):
+    # the shipped scenarios and the ratchet's edits, through each command's
+    # run: the rule lets them all through, and every float it lets through
+    # that is not finite is +inf in a declared FLAGS column
+    listed = {**REMAINING_OVERFLOWS, **DOCUMENTED_FLAGS}
+    edits = [(name, path, value) for name, path in EDITS for value in POOL if _case(name, path, value) in listed]
+    assert len(edits) == len(listed)
+    flagged = set()
+    for name, path, value in [(name, None, None) for name in DOCS] + edits:
+        scenario = SCENARIOS / f"{name}.json" if path is None else _write_edit(workdir, name, path, value)
+        module = importlib.import_module(f"rxfront.commands.{name.split('_')[0]}")
+        columns, _ = module.run(cli.parse_scenario(scenario))
+        check_range(columns, module.FLAGS)
+        for column, cells in columns.items():
+            nonfinite = {x for x in _float_cells(cells) if not math.isfinite(x)}
+            if nonfinite:
+                assert column in module.FLAGS and nonfinite == {math.inf}, (name, path, value, column)
+                flagged.add(column)
+    assert flagged == {"z_l_re_ohms", "z_l_im_ohms", "snr", "noise_factor", "noise_figure_db"}
+
+
+def test_capacity_bound_outside_the_float_range_exits_3(tmp_path, capsys):
+    # P / (N0 ln 2) = 2.885e308, one row per bandwidth: the bound is refused
+    scenario = tmp_path / "huge_bound.json"
+    scenario.write_text(json.dumps({"capacity": {"power": 1e308, "noise_density": 0.5, "bandwidths": [0.5]}}))
+    assert cli.main(["capacity", "--scenario", str(scenario)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical error: capacity_bound_bits row 1 is outside the float range\n"
 
 
 @pytest.mark.parametrize("index", [10**8, 10**20], ids=["1e8", "1e20"])

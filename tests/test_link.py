@@ -274,6 +274,16 @@ def test_candidates_whose_squares_overflow_are_dropped():
     assert complex(best) == complex(0.0, -(25.0 + 37.0 * 37.0) / 37.0)
 
 
+def test_snr_outside_the_float_range_is_nan_and_cannot_be_ranked():
+    # s_it 1e308: every SNR quotient overflows, which gives NaN, never the no-noise flag inf
+    link = SingleLink(5 + 37j, 10.0, 1e308)
+    assert math.isnan(output_snr(link, AMP, OPEN_CIRCUIT)) and math.isnan(output_snr(link, AMP, 50.0))
+    with pytest.raises(NumericalError, match="output SNR at candidate load .* is outside the float range"):
+        optimize_load(link, AMP, SearchBox(10.0, 20.0))
+    with pytest.raises(NumericalError, match="ratio is outside the float range"):
+        snr_ratio_oc_over_match(link, AmplifierNoiseModel(1e308, 1e-9, 290.0))
+
+
 def test_model_validation():
     with pytest.raises(ValidationError):
         SingleLink(-5.0, 10.0, 1e-12)
