@@ -210,9 +210,9 @@ def snr_ratio_oc_over_match(link: SingleLink, amp: AmplifierNoiseModel) -> float
         raise ValidationError("ratio is degenerate for Re(z_r) = 0")
     if amp.n_na == 0:
         raise NumericalError("ratio diverges for zero amplifier noise")
-    mag2 = zr.real**2 + zr.imag**2
+    cos = zr.real / abs(zr)  # not Re^2 / |z_r|^2, whose squares underflow at Re z_r ~ 1e-300
     g2 = amp.gain * amp.gain
-    ratio = 4.0 * zr.real**2 / mag2 + g2 * johnson_density(amp.temperature, zr.real) / amp.n_na
+    ratio = 4.0 * (cos * cos) + g2 * johnson_density(amp.temperature, zr.real) / amp.n_na
     if not math.isfinite(ratio):
         raise NumericalError("the open-circuit over matched SNR ratio is outside the float range")
     return ratio

@@ -34,10 +34,10 @@ class AwgnChannelSpec(Frozen):
 
 
 def _normal_snr(spec: AwgnChannelSpec):
-    """P/(B*N0) where it and B*N0 are normal floats, or P is 0; else None."""
+    """P/(B*N0) where it and B*N0 are normal floats; else None."""
     noise = spec.bandwidth * spec.noise_density
     snr = spec.power / noise if _TINY <= noise < math.inf else 0.0
-    return snr if _TINY <= snr < math.inf or spec.power == 0 else None
+    return snr if _TINY <= snr < math.inf else None
 
 
 def _split_snr(spec: AwgnChannelSpec) -> tuple:
@@ -50,15 +50,17 @@ def _split_snr(spec: AwgnChannelSpec) -> tuple:
 def capacity(spec: AwgnChannelSpec) -> float:
     """Capacity B*log2(1 + P/(B*N0)) in bits per unit time, also where B*N0
     or the quotient is not a normal float."""
-    snr = _normal_snr(spec)
-    if snr is not None:
-        # log1p keeps the wideband tail accurate and monotone where snr ~ eps
-        return spec.bandwidth * math.log1p(snr) / LN2
+    if spec.power == 0:
+        return 0.0
     m, e = _split_snr(spec)
-    if e > 1000:  # log2(1 + snr) = log2(snr) + log2(1 + 1/snr), and 1/snr < 2**-1000
+    m, shift = math.frexp(m)  # m in [1/2, 1): snr = m * 2**e is a normal float for -1021 <= e <= 1024
+    e += shift
+    if e > 1024:  # log2(1 + snr) = log2(snr) + log2(1 + 1/snr), and 1/snr < 2**-1024
         return spec.bandwidth * (math.log2(m) + e)
-    if e < -1000:  # log2(1 + snr) = snr (1 - snr/2 + ...) / ln 2: the wideband limit
+    if e < -1021:  # log2(1 + snr) = snr (1 - snr/2 + ...) / ln 2: the wideband limit
         return spec.power / spec.noise_density / LN2
+    # log1p keeps the wideband tail accurate and monotone where snr ~ eps.
+    # Where B*N0 is normal too, m * 2**e is P/(B*N0) bit for bit
     return spec.bandwidth * math.log1p(math.ldexp(m, e)) / LN2
 
 

@@ -273,6 +273,74 @@ def test_header_only_csv_exits_2_with_one_stderr_line(tmp_path):
     assert proc.stderr.splitlines() == [f"parse error: {tmp_path / 'empty.csv'}: no data rows"]
 
 
+def _edited(name: str, path: tuple, value) -> dict:
+    """A shipped scenario with the field at ``path`` set to ``value``."""
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+# Inputs for each exit code, run as a process: `python -m rxfront.cli` calls
+# the run() that the installed `rxfront` script calls. Each scenario is a JSON
+# document, a file's text, or None for a missing file
+PROCESS_EXITS = {
+    "negative_power": ("capacity", {"capacity": {"power": -1.0, "noise_density": 1.0, "bandwidths": [1.0]}},
+                       1, "validation error: "),
+    "not_json": ("link", "{not json", 2, "parse error: "),
+    "link_z_rt_1e200": ("link", _edited("link_crossover", ("link", "z_rt_ohms", "re"), 1e200),
+                        3, "numerical error: "),
+    # a netlist that solves to -inf: its NaN residual ratio is refused, with no numpy warning
+    "overflowing_netlist": ("frontend", {"frontend": {"netlist": "overflow.cir"}}, 3, "numerical error: "),
+    # every open-circuit voltage is outside the float range
+    "array_current_1e308": ("array", _edited("array_pair", ("array", "i_t_amperes", 0, "re"), 1e308),
+                            3, "numerical error: "),
+    # the capacity bound P/(N0 ln 2) = 2.9e308
+    "capacity_bound_overflow": ("capacity", {"capacity": {"power": 1e308, "noise_density": 0.5,
+                                                          "bandwidths": [0.5]}}, 3, "numerical error: "),
+    # every SNR and the SNR ratio leave the float range
+    "link_gain_1e308": ("link", _edited("link_crossover", ("amplifier", "gain"), 1e308), 3, "numerical error: "),
+    "missing_file": ("link", None, 4, "i/o error: "),
+    # P/(B*N0) = 2e308 overflows, but the capacity (512.08) and Eb/N0 (1.95e305) do not
+    "capacity_huge_power": ("capacity", {"capacity": {"power": 1e308, "noise_density": 1.0, "bandwidths": [0.5]}},
+                            0, None),
+}
+
+
+@pytest.mark.parametrize("sub, scenario, code, prefix", PROCESS_EXITS.values(), ids=PROCESS_EXITS)
+def test_each_exit_code_from_a_process_prints_at_most_one_stderr_line(tmp_path, sub, scenario, code, prefix):
+    (tmp_path / "overflow.cir").write_text("I1 1 0 1e308 0\nZ1 1 0 1e308 0\nZ2 1 0 1e308 0\n")
+    (tmp_path / "coupled_pair.csv").write_bytes((SCENARIOS / "coupled_pair.csv").read_bytes())
+    path = tmp_path / "scenario.json"
+    if scenario is not None:
+        path.write_text(scenario if isinstance(scenario, str) else json.dumps(scenario))
+    proc = subprocess.run([sys.executable, "-m", "rxfront.cli", sub, "--scenario", str(path)],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith(prefix), proc.stderr
+    else:
+        assert proc.stderr == ""
+        cells = [cell for line in proc.stdout.splitlines() for cell in line.split(",")]
+        assert not {"inf", "-inf", "undefined"} & set(cells), proc.stdout
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["link"], 2)], ids=["help", "link_without_scenario"])
+def test_usage_line_comes_first_from_a_process(argv, code):
+    proc = subprocess.run([sys.executable, "-m", "rxfront.cli", *argv], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert proc.returncode == code
+    lines = (proc.stderr if code else proc.stdout).splitlines()
+    assert lines[0] == cli._USAGE.rstrip("\n")
+    if code:  # no --scenario: the usage line, then one error line, on stderr alone
+        assert proc.stdout == "" and len(lines) == 2 and lines[1].startswith("rxfront: error: ")
+    else:
+        assert proc.stderr == ""
+
+
 def test_invalid_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -597,13 +665,8 @@ def _edited_example(tmp_path, name, path, value):
 
     The subcommand of every example is the first word of its name.
     """
-    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
     scen = tmp_path / f"{name}.json"
-    scen.write_text(json.dumps(doc))
+    scen.write_text(json.dumps(_edited(name, path, value)))
     return scen
 
 
@@ -762,25 +825,36 @@ def _stdio_env(unbuffered: str) -> dict:
 def test_process_exit_flushes_a_large_report_to_a_pipe(tmp_path):
     # run() ends the process without the interpreter's teardown, after
     # flushing stdout: all of it, byte for byte what --out writes, with
-    # stdout buffered or not
-    rng = random.Random(16)
-    loads = [{"label": f"z{i:05d}", "kind": "explicit",
-              "z_l_ohms": {"re": rng.uniform(0.0, 500.0), "im": rng.uniform(-500.0, 500.0)}}
-             for i in range(20_000)]
+    # stdout buffered or not. A 20,000-load sweep with a search box loads no
+    # numpy, and its --dump-normalized output, whose loads are already in
+    # normalized form, gives the same report
+    rng = random.Random(20_000)
+    loads = [{"label": "open", "kind": "open_circuit"}, {"label": "match", "kind": "conjugate_match"}]
+    loads += [{"label": f"z{i:05d}", "kind": "explicit",
+               "z_l_ohms": {"re": rng.uniform(0.0, 500.0), "im": rng.uniform(-500.0, 500.0)}}
+              for i in range(20_000)]
     scenario = tmp_path / "sweep.json"
     scenario.write_text(json.dumps({
-        "link": {"z_r_ohms": {"re": 5.0, "im": 37.0}, "z_rt_ohms": {"re": 10.0}, "s_it_a2_per_hz": 1e-12,
-                 "loads": loads},
+        "link": {"z_r_ohms": {"re": 5.0, "im": 37.0}, "z_rt_ohms": {"re": 10.0, "im": 0.0}, "s_it_a2_per_hz": 1e-12,
+                 "loads": loads, "optimize": {"r_max_ohms": 500.0, "x_max_ohms": 500.0}},
         "amplifier": {"gain": 10, "n_na_v2_per_hz": 1e-9, "temp_kelvin": 290},
     }))
     out = tmp_path / "sweep.csv"
     argv = [sys.executable, "-m", "rxfront.cli", "link", "--scenario", str(scenario)]
-    assert subprocess.run([*argv, "--out", str(out)], env=_child_env(), timeout=120).returncode == 0
-    assert out.read_bytes().count(b"\n") == 20_001  # the header and one row per load
+    timed = subprocess.run([sys.executable, "-X", "importtime", *argv[1:], "--out", str(out)],
+                           capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert timed.returncode == 0, timed.stderr
+    assert "numpy" not in [line.rpartition("|")[2].strip() for line in timed.stderr.splitlines()]
+    assert out.read_bytes().count(b"\n") == 20_004  # the header, one row per load and the optimal row
     for unbuffered in ("", "1"):
         piped = subprocess.run(argv, capture_output=True, env=_stdio_env(unbuffered), timeout=120)
         assert (piped.returncode, piped.stderr) == (0, b""), unbuffered
         assert piped.stdout == out.read_bytes(), unbuffered
+    normalized = tmp_path / "normalized.json"
+    assert subprocess.run([*argv, "--dump-normalized", "--out", str(normalized)], env=_child_env(),
+                          timeout=120).returncode == 0
+    again = subprocess.run([*argv[:-1], str(normalized)], capture_output=True, env=_child_env(), timeout=120)
+    assert (again.returncode, again.stdout) == (0, out.read_bytes())
 
 
 # The exit path run() replaced, as the reference for what a failed flush does:

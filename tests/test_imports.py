@@ -36,22 +36,49 @@ def test_cli_import_loads_no_command_module():
 
 
 EXAMPLES = sorted(path.stem for path in (ROOT / "scenarios").glob("*.json"))
+IDEAL = "frontend_ideal"  # a golden input: an ideal-gain frontend, which loads no numpy
 
 
-@pytest.mark.parametrize("name", EXAMPLES)
+def _scenario(name: str) -> Path:
+    """A shipped scenario, or the ideal-gain frontend golden."""
+    return ROOT / "tests" / "golden" / f"{name}.json" if name == IDEAL else ROOT / "scenarios" / f"{name}.json"
+
+
+def _report(name: str) -> bytes:
+    """The report that ``_scenario(name)`` must give."""
+    return (ROOT / "tests" / "golden" / f"{name}.csv" if name == IDEAL
+            else ROOT / "perfbench" / "reference" / f"{name}.csv").read_bytes()
+
+
+def _imported(stderr: str) -> list:
+    """The modules that a `-X importtime` run lists on stderr, in import order."""
+    return [line.rpartition("|")[2].strip() for line in stderr.splitlines() if line.startswith("import time:")]
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _stripped(**extra) -> dict:
+    """This environment without any thread-count variable, plus ``extra``."""
+    return {**{k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}, **extra}
+
+
+@pytest.mark.parametrize("name", EXAMPLES + [IDEAL])
 def test_each_call_loads_only_its_own_command_module(name):
     # under `python -m` the CLI's file runs as __main__: importing rxfront.cli
-    # as well would compile and run it a second time
+    # as well would compile and run it a second time. The report is the same
+    # with the CLI's one BLAS thread and with two that the user set
     command = name.split("_")[0]
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "rxfront.cli", command, "--scenario", f"scenarios/{name}.json"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=ROOT,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (ROOT / "perfbench" / "reference" / f"{name}.csv").read_text()
-    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
-    assert "rxfront.scenario" in imported and "rxfront.cli" not in imported
-    assert [m for m in imported if m.startswith("rxfront.commands.")] == [f"rxfront.commands.{command}"]
+    for env in (_stripped(), _stripped(OPENBLAS_NUM_THREADS="2")):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "rxfront.cli", command, "--scenario", str(_scenario(name))],
+            capture_output=True, env={**env, "PYTHONPATH": str(ROOT / "src")}, cwd=ROOT,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == _report(name), env.get("OPENBLAS_NUM_THREADS")
+        imported = _imported(proc.stderr.decode())
+        assert "rxfront.scenario" in imported and "rxfront.cli" not in imported
+        assert [m for m in imported if m.startswith("rxfront.commands.")] == [f"rxfront.commands.{command}"]
 
 
 @pytest.mark.parametrize("command, scenario, module", [
@@ -91,12 +118,13 @@ UNUSED_AT_STARTUP = ("argparse", "csv", "dataclasses", "gettext", "inspect", "nu
     ("noisefig", "noisefig_sweep"),
     ("link", "link_crossover"),
     ("match", "match_step_up"),
+    ("frontend", IDEAL),
 ])
 def test_numpy_free_calls_leave_unused_stdlib_modules_unloaded(tmp_path, command, scenario):
     run = ""
-    if command:
-        argv = [command, "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"), "--out", str(tmp_path / "r")]
-        run = f"assert rxfront.cli.main({argv!r}) == 0"
+    if command:  # a CSV report, then a text one
+        argv = [command, "--scenario", str(_scenario(scenario)), "--out", str(tmp_path / "r")]
+        run = f"assert rxfront.cli.main({argv!r}) == 0 == rxfront.cli.main({[*argv, '--format', 'text']!r})"
     loaded = _fresh(f"""
 import json, sys, rxfront.cli
 {run}
@@ -113,6 +141,7 @@ print(json.dumps(sorted(set({UNUSED_AT_STARTUP!r}) & set(sys.modules))))
     ("match", "match_step_up", False),
     ("frontend", "frontend_buffer", False),
     ("frontend", "frontend_netlist", False),
+    ("frontend", IDEAL, False),
     ("validate", "validate_pair", True),
     ("array", "array_pair", True),
     ("array", "array_synthetic", True),
@@ -120,7 +149,7 @@ print(json.dumps(sorted(set({UNUSED_AT_STARTUP!r}) & set(sys.modules))))
 def test_only_matrix_stack_calls_load_the_impedance_module(tmp_path, command, scenario, loads):
     run = ""
     if command:
-        argv = [command, "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"), "--out", str(tmp_path / "r")]
+        argv = [command, "--scenario", str(_scenario(scenario)), "--out", str(tmp_path / "r")]
         run = f"assert rxfront.cli.main({argv!r}) == 0"
     assert _fresh(f"""
 import json, sys, rxfront.cli
@@ -251,28 +280,27 @@ print(json.dumps([raised, hasattr(rxfront, "kernels"), arrays.__name__]))
 
 @pytest.mark.parametrize("module, name", [(module, names[0]) for module, names in _EXPORTS.items()])
 def test_importtime_lists_the_module_a_public_name_loads(module, name):
-    # a check that reads -X importtime, as CI's import checks do, must see
-    # every module that a public name loads on first use
+    # a check that reads -X importtime, as test_each_call_loads_only_its_own_command_module
+    # does, must see every module that a public name loads on first use
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", f"import rxfront; rxfront.{name}"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr
-    imported = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
-    assert f"rxfront.{module}" in imported
+    assert f"rxfront.{module}" in _imported(proc.stderr)
 
 
 def test_ideal_gain_frontend_runs_without_numpy(tmp_path):
     # A = inf: every topology's row is a closed form in Python complex numbers
     out = tmp_path / "report.csv"
-    argv = ["frontend", "--scenario", str(ROOT / "tests" / "golden" / "frontend_ideal.json"), "--out", str(out)]
+    argv = ["frontend", "--scenario", str(_scenario(IDEAL)), "--out", str(out)]
     assert _fresh(f"""
 import json, sys
 sys.modules["numpy"] = None  # any numpy import now raises ImportError
 import rxfront.cli
 print(json.dumps(rxfront.cli.main({argv!r})))
 """) == 0
-    assert out.read_bytes() == (ROOT / "tests" / "golden" / "frontend_ideal.csv").read_bytes()
+    assert out.read_bytes() == _report(IDEAL)
 
 
 def test_mna_powers_need_no_numpy_after_the_solve():
@@ -303,13 +331,7 @@ print(json.dumps([len(netlist.elements), netlist.n_nodes]))
 """) == [5, 3]
 
 
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 needs_task_list = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
-
-
-def _stripped(**extra) -> dict:
-    """This environment without any thread-count variable, plus ``extra``."""
-    return {**{k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}, **extra}
 
 
 def _threads_after_main(argv: list, env: dict) -> list:

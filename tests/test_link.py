@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -128,6 +129,19 @@ def test_snr_ratio_closed_form_matches_reference():
     link = SingleLink(50.0, 10.0, 1e-12)
     amp = AmplifierNoiseModel(10.0, 1e-9, 290.0)
     assert snr_ratio_oc_over_match(link, amp) == snr_ratio_ref(50 + 0j, 10.0, 1e-9, 290.0)
+
+
+@pytest.mark.parametrize("z_r", [1e-300, 1e-300 + 1e-300j, 1e200 + 1e200j, 5 + 37j, 50], ids=repr)
+def test_snr_ratio_matches_the_exact_value_where_squares_leave_the_float_range(z_r):
+    # Re^2 / |z_r|^2 underflows to 0 / 0 at 1e-300 and overflows at 1e200
+    amp = AmplifierNoiseModel(10.0, 1e-9, 290.0)
+    got = snr_ratio_oc_over_match(SingleLink(z_r, 10.0, 1e-12), amp)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        re, im = Decimal(complex(z_r).real), Decimal(complex(z_r).imag)
+        thermal = 2 * Decimal(K_BOLTZ) * Decimal(amp.temperature) * re
+        exact = 4 * re * re / (re * re + im * im) + Decimal(amp.gain) ** 2 * thermal / Decimal(amp.n_na)
+        assert abs(Decimal(got) - exact) <= Decimal("2.5e-16") * exact
 
 
 def test_snr_ratio_rejects_degenerate_inputs():

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -100,3 +102,20 @@ def test_capacity_report_prints_the_exact_values_to_12_digits(tmp_path, capsys):
         assert cli.main(["capacity", "--scenario", str(scenario)]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[1::2] == [cli.fmt(value) for value in _exact(power, bandwidth, 1.0)]
+
+
+def test_capacity_is_the_direct_formula_bit_for_bit_where_its_quotient_is_normal():
+    # capacity forms P/(B*N0) from the three exponents; where B*N0 and the
+    # quotient are normal floats, that is the direct quotient, to the bit
+    rng = random.Random(28)
+    draws = [tuple(10.0 ** rng.uniform(-300, 300) for _ in range(3)) for _ in range(50_000)]
+    tiny = sys.float_info.min
+    draws += [(tiny, 1.0, 1.0), (1.5 * tiny, 1.0, 1.0), (2.0**1023, 1.0, 1.0), (sys.float_info.max, 1.0, 1.0)]
+    compared = 0
+    for power, bandwidth, noise_density in draws:
+        noise = bandwidth * noise_density
+        if tiny <= noise < math.inf and tiny <= power / noise < math.inf:
+            want = bandwidth * math.log1p(power / noise) / LN2
+            assert capacity(AwgnChannelSpec(power, bandwidth, noise_density)) == want, (power, bandwidth, noise_density)
+            compared += 1
+    assert compared > 25_000
