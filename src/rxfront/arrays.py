@@ -207,19 +207,19 @@ def terminate_array(model: ArrayModel, strategy: TerminationStrategy) -> ArrayTe
     those of an SVD at every frequency.
 
     numpy's floating-point warnings are off while it runs. A V_oc, voltage
-    or power that leaves the float range raises NumericalError naming the
-    earliest such frequency index. An off-diagonal ratio of inf, where the
-    divider's diagonal is zero, is a result; one outside the float range is
-    NaN, which the report refuses.
+    or power that leaves the float range, or an off-diagonal ratio that
+    does (NaN), raises NumericalError naming the earliest such frequency
+    index. An off-diagonal ratio of inf, where the divider's diagonal is
+    zero, is a result.
     """
     with np.errstate(all="ignore"):
         v_oc = open_circuit_voltages(model)
         result = _terminate(model, strategy, v_oc)
-    names = ("open-circuit voltage", "voltage", "power")
-    finite = [np.isfinite(values).reshape(len(v_oc), -1).all(axis=1)
-              for values in (v_oc, result.voltages, result.power)]
-    index = int(np.argmin(np.logical_and.reduce(finite)))  # the earliest index where one is not
-    for name, ok in zip(names, finite):
+    names = ("open-circuit voltage", "voltage", "power", "off-diagonal ratio")
+    in_range = [np.isfinite(values).reshape(len(v_oc), -1).all(axis=1)
+                for values in (v_oc, result.voltages, result.power)] + [~np.isnan(result.offdiag_ratio)]
+    index = int(np.argmin(np.logical_and.reduce(in_range)))  # the earliest index where one is not
+    for name, ok in zip(names, in_range):
         if not ok[index]:
             raise NumericalError(f"{strategy.kind}: {name} at frequency index {index} is outside the float range")
     return result

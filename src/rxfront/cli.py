@@ -6,7 +6,7 @@ Reports are CSV (default) or indented text with numbers rendered to 12
 significant digits; exact zeros print as ``0``. A float prints ``inf`` only
 in the flag columns a command module lists in ``FLAGS``, where inf is a
 result (an SNR without noise, an open-circuit load); any other non-finite
-float exits 3 before the report is written (``scenario.check_range``).
+float exits 3 before the report is written (``scenario.render_report``).
 ``undefined`` marks a quantity with no value, such as Eb/N0 at zero power.
 Row order is fixed, so identical inputs give byte-identical reports.
 
@@ -28,7 +28,6 @@ from .scenario import (  # Scenario and fmt: callers use them by these names
     _ARITHMETIC_MESSAGES,
     SUBCOMMANDS,
     Scenario,  # noqa: F401
-    check_range,
     fmt,  # noqa: F401
     parse_scenario,
     render_report,
@@ -178,9 +177,7 @@ def _main(argv) -> int:
             return 0
         module = _load(f"{__package__}.commands.{command}")
         columns, ok = module.run(scenario)
-        check_range(columns, module.FLAGS)
-        title = f"{scenario.name} {command}"
-        _write_text(out, render_report(columns, args["format"], title))
+        _write_text(out, render_report(columns, args["format"], f"{scenario.name} {command}", module.FLAGS))
         if not ok:
             print(f"{command}: validation failed", file=sys.stderr)
             return 1

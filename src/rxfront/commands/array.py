@@ -12,7 +12,6 @@ from ..scenario import (
     REQUIRED,
     Scenario,
     _as_complex,
-    _cells,
     _count,
     _cx,
     _int,
@@ -20,10 +19,9 @@ from ..scenario import (
     _list_of,
     _num,
     _one_of,
-    _port_cells,
     _str,
     _walk,
-    check_range,
+    fmt,
 )
 
 
@@ -97,7 +95,7 @@ def _array(value):
 
 
 FIELDS = {"array": (_array, REQUIRED)}
-FLAGS = ("offdiag_ratio",)  # the annotation's ratio, inf where the divider's diagonal is zero
+FLAGS = ()  # the ratio, inf where the divider's diagonal is zero, prints inside the annotation text
 
 
 def run(scenario: Scenario):
@@ -140,19 +138,15 @@ def run(scenario: Scenario):
         return np.stack([getattr(result, field) for result in solved], axis=1).reshape(-1)
 
     n_freqs, n_rx = solved[0].voltages.shape
-    volts = flat("voltages")
-    re, im = volts.real, volts.imag
-    phases = np.array(list(map(math.atan2, im.tolist(), re.tolist())))  # np.arctan2 can differ in the last bit
-    mags, ratios = np.hypot(re, im), flat("offdiag_ratio")  # hypot: abs() of each voltage, to the last bit
-    # the numbers this runner formats itself pass the report's rule first; a row is a report row of n_rx ports
-    check_range({"v_mag_volts": mags.reshape(-1, n_rx), "v_phase_rad": phases.reshape(-1, n_rx),
-                 "offdiag_ratio": ratios}, FLAGS)
+    volts = flat("voltages").reshape(-1, n_rx)  # one row of ports per report row
     columns = {
-        "freq_hz": np.repeat(model.zms.grid.as_array(), len(solved)),
+        "freq_hz": [freq for freq in model.zms.grid for _ in solved],
         "strategy": labels * n_freqs,
-        "sum_power_w": flat("power"),
-        "v_mag_volts": _port_cells(mags, n_rx),
-        "v_phase_rad": _port_cells(phases, n_rx),
-        "annotations": [f"offdiag_ratio={cell}{note}" for cell, note in zip(_cells(ratios), notes * n_freqs)],
+        "sum_power_w": flat("power").tolist(),
+        "v_mag_volts": np.hypot(volts.real, volts.imag).tolist(),  # hypot: abs() of each voltage, to the last bit
+        "v_phase_rad": [list(map(math.atan2, im, re))  # np.arctan2 can differ in the last bit
+                        for re, im in zip(volts.real.tolist(), volts.imag.tolist())],
+        "annotations": [f"offdiag_ratio={fmt(ratio)}{note}"
+                        for ratio, note in zip(flat("offdiag_ratio").tolist(), notes * n_freqs)],
     }
     return columns, True

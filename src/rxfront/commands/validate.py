@@ -19,8 +19,6 @@ FLAGS = ()
 
 
 def run(scenario: Scenario):
-    import numpy as np
-
     from ..impedance import load_impedance_csv, validate_passivity, validate_reciprocity
 
     section = scenario.data["validate"]
@@ -35,9 +33,9 @@ def run(scenario: Scenario):
     deviations = [d for report in reports for d in report.deviations]
     columns = {
         "check": [report.check for report in reports for _ in zms.grid],
-        "freq_hz": np.array(zms.grid.points * len(reports)),
-        "deviation": np.array(deviations),
-        "tol": np.full(len(deviations), tol),
+        "freq_hz": list(zms.grid.points * len(reports)),
+        "deviation": deviations,
+        "tol": [tol] * len(deviations),
         "passed": ["pass" if d <= tol else "fail" for d in deviations],
     }
     return columns, all(report.passed for report in reports)

@@ -55,6 +55,8 @@ class OpAmpModel(Frozen):
         z_cm = _optional_impedance(z_cm, "z_cm")
         if z_cm is not None and z_cm.real < 0:
             raise ValidationError("finite z_cm must have nonnegative real part")
+        if z_cm == 0:  # y_cm is 1/z_cm
+            raise ValidationError("finite z_cm must be nonzero")
         if not math.isfinite(r_out) or r_out < 0:
             raise ValidationError("r_out must be finite and nonnegative")
         self._store(open_loop_gain, z_id, z_cm, r_out)

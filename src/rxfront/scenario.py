@@ -4,18 +4,17 @@ A scenario is checked and normalized by walking field tables: the shared
 checkers and tables are here, and each subcommand's own tables, with its
 runner, are in its module under ``rxfront.commands``. ``parse_scenario``
 imports that module only once it has found the scenario's one section, so a
-call compiles no other subcommand's code. ``check_range`` is the one
-float-range rule a report's columns pass before they render, to CSV or text
-through one %-template per report.
+call compiles no other subcommand's code. ``render_report`` applies the one
+float-range rule of every report while it converts the columns, and renders
+them to CSV or text through one %-template per report.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from functools import partial
-from itertools import count
+from itertools import chain, count
 from pathlib import Path
 
 from . import _load
@@ -41,9 +40,8 @@ def fmt(value) -> str:
         return "undefined"
     if isinstance(value, bool):
         return "true" if value else "false"
-    numpy = sys.modules.get("numpy")  # a run that never loaded numpy holds no numpy integer
-    if isinstance(value, int) or (numpy is not None and isinstance(value, numpy.integer)):
-        return str(int(value))  # numpy.bool_ is no numpy.integer: it prints as a float
+    if isinstance(value, int):
+        return str(int(value))
     x = float(value)
     if math.isnan(x):
         return "undefined"
@@ -220,46 +218,6 @@ def _check_squares(*fields) -> None:
             raise OverflowError(f"|{field}|^2 is outside the float range") from None
 
 
-def check_range(columns: dict, flags: tuple = ()) -> None:
-    """The float-range rule of every report: a float cell is finite, or it
-    is +inf in a column named in ``flags``, whose formula gives inf as a
-    result (an SNR without noise, the load of an open circuit). Any other
-    float cell, a NaN anywhere or an inf elsewhere, raises NumericalError
-    naming the column and its row, counted from 1. A float array's first
-    axis is the row. Cells that are not floats (str, None) are not checked.
-
-    A list is summed first, as _spec sums it: a finite sum, or a +inf one
-    in a flag column, clears every cell, since a NaN makes the sum NaN and
-    a -inf makes it -inf or NaN. A list of strings alone is cleared by one
-    join. Any other list, an overflowing sum's included, is scanned cell by
-    cell."""
-    for name, column in columns.items():
-        flag = name in flags
-        if isinstance(column, list):
-            try:
-                total = sum(column)
-                if total - total == 0 or flag and total == math.inf:
-                    continue
-            except (TypeError, OverflowError):  # a str or None cell, or an int beyond the float range
-                try:
-                    "".join(column)  # a column of strings alone holds no float
-                    continue
-                except TypeError:
-                    pass
-            row = next((i for i, x in enumerate(column, 1)
-                        if isinstance(x, float) and not (x - x == 0 or flag and x == math.inf)), None)
-        elif column.dtype.kind == "f":  # a float array
-            numpy = sys.modules["numpy"]
-            ok = numpy.isfinite(column)
-            if flag:
-                ok |= column == math.inf
-            row = None if ok.all() else int(numpy.argmin(ok.reshape(len(ok), -1).all(axis=1))) + 1
-        else:
-            continue
-        if row is not None:
-            raise NumericalError(f"{name} row {row} is outside the float range")
-
-
 def _to_float(canon) -> float:
     return math.inf if canon == "inf" else float(canon)
 
@@ -275,38 +233,54 @@ def _from_rows(names: tuple, rows: list) -> dict:
     return dict(zip(names, map(list, zip(*rows)))) if rows else {name: [] for name in names}
 
 
-def _spec(column) -> tuple:
-    """One column's %-conversion and the values it converts. Floats convert
-    with %.12g after + 0.0 turns -0.0 into 0: %.12g then prints 0 and ±inf as
-    fmt does. That holds for a float array, or a list of only floats, that
-    holds no NaN. A list of str is its own cells; any other list, or a
-    float array holding a NaN, is its fmt cells. Cells convert with %s.
+def _spec(name: str, column: list, flag: bool) -> tuple:
+    """One column's %-conversion and the values it converts, once its cells
+    pass the float-range rule of every report: a float cell is finite, or it
+    is +inf where ``flag`` holds, in a column whose formula gives inf as a
+    result (an SNR without noise, the load of an open circuit). Any other
+    float cell, a NaN anywhere or an inf elsewhere, raises NumericalError
+    naming the column and its row, counted from 1. Cells that are not floats
+    (str, None, bool, int) are not checked.
 
-    A float list is tested for NaN by its sum, which a NaN anywhere makes
-    NaN. +inf and -inf, or an overflow to the other infinity, also make it
-    NaN, so only a NaN sum is confirmed by a scan."""
-    if isinstance(column, list):
-        types = set(map(type, column))
-        if types == {str}:
-            return "%s", column
-        if types != {float} or (math.isnan(sum(column)) and any(map(math.isnan, column))):
-            return "%s", list(map(fmt, column))
-        return "%.12g", [x + 0.0 for x in column] if 0.0 in column else column  # 0.0 in: -0.0 too
-    if (column != column).any():
-        return "%s", list(map(fmt, column.tolist()))
-    return "%.12g", (column + 0.0).tolist()
+    A column of str alone is its own cells. A column of floats alone
+    converts with %.12g after 0.0 + x turns -0.0 into 0: %.12g then prints
+    0 and inf as fmt does. Any other column is its fmt cells. A port column
+    is a list of row lists of one length: its cells convert as one column,
+    and each row's are joined with ";" by one %-template, so the column
+    converts with %s.
 
-
-def _cells(column) -> list:
-    """One column's report cells."""
-    spec, values = _spec(column)
-    return values if spec == "%s" else list(map(spec.__mod__, values))
-
-
-def _port_cells(column, k: int) -> list:
-    """A flat port column's cells, each row's k joined with ";" by one %-template."""
-    spec, values = _spec(column)
-    return list(map(";".join([spec] * k).__mod__, zip(*[iter(values)] * k)))
+    The rule sums the cells first: a finite sum, or a +inf one where flag
+    holds, clears every cell, since a NaN makes the sum NaN and a -inf makes
+    it -inf or NaN. A sum that fails (a str or None cell, an int beyond the
+    float range) or does not clear them sends the rows to a scan, which
+    finds the first bad cell, or none where only the sum overflowed."""
+    types = set(map(type, column))
+    port = types == {list}
+    cells = list(chain.from_iterable(column)) if port else column
+    if port:
+        types = set(map(type, cells))
+    if types != {str}:
+        try:
+            total = sum(cells)
+            clear = total - total == 0 or flag and total == math.inf
+        except (TypeError, OverflowError):
+            clear = False
+        if not clear:
+            for row, value in enumerate(column, 1):
+                for x in value if port else (value,):
+                    if isinstance(x, float) and not (x - x == 0 or flag and x == math.inf):
+                        raise NumericalError(f"{name} row {row} is outside the float range")
+    if types == {str}:
+        spec, convert = "%s", None
+    elif types == {float}:
+        spec, convert = "%.12g", (0.0).__add__ if 0.0 in cells else None  # 0.0 in: -0.0 too
+    else:
+        spec, convert = "%s", fmt
+    if not port:
+        return spec, cells if convert is None else list(map(convert, cells))
+    template = ";".join([spec] * len(column[0]))  # a row of another length fails to format
+    rows = column if convert is None else [list(map(convert, row)) for row in column]
+    return "%s", [template % tuple(row) for row in rows]
 
 
 def _needs_quotes(text: str) -> bool:
@@ -322,12 +296,15 @@ def _quoted(cells: list) -> list:
     return ['"' + cell.replace('"', '""') + '"' if _needs_quotes(cell) else cell for cell in cells]
 
 
-def render_report(columns: dict, fmt_kind: str, title: str) -> str:
-    """Render report columns (name -> list of values or float array) as CSV
-    or structured text; both carry identical fields. Each report has one
+def render_report(columns: dict, fmt_kind: str, title: str, flags: tuple) -> str:
+    """Render report columns (name -> list of cells, or of row lists for a
+    port column) as CSV or structured text; both carry identical fields.
+    Each column passes the float-range rule as it converts, the columns
+    named in ``flags`` with +inf allowed (see _spec), so a refused cell
+    raises NumericalError before any text is built. Each report has one
     %-template that renders every row."""
     names = list(columns)
-    specs, values = zip(*map(_spec, columns.values()))
+    specs, values = zip(*[_spec(name, column, name in flags) for name, column in columns.items()])
     if fmt_kind == "csv":  # float cells never need quoting; %s cells may hold strings
         values = [_quoted(column) if spec == "%s" else column for spec, column in zip(specs, values)]
         row = ",".join(specs) + "\n"

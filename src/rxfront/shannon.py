@@ -74,11 +74,15 @@ def capacity_bound(power: float, noise_density: float) -> float:
 
 
 def eb_n0(spec: AwgnChannelSpec) -> float:
-    """Energy per bit over noise density, (P/C)/N0; exceeds ln 2 for finite B."""
+    """Energy per bit over noise density, (P/C)/N0; exceeds ln 2 for finite B.
+    Where the capacity C is not a normal float, P/(C*N0) would divide by an
+    underflowed C, and Eb/N0 takes the form snr*ln2/log1p(snr) instead."""
     if spec.power == 0:
         raise ValidationError("Eb/N0 is undefined at zero power")
     if _normal_snr(spec) is not None:
-        return spec.power / (capacity(spec) * spec.noise_density)
+        bits = capacity(spec)
+        if bits >= _TINY:
+            return spec.power / (bits * spec.noise_density)
     m, e = _split_snr(spec)  # Eb/N0 = snr / log2(1 + snr), as in capacity
     if e > 1000:  # OverflowError where Eb/N0 itself is outside the float range
         return math.ldexp(m / (math.log2(m) + e), e)

@@ -444,8 +444,8 @@ def validate_passivity_ref(zms, tol=1e-9):
 
 
 def cells_ref(column) -> list:
-    if isinstance(column, list):
-        return [fmt(value) for value in column]
+    if isinstance(column, list):  # a port column's row lists print joined with ";"
+        return [";".join(map(fmt, value)) if isinstance(value, list) else fmt(value) for value in column]
     values = column.tolist()
     cells = [format(value, ".12g") for value in values]
     for i in np.flatnonzero((column == 0.0) | (column != column)).tolist():

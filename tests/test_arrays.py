@@ -223,6 +223,29 @@ def test_an_overflowing_termination_is_refused_at_its_first_frequency(kind):
             terminate_array(model, TerminationStrategy(kind))
 
 
+def test_an_off_diagonal_ratio_outside_the_float_range_is_refused(tmp_path, capsys):
+    # an explicit passive load cancels receive reactances of 1e160 ohms at
+    # frequency index 1: Z_R + Z_L is well conditioned and a tiny current keeps
+    # V and P finite, but the divider's Frobenius norms overflow, so its
+    # off-diagonal ratio is inf / inf
+    rows = ["freq_hz,row,col,re_ohms,im_ohms"]
+    for freq, reactance in ((1e6, 1e100), (2e6, 1e160)):
+        rows += [f"{freq},0,0,1,0", f"{freq},0,1,0.1,0", f"{freq},0,2,0.1,0",
+                 f"{freq},1,1,1,{reactance}", f"{freq},1,2,0.5,0", f"{freq},2,2,1,{reactance}"]
+    (tmp_path / "z.csv").write_text("\n".join(rows) + "\n")
+    z_l = [[{"re": 1, "im": -1e160}, {"re": 0}], [{"re": 0}, {"re": 1, "im": -1e160}]]
+    scenario = tmp_path / "cancelled.json"
+    scenario.write_text(json.dumps({"array": {
+        "impedance_csv": "z.csv", "dims_m": 1, "dims_k": 2, "i_t_amperes": [{"re": 1e-200}],
+        "strategies": ["open_circuit", {"kind": "explicit", "z_l_ohms": z_l}]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["array", "--scenario", str(scenario)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical error: explicit: off-diagonal ratio at frequency index 1 is outside the float range\n"
+
+
 def test_synthetic_rejects_bad_parameters():
     with pytest.raises(ValidationError):
         make_synthetic_model(0, 2, 50 + 5j, 1.0, 0.5, [1e6])

@@ -18,7 +18,7 @@ from rxfront import cli
 from rxfront import scenario as shared
 from rxfront.commands import link as link_command
 from rxfront.commands import match as match_command
-from rxfront.core import ParseError
+from rxfront.core import NumericalError, ParseError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -51,7 +51,6 @@ def test_fmt_tokens():
 def test_fmt_numpy_scalars_and_bools():
     assert cli.fmt(True) == "true" and cli.fmt(False) == "false"
     assert cli.fmt(np.int64(-3)) == "-3"
-    assert cli.fmt(np.uint64(2**64 - 1)) == "18446744073709551615"  # exact, not through a float
     assert cli.fmt(np.int8(0)) == "0"
     assert cli.fmt(np.True_) == "1" and cli.fmt(np.False_) == "0"  # numpy.bool_ is not an integer
     assert cli.fmt(np.float32(0.5)) == "0.5"
@@ -673,8 +672,8 @@ def _edited_example(tmp_path, name, path, value):
 @pytest.mark.parametrize("name,path,value", [
     # OverflowError: |z_rt|^2 overflows a float
     ("link_crossover", ("link", "z_rt_ohms", "re"), 1e308),
-    # ZeroDivisionError: an op-amp common-mode impedance of zero
-    ("frontend_buffer", ("frontend", "opamp", "z_cm_ohms"), {"re": 0}),
+    # ZeroDivisionError: a gain of 1e-300, whose square the noise factor divides by
+    ("noisefig_sweep", ("noisefig", "amp", "gain"), 1e-300),
     # LinAlgError: eigenvalues of a 1e308 self-impedance do not converge
     ("array_synthetic", ("array", "synthetic", "self_ohms", "re"), 1e308),
 ], ids=["overflow", "zero_division", "linalg"])
@@ -684,6 +683,14 @@ def test_numerical_failures_exit_3(tmp_path, capsys, name, path, value):
     code, _, err = run_cli([name.split("_")[0], "--scenario", str(scen)], capsys)
     assert code == 3
     assert "numerical error" in err
+
+
+@pytest.mark.parametrize("z_cm", [{"re": 0, "im": 0}, {"re": 0}, {"re": -0.0, "im": -0.0}])
+def test_zero_common_mode_impedance_is_a_validation_error(tmp_path, capsys, z_cm):
+    # its admittance 1/z_cm once divided by zero at exit 3
+    scen = _edited_example(tmp_path, "frontend_buffer", ("frontend", "opamp", "z_cm_ohms"), z_cm)
+    got = run_cli(["frontend", "--scenario", str(scen)], capsys)
+    assert got == (1, "", "validation error: finite z_cm must be nonzero\n")
 
 
 @pytest.mark.parametrize("name,path,value,message", [
@@ -1091,79 +1098,140 @@ def test_near_normalized_loads_match_the_table_walk(monkeypatch, text, as_is):
         assert not as_is and checked.startswith("ParseError: scenario: link.loads[].z_l_ohms.")
 
 
-EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e16, 0.1 + 0.2, 1.0 / 3.0, -2.5e-300]
+EDGE_FLOATS = [0.0, -0.0, math.inf, 1.7e308, 5e-324, -5e-324, 1e16, 0.1 + 0.2, 1.0 / 3.0, -2.5e-300]
 EDGE_COLUMNS = {
-    "finite": np.array(EDGE_FLOATS),
-    "with_nan": np.array(EDGE_FLOATS[:-1] + [math.nan]),
-    "values": [None, True, False, np.int64(-7), 3, 0.0, -0.0, math.nan, -math.inf, 0.1 + 0.2],
+    "floats": EDGE_FLOATS,
+    "ports": [[x, y] for x, y in zip(EDGE_FLOATS, reversed(EDGE_FLOATS))],
+    "values": [None, True, False, -7, 3, 0.0, -0.0, math.inf, 0.1 + 0.2, "inf"],
     "text": ["a,b", 'say "hi"', "two\nlines", "cr\rin", "crlf\r\n", "", " lead", "%s", "%d %%", "plain"],
     "100%s": ["x"] * len(EDGE_FLOATS),
 }
+EDGE_FLAGS = ("floats", "ports", "values")
+# Columns the float-range rule refuses, each with the row it names: a -inf,
+# a NaN, and a NaN or -inf among other cells or in a port row.
+REFUSED_EDGES = [
+    ("floats", EDGE_FLOATS[:3] + [-math.inf] + EDGE_FLOATS[4:], 4),
+    ("floats", EDGE_FLOATS[:-1] + [math.nan], 10),
+    ("values", [None, True, False, -7, 3, 0.0, -0.0, math.nan, -math.inf, 0.1 + 0.2], 8),
+    ("ports", [[1.0, 2.0], [3.0, -math.inf]] + EDGE_COLUMNS["ports"][2:], 2),
+    ("ports", EDGE_COLUMNS["ports"][:6] + [[math.nan, 1.0]] + EDGE_COLUMNS["ports"][7:], 7),
+]
+
+
+def _refused_row(column: list, flag: bool):
+    """The first row, counted from 1, that holds a float the rule refuses (a
+    NaN, -inf, or +inf outside a flag column), cell by cell; None if none."""
+    for row, value in enumerate(column, 1):
+        for x in value if isinstance(value, list) else [value]:
+            if isinstance(x, float) and (x != x or x == -math.inf or x == math.inf and not flag):
+                return row
+    return None
+
+
+def assert_renders_cell_by_cell(column: list, flag: bool = True):
+    """A one-column report renders as the cell-by-cell reference, or, where
+    the column holds a float the rule refuses, raises naming its first row."""
+    flags = ("c",) if flag else ()
+    row = _refused_row(column, flag)
+    for fmt_kind in ("csv", "text"):
+        if row is None:
+            assert cli.render_report({"c": column}, fmt_kind, "t", flags) == \
+                render_report_ref({"c": column}, fmt_kind, "t"), column
+        else:
+            with pytest.raises(NumericalError, match=f"^c row {row} is outside the float range$"):
+                cli.render_report({"c": column}, fmt_kind, "t", flags)
 
 
 @pytest.mark.parametrize("fmt_kind", ["csv", "text"])
 def test_report_matches_the_cell_by_cell_rendering(fmt_kind):
-    assert cli.render_report(EDGE_COLUMNS, fmt_kind, "edge %s") == render_report_ref(EDGE_COLUMNS, fmt_kind, "edge %s")
-    plain = {name: EDGE_COLUMNS[name] for name in ("finite", "values")}  # no string needs quotes
-    assert cli.render_report(plain, fmt_kind, "plain") == render_report_ref(plain, fmt_kind, "plain")
+    got = cli.render_report(EDGE_COLUMNS, fmt_kind, "edge %s", EDGE_FLAGS)
+    assert got == render_report_ref(EDGE_COLUMNS, fmt_kind, "edge %s")
+    plain = {name: EDGE_COLUMNS[name] for name in ("floats", "ports", "values")}  # no string needs quotes
+    assert cli.render_report(plain, fmt_kind, "plain", EDGE_FLAGS) == render_report_ref(plain, fmt_kind, "plain")
+    for name, column, row in REFUSED_EDGES:
+        with pytest.raises(NumericalError, match=f"^{name} row {row} is outside the float range$"):
+            cli.render_report({**EDGE_COLUMNS, name: column}, fmt_kind, "edge %s", EDGE_FLAGS)
+    with pytest.raises(NumericalError, match="^floats row 3 is outside the float range$"):  # +inf, not a flag
+        cli.render_report(EDGE_COLUMNS, fmt_kind, "edge %s", ("ports", "values"))
 
 
 MIXED_COLUMNS = [
     ["a", 1.5, None, True, "inf", "b"],
     [math.inf, "inf", False, -0.0, math.nan, np.float64(0.1), 7],
+    [math.inf, "inf", False, -0.0, np.float64(0.1), 7],
     ["inf", "", "a,b", "%s"],
     [],
 ]
 
 
 def test_cells_match_the_cell_by_cell_rendering():
-    for column in [*EDGE_COLUMNS.values(), *MIXED_COLUMNS]:
-        assert shared._cells(column) == cells_ref(column)
+    for column in [*EDGE_COLUMNS.values(), *MIXED_COLUMNS, *(column for _, column, _ in REFUSED_EDGES)]:
+        for flag in (True, False):
+            assert_renders_cell_by_cell(column, flag)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 10])
 def test_port_cells_join_each_rows_cells(k):
-    for name in ("finite", "with_nan"):
-        cells = cells_ref(EDGE_COLUMNS[name])
-        assert shared._port_cells(EDGE_COLUMNS[name], k) == [";".join(cells[i:i + k]) for i in range(0, len(cells), k)]
+    # a port column is a list of row lists: each row's cells joined with ";"
+    for values in (EDGE_FLOATS, EDGE_FLOATS[:-1] + [math.nan], [1.0, -0.0, 2.5] * k):
+        column = [values[i:i + k] for i in range(0, len(values), k)]
+        for flag in (True, False):
+            assert_renders_cell_by_cell(column, flag)
+    column = [EDGE_FLOATS[i:i + k] for i in range(0, len(EDGE_FLOATS), k)]
+    cells = cells_ref(EDGE_FLOATS)
+    rows = cli.render_report({"v": column}, "csv", "ports", ("v",)).splitlines()[1:]
+    assert rows == [";".join(cells[i:i + k]) for i in range(0, len(cells), k)]
+    with pytest.raises(TypeError):  # the rows of a port column have one length
+        cli.render_report({"v": [[1.0] * k, [2.0] * (k + 1)]}, "csv", "ports", ())
 
 
 def test_float_lists_convert_like_float_arrays(monkeypatch):
-    # a list of only floats and no NaN takes %.12g; a NaN, or any int or
-    # bool among the floats, sends the list through fmt
-    float_lists = [EDGE_FLOATS, EDGE_FLOATS + [math.nan], [math.nan], [-0.0], [1e16, 5e-324]]
+    # a list of only floats takes %.12g and prints as a float array did; a
+    # NaN is refused before any cell converts; any int or bool among the
+    # floats sends the list through fmt
+    float_lists = [EDGE_FLOATS, [-0.0], [1e16, 5e-324], [1.7e308, 1.7e308, math.inf]]
     mixed = [1.5, 2, True, -0.0, math.inf]
     for column in float_lists:
-        assert shared._cells(column) == cells_ref(column) == cells_ref(np.array(column))
-    assert shared._cells(mixed) == cells_ref(mixed)
+        assert_renders_cell_by_cell(column)
+        assert cells_ref(column) == cells_ref(np.array(column))
+    for column in (EDGE_FLOATS + [math.nan], [math.nan], mixed):
+        assert_renders_cell_by_cell(column)
     calls, real = [], shared.fmt
     monkeypatch.setattr(shared, "fmt", lambda value: calls.append(value) or real(value))
-    assert shared._spec(EDGE_FLOATS)[0] == "%.12g" and calls == []
-    assert shared._spec([-0.0, math.nan])[0] == "%s" and len(calls) == 2
-    assert shared._spec(mixed)[0] == "%s" and calls[2:] == mixed
+    assert shared._spec("c", EDGE_FLOATS, True)[0] == "%.12g" and calls == []
+    with pytest.raises(NumericalError, match="^c row 2 is outside the float range$"):
+        shared._spec("c", [-0.0, math.nan], True)
+    assert calls == []
+    assert shared._spec("c", mixed, True)[0] == "%s" and calls == mixed
 
 
 def test_cells_of_random_lists_are_their_fmt_cells():
-    # a float list's NaN test is its sum: a NaN, both infinities and sums that
-    # overflow to either infinity must all come out as fmt's cells
+    # the rule tests a column by its sum first: a NaN, both infinities and
+    # sums that overflow to either infinity must all come out as the
+    # cell-by-cell rule says, refused at the first bad row or printed as fmt's cells
     rng = random.Random(20_023)
     pool = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.7e308, -1.7e308, 5e-324, 1.0 / 3.0, 3, 0, True, False,
-            "x", "inf"]
+            "x", "inf", None]
     floats = [x for x in pool if type(x) is float]
-    columns = [[math.inf, -math.inf], [1.7e308, 1.7e308, -math.inf], [-0.0, math.nan, 1.0]]
+    columns = [[math.inf, -math.inf], [1.7e308, 1.7e308, -math.inf], [-0.0, math.nan, 1.0], [1.7e308, 1.7e308],
+               [-1.7e308, -1.7e308, math.inf]]
     for _ in range(3000):
         source = floats if rng.random() < 0.7 else pool
-        columns.append([rng.choice(source + [rng.uniform(-1e3, 1e3)]) for _ in range(rng.randint(1, 8))])
+        column = [rng.choice(source + [rng.uniform(-1e3, 1e3)]) for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.2:  # a port column, of rows of two cells
+            column = [column[i:i + 2] for i in range(0, len(column) - 1, 2)]
+        columns.append(column)
     for column in columns:
-        assert shared._cells(column) == list(map(shared.fmt, column)), column
+        for flag in (True, False):
+            assert_renders_cell_by_cell(column, flag)
 
 
 def test_string_columns_skip_fmt(monkeypatch):
     calls, real = [], shared.fmt
     monkeypatch.setattr(shared, "fmt", lambda value: calls.append(value) or real(value))
-    shared._cells(["inf", "x"])
+    cli.render_report({"c": ["inf", "x"]}, "csv", "t", ())
     assert calls == []
-    shared._cells(["x", None])
+    cli.render_report({"c": ["x", None]}, "csv", "t", ())
     assert calls == ["x", None]
 
 
@@ -1214,7 +1282,9 @@ def test_link_report_matches_the_cell_by_cell_rendering(tmp_path, fmt_kind):
     }))
     columns, _ = link_command.run(cli.parse_scenario(scenario))
     assert len(columns["label"]) == 20_003
-    assert cli.render_report(columns, fmt_kind, "sweep link") == render_report_ref(columns, fmt_kind, "sweep link")
+    assert all(type(column) is list for column in columns.values())
+    got = cli.render_report(columns, fmt_kind, "sweep link", link_command.FLAGS)
+    assert got == render_report_ref(columns, fmt_kind, "sweep link")
 
 
 @pytest.mark.parametrize("span", [0.0, 5e-324, 2.0, 1e300, 1.7e308])

@@ -26,13 +26,12 @@ import shutil
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from rxfront import cli, link, mna
 from rxfront.commands.link import FLAGS as LINK_FLAGS
 from rxfront.core import OPEN_CIRCUIT, NumericalError, ParseError
-from rxfront.scenario import check_range
+from rxfront.scenario import render_report
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DOCS = {path.stem: json.loads(path.read_text()) for path in sorted(SCENARIOS.glob("*.json"))}
@@ -235,16 +234,19 @@ def test_float_range_rule_refuses_naming_column_and_row():
         ({"snr": [inf, nan]}, ("snr",), "snr row 2"),  # NaN in a declared column
         ({"eb_n0": [None, "x", 1.0, inf]}, (), "eb_n0 row 4"),  # a list the sum cannot add
         ({"big": [1e308, 1e308, nan]}, (), "big row 3"),  # a sum that overflows before the NaN
-        ({"freq": np.array([1.0, nan])}, ("freq",), "freq row 2"),
-        ({"ports": np.array([[1.0, 2.0], [3.0, 4.0], [5.0, inf]])}, (), "ports row 3"),
+        ({"freq": [1.0, nan]}, ("freq",), "freq row 2"),
+        ({"ports": [[1.0, 2.0], [3.0, 4.0], [5.0, inf]]}, (), "ports row 3"),  # a port column's row
+        ({"label": ["a", "b"], "ports": [[1.0], [nan]], "snr": [inf, -inf]}, ("snr",), "ports row 2"),  # first column first
     ]
     for columns, flags, message in refused:
-        with pytest.raises(NumericalError, match=f"^{message} is outside the float range$"):
-            check_range(columns, flags)
-    check_range({  # finite floats, +inf in a flag column, and cells that are not floats
-        "snr": [inf, 1.0], "flag": np.array([inf, 2.0]), "big": [1e308, 1e308], "label": ["inf", "nan"],
-        "eb_n0": [None, 1.0], "count": [10**400], "ints": np.array([1, 2]), "empty": [],
-    }, ("snr", "flag"))
+        for fmt_kind in ("csv", "text"):
+            with pytest.raises(NumericalError, match=f"^{message} is outside the float range$"):
+                render_report(columns, fmt_kind, "refused", flags)
+    render_report({  # finite floats, +inf in a flag column, and cells that are not floats
+        "snr": [inf, 1.0], "flag": [[inf, 2.0], [3.0, inf]], "big": [1e308, 1e308], "label": ["inf", "nan"],
+        "eb_n0": [None, 1.0], "count": [10**400, 1], "ints": [1, 2],
+    }, "csv", "cleared", ("snr", "flag"))
+    assert render_report({"empty": []}, "csv", "empty", ()) == "empty\n"
 
     # link_crossover at amplifier.gain 1e308: the SNR formulas' quotients
     # overflow, which gives NaN, never the no-noise flag inf
@@ -252,19 +254,18 @@ def test_float_range_rule_refuses_naming_column_and_row():
     amp = link.AmplifierNoiseModel(1e308, 1e-9, 290.0)
     snr = [link.output_snr(lnk, amp, OPEN_CIRCUIT), link.output_snr(lnk, amp, 50 + 0j)]
     with pytest.raises(NumericalError, match="^snr row 1 is outside the float range$"):
-        check_range({"snr": snr}, LINK_FLAGS)
+        render_report({"snr": snr}, "csv", "gain", LINK_FLAGS)
 
 
-def _float_cells(column) -> list:
-    if isinstance(column, list):
-        return [x for x in column if isinstance(x, float)]
-    return column.ravel().tolist() if column.dtype.kind == "f" else []
+def _float_cells(column: list) -> list:
+    """The float cells of a column, a port column's rows flattened."""
+    return [x for value in column for x in (value if isinstance(value, list) else [value]) if isinstance(x, float)]
 
 
 def test_exit_0_nonfinite_float_cells_lie_in_flag_columns(workdir):
     # the shipped scenarios and the ratchet's edits, through each command's
-    # run: the rule lets them all through, and every float it lets through
-    # that is not finite is +inf in a declared FLAGS column
+    # run: every column is a list, the rule lets them all through, and every
+    # float it lets through that is not finite is +inf in a declared FLAGS column
     listed = {**REMAINING_OVERFLOWS, **DOCUMENTED_FLAGS}
     edits = [(name, path, value) for name, path in EDITS for value in POOL if _case(name, path, value) in listed]
     assert len(edits) == len(listed)
@@ -273,7 +274,8 @@ def test_exit_0_nonfinite_float_cells_lie_in_flag_columns(workdir):
         scenario = SCENARIOS / f"{name}.json" if path is None else _write_edit(workdir, name, path, value)
         module = importlib.import_module(f"rxfront.commands.{name.split('_')[0]}")
         columns, _ = module.run(cli.parse_scenario(scenario))
-        check_range(columns, module.FLAGS)
+        assert all(type(cells) is list for cells in columns.values()), (name, path, value)
+        render_report(columns, "csv", name, module.FLAGS)
         for column, cells in columns.items():
             nonfinite = {x for x in _float_cells(cells) if not math.isfinite(x)}
             if nonfinite:

@@ -94,6 +94,26 @@ def test_capacity_outside_the_normal_range_of_its_quotient(power, bandwidth, noi
         assert math.isclose(eb_n0(spec), want_eb, rel_tol=1e-14)
 
 
+# A normal P/(B*N0) whose capacity underflows: to 0, where P/(C*N0) divided
+# by zero, and to the subnormal 1.5e-323, where it gave 0.623, below ln 2;
+# and a subnormal quotient, with the same capacity of 0
+@pytest.mark.parametrize("power,bandwidth,noise_density", [
+    (3.4196045280945803e-228, 4.141057072880865e-101, 7.77400024462095e+132),
+    (4.5422101735325105e-34, 1.66724836579262e-108, 4.917704201787063e+289),
+    (1e-300, 1.0, 1e30),
+])
+def test_eb_n0_where_the_capacity_is_not_a_normal_float(tmp_path, capsys, power, bandwidth, noise_density):
+    spec = AwgnChannelSpec(power, bandwidth, noise_density)
+    assert capacity(spec) < sys.float_info.min
+    want = _exact(power, bandwidth, noise_density)[1]
+    assert math.isclose(eb_n0(spec), want, rel_tol=1e-14) and eb_n0(spec) >= LN2
+    scenario = tmp_path / "capacity.json"
+    scenario.write_text(json.dumps(
+        {"capacity": {"power": power, "noise_density": noise_density, "bandwidths": [bandwidth]}}))
+    assert cli.main(["capacity", "--scenario", str(scenario)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[3] == cli.fmt(want) == "0.69314718056"
+
+
 def test_capacity_report_prints_the_exact_values_to_12_digits(tmp_path, capsys):
     for power, bandwidth in ((1e308, 0.5), (1e-300, 1e300)):
         scenario = tmp_path / "capacity.json"
