@@ -83,7 +83,7 @@ def run(scenario: Scenario):
         section["s_it_a2_per_hz"],
     )
     amp = link_mod.AmplifierNoiseModel(ampd["gain"], ampd["n_na_v2_per_hz"], ampd["temp_kelvin"])
-    _check_squares(("link.z_rt_ohms", lnk.z_rt), ("link.z_r_ohms", lnk.z_r))  # s_voc, then the SNR
+    _check_squares(("link.z_rt_ohms", lnk.z_rt), ("link.z_r_ohms", lnk.z_r))  # s_voc, then the power's divider
 
     @cache
     def open_cells() -> tuple:

@@ -9,7 +9,6 @@ from functools import partial
 from ..core import MAX_ARRAY_BYTES, ValidationError
 from ..scenario import (
     _AMPLIFIER,
-    _ARITHMETIC_MESSAGES,
     _LINK_FIELDS,
     REQUIRED,
     Scenario,
@@ -84,18 +83,9 @@ def run(scenario: Scenario):
                 f"match.ratio_sweep.span_decades {fmt(span)} takes the turns ratio from "
                 f"its optimum {fmt(best)} to {fmt(end)}"
             )
-
-    def row(exponent: float, ratio: float) -> tuple:
-        xf = matching.TransformerMatch(ratio, cancel)
-        try:
-            snr = matching.snr_with_transformer(lnk, r_in, amp, xf)
-        except tuple(_ARITHMETIC_MESSAGES) as exc:
-            if type(exc) is OverflowError:  # the squares that no turns ratio changes come first
-                _check_squares(("match.amp_input_resistance_ohms", r_in), ("match.link.z_rt_ohms", lnk.z_rt))
-            raise type(exc)(f"turns_ratio {fmt(ratio)}: {_ARITHMETIC_MESSAGES[type(exc)]}") from exc
-        return ratio, snr, "at_optimal" if exponent == 0 else ""
-
-    rows = [row(e, ratio) for e, ratio in zip(exponents, ratios)]
+    _check_squares(("match.link.z_rt_ohms", lnk.z_rt))  # s_voc; the SNR squares no other field
+    rows = [(ratio, matching.snr_with_transformer(lnk, r_in, amp, matching.TransformerMatch(ratio, cancel)),
+             "at_optimal" if e == 0 else "") for e, ratio in zip(exponents, ratios)]
     return _from_rows(("turns_ratio", "snr", "annotations"), rows), True
 
 

@@ -1,4 +1,4 @@
-"""Shared numeric types, errors, and Thevenin construction.
+"""Shared numeric types, errors, Thevenin construction, and the divider SNR.
 
 Nothing here needs numpy but ``FrequencyGrid.as_array`` and ``solve_circuit``
 (the one solve of ``mna`` and ``frontend``), which import it when called. The
@@ -17,6 +17,9 @@ BOLTZMANN = 1.380649e-23
 
 DEFAULT_TOL = 1e-9
 """Default relative tolerance for reciprocity and passivity checks."""
+
+TINY = 2.0**-1022
+"""The smallest normal float."""
 
 MAX_ARRAY_BYTES = 2**31
 """Largest array, in bytes, that an impedance CSV or a scenario size may ask for (2 GiB)."""
@@ -192,6 +195,36 @@ def solve_circuit(matrix, rhs, what: str) -> list:
         return np.linalg.solve(np.asarray(matrix, dtype=np.complex128), np.asarray(rhs, dtype=np.complex128)).tolist()
     except np.linalg.LinAlgError as exc:
         raise SingularCircuitError(f"{what} is singular") from exc
+
+
+def divider_snr(s: float, z_s, z_l, gain: float, n_na: float, temperature: float, source: bool, load: bool) -> tuple:
+    """|w| and the amplifier-output SNR of a source (open-circuit signal
+    density s in V^2/Hz, impedance z_s) behind a load z_l (math.inf: an open
+    input) at an amplifier of gain g and output noise n_na: the one SNR
+    formula of link, match and noisefig. With w = z_l / (z_s + z_l) and
+    u = z_s / (z_s + z_l), 1 and 0 for an open input,
+
+        SNR = g^2 |w|^2 s / (n_na + g^2 2kT (Re z_s |w|^2 [source] + Re z_l |u|^2 [load]))
+
+    where ``source`` and ``load``, fixed by each caller, say which
+    resistances are Johnson noise sources. |w| and |u| scale the signal and
+    the resistances one factor at a time, so neither a resistance nor |w| is
+    squared on its own to leave the float range. Zero noise gives inf; an
+    SNR outside the float range, or taken over a noise that is, gives NaN;
+    a zero divider raises ZeroDivisionError.
+    """
+    if z_l == math.inf:
+        mag, johnson = 1.0, z_s.real if source else 0.0
+    else:
+        den = z_s + z_l
+        mag, u = abs(z_l / den), abs(z_s / den)
+        johnson = (z_s.real * mag * mag if source else 0.0) + (z_l.real * u * u if load else 0.0)
+    g2 = gain * gain
+    noise = n_na + g2 * (2.0 * BOLTZMANN * temperature * johnson) if johnson else n_na
+    if noise == 0:
+        return mag, math.inf
+    snr = g2 * mag * (mag * s) / noise
+    return mag, snr if math.isfinite(snr) and noise < math.inf else math.nan
 
 
 def thevenin_from_link(z_rt, i_t, z_r) -> TheveninSource:

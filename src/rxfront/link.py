@@ -28,6 +28,7 @@ from .core import (
     TheveninSource,
     ValidationError,
     as_complex,
+    divider_snr,
     johnson_density,
 )
 
@@ -129,25 +130,18 @@ def divided_voltage(source: TheveninSource, z_in) -> complex:
 
 def _row_kernel(link: SingleLink, amp: AmplifierNoiseModel):
     """The link's per-load formulas, built once per link and amplifier, as
-    one function of a finite load's parts (re, im). It returns the divider
-    magnitude |z_l / (z_r + z_l)|, the power per unit V_oc scaled by s_voc
-    (the report's power per Hz) and output_snr's SNR.
+    one function of a finite load's parts (re, im): the divider magnitude
+    |z_l / (z_r + z_l)| and the SNR of core.divider_snr, the load being the
+    one noise source, and the power per unit V_oc scaled by s_voc (the
+    report's power per Hz).
 
     A divider z_r + z_l = 0 raises SingularCircuitError, even for an active
-    load; then a negative re raises ValidationError. The rest is Python
-    arithmetic: OverflowError for a square that overflows (squares are **,
-    which differs from x * x in the last bit for some doubles),
-    ZeroDivisionError for an |z_r + z_l|^2 that underflowed to 0; zero total
-    noise gives an SNR of inf, and an SNR outside the float range is NaN, so
-    that inf means no noise only. abs() is C's hypot, which overflows only
-    from two large finite parts, and a passive load's z_l / (z_r + z_l) has
-    at most one: Re(z_r + z_l) >= Re z_l, and Im(z_r + z_l) is 0 or at least
-    an ulp of Im z_l. Building the kernel squares z_rt and z_r.
+    load; then a negative re raises ValidationError. The power's
+    |z_r + z_l|^2 raises OverflowError where a square overflows (squares are
+    **, which differs from x * x in the last bit for some doubles) and
+    ZeroDivisionError where it underflows to 0. Building it squares z_rt.
     """
-    z_r, s_voc, g2, n_na = link.z_r, _signal_voc_density(link), amp.gain * amp.gain, amp.n_na
-    abs2_r = z_r.real**2 + z_r.imag**2
-    two_kt = 2.0 * BOLTZMANN * amp.temperature  # two_kt * R is johnson_density
-    isfinite = math.isfinite
+    z_r, s_voc, gain, n_na, temperature = link.z_r, _signal_voc_density(link), amp.gain, amp.n_na, amp.temperature
 
     def row(re: float, im: float) -> tuple:
         z = complex(re, im)
@@ -156,15 +150,9 @@ def _row_kernel(link: SingleLink, amp: AmplifierNoiseModel):
             raise SingularCircuitError("z_r + z_l = 0: divider is singular")
         if re < 0.0:
             raise ValidationError("z_l must have nonnegative real part")
-        d2 = den.real**2 + den.imag**2
-        mag = abs(z / den)
-        power = s_voc * (re / (2.0 * d2))
-        w2 = (re**2 + im**2) / d2
-        noise = n_na + g2 * (abs2_r / d2) * (two_kt * re)
-        if noise == 0:
-            return mag, power, math.inf
-        snr = g2 * w2 * s_voc / noise
-        return mag, power, snr if isfinite(snr) else math.nan
+        power = s_voc * (re / (2.0 * (den.real**2 + den.imag**2)))
+        mag, snr = divider_snr(s_voc, z_r, z, gain, n_na, temperature, False, True)
+        return mag, power, snr
 
     return row
 
@@ -173,17 +161,13 @@ def output_snr(link: SingleLink, amp: AmplifierNoiseModel, z_l) -> float:
     """Amplifier-output SNR for load z_l; exact open-circuit path for OPEN_CIRCUIT.
 
     Signal and the load's Johnson noise both pass through the divider formed
-    with z_r; amplifier noise n_na adds at the output. Zero total noise gives
-    math.inf (flagged result), not an exception; an SNR outside the float
-    range is NaN. An active load raises ValidationError before a singular
-    divider is looked for.
+    with z_r; amplifier noise n_na adds at the output (core.divider_snr: inf
+    without noise, NaN outside the float range). An active load raises
+    ValidationError before a singular divider is looked for.
     """
     if z_l is OPEN_CIRCUIT:
-        g2, s_voc = amp.gain * amp.gain, _signal_voc_density(link)
-        if amp.n_na == 0:
-            return math.inf
-        snr = g2 * s_voc / amp.n_na
-        return snr if math.isfinite(snr) else math.nan
+        return divider_snr(_signal_voc_density(link), link.z_r, math.inf, amp.gain, amp.n_na, amp.temperature,
+                           False, True)[1]
     z = as_complex(z_l, "z_l")
     row = _row_kernel(link, amp)
     if z.real < 0.0:

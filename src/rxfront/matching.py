@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Frozen, SingularCircuitError, TheveninSource, ValidationError, johnson_density
+from .core import TINY, Frozen, TheveninSource, ValidationError, divider_snr
 from .link import AmplifierNoiseModel, SingleLink, _signal_voc_density
 
 
@@ -60,20 +60,20 @@ def snr_with_transformer(
     xf: TransformerMatch,
 ) -> float:
     """Amplifier-output SNR with the transformer between antenna and
-    amplifier: inf without noise, NaN where it leaves the float range."""
+    amplifier: inf without noise, NaN where it leaves the float range.
+
+    The reflected source (n^2 s_voc, n^2 z_r) drives the input resistance
+    r_in, and only the reflected antenna resistance is a noise source
+    (core.divider_snr). The SNR is linear in the signal: where n^2 s_voc
+    underflows below the normal floats, and so has lost digits, the SNR is
+    taken for s_voc and scaled by n^2 after.
+    """
     if not math.isfinite(amp_input_resistance) or amp_input_resistance <= 0:
         raise ValidationError("amp_input_resistance must be finite and positive")
-    n = xf.turns_ratio
+    n2, s_voc = xf.turns_ratio * xf.turns_ratio, _signal_voc_density(link)
     z_src = complex(link.z_r.real, 0.0) if xf.cancel_reactance else link.z_r
-    z_src = (n * n) * z_src
-    den = z_src + amp_input_resistance
-    if den == 0:
-        raise SingularCircuitError("reflected source and input resistance resonate to zero")
-    h2 = amp_input_resistance**2 / (den.real**2 + den.imag**2)
-    g2 = amp.gain * amp.gain
-    signal = g2 * h2 * (n * n) * _signal_voc_density(link)
-    noise = amp.n_na + g2 * h2 * johnson_density(amp.temperature, z_src.real)
-    if noise == 0:
-        return math.inf
-    snr = signal / noise
-    return snr if math.isfinite(snr) else math.nan
+    s = n2 * s_voc
+    late = 0.0 < s < TINY <= s_voc
+    snr = divider_snr(s_voc if late else s, n2 * z_src, amp_input_resistance, amp.gain, amp.n_na, amp.temperature,
+                      True, False)[1]
+    return n2 * snr if late else snr

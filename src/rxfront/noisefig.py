@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .core import BOLTZMANN, Frozen, ValidationError, as_complex
+from .core import BOLTZMANN, Frozen, ValidationError, as_complex, divider_snr
 
 
 class SignalGenerator(Frozen):
@@ -87,43 +87,32 @@ def output_snr_friis(gen: SignalGenerator, amp: VoltageAmplifierStage) -> float:
     """Amplifier-output SNR; independent of r_out by construction. Without
     noise it is inf; where it leaves the float range it is NaN.
 
-    The loaded input divider scales the signal by r_l/(r_s + r_l) and the
-    thermal noise source is the parallel resistance r_s*r_l/(r_s + r_l).
+    The loaded input divider scales the signal by r_l/(r_s + r_l), and both
+    resistances are noise sources, r_s*r_l/(r_s + r_l) in all
+    (core.divider_snr).
     """
-    g2 = amp.gain * amp.gain
-    v2 = _v2(gen)
-    two_kt = 2.0 * BOLTZMANN * gen.temperature
-    if math.isinf(amp.r_load_in):
-        signal, den = g2 * v2, two_kt * gen.r_s * g2 + amp.n_na
-    else:
-        w = amp.r_load_in / (gen.r_s + amp.r_load_in)
-        r_par = gen.r_s * w  # r_s*r_l/(r_s + r_l) without the product r_s*r_l, which can overflow or underflow
-        signal, den = g2 * v2 * w * w, two_kt * g2 * r_par + amp.n_na
-    if den == 0:
-        return math.inf
-    snr = signal / den
-    return snr if math.isfinite(snr) else math.nan
+    return divider_snr(_v2(gen), gen.r_s, amp.r_load_in, amp.gain, amp.n_na, gen.temperature, True, True)[1]
 
 
 def noise_factor(gen: SignalGenerator, amp: VoltageAmplifierStage) -> float:
     """Noise factor F = input SNR / output SNR; always >= 1, independent of
     r_out. A noiseless source (r_s = 0) gives inf; an F outside the float
-    range is NaN."""
-    g2 = amp.gain * amp.gain
-    two_kt = 2.0 * BOLTZMANN * gen.temperature
+    range is NaN. The amplifier noise enters as r_na = n_na / (2kT g^2), the
+    input resistance of equal Johnson noise, formed by divisions alone: no
+    product of small factors underflows, not even where 2kT g^2 would."""
+    r_na = amp.n_na / amp.gain / amp.gain / gen.temperature / (2.0 * BOLTZMANN)
     if math.isinf(amp.r_load_in):
         if amp.n_na == 0:
             return 1.0
         if gen.r_s == 0:
             return math.inf
-        factor = 1.0 + amp.n_na / (two_kt * gen.r_s * g2)
+        factor = 1.0 + r_na / gen.r_s
     else:
         factor = (gen.r_s + amp.r_load_in) / amp.r_load_in
         if amp.n_na != 0:
             if gen.r_s == 0:
                 return math.inf
-            spread = 1.0 / gen.r_s + 1.0 / amp.r_load_in  # (r_s + r_l)/(r_s*r_l), again without r_s*r_l
-            factor *= 1.0 + amp.n_na / (two_kt * g2) * spread
+            factor *= 1.0 + r_na * (1.0 / gen.r_s + 1.0 / amp.r_load_in)  # (r_s + r_l)/(r_s*r_l), without r_s*r_l
     return factor if math.isfinite(factor) else math.nan
 
 

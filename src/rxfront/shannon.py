@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 
-from .core import Frozen, ValidationError
+from .core import TINY, Frozen, ValidationError
 
 LN2 = math.log(2.0)
-_TINY = 2.0**-1022  # the smallest normal float
 
 
 class AwgnChannelSpec(Frozen):
@@ -36,8 +35,8 @@ class AwgnChannelSpec(Frozen):
 def _normal_snr(spec: AwgnChannelSpec):
     """P/(B*N0) where it and B*N0 are normal floats; else None."""
     noise = spec.bandwidth * spec.noise_density
-    snr = spec.power / noise if _TINY <= noise < math.inf else 0.0
-    return snr if _TINY <= snr < math.inf else None
+    snr = spec.power / noise if TINY <= noise < math.inf else 0.0
+    return snr if TINY <= snr < math.inf else None
 
 
 def _split_snr(spec: AwgnChannelSpec) -> tuple:
@@ -81,7 +80,7 @@ def eb_n0(spec: AwgnChannelSpec) -> float:
         raise ValidationError("Eb/N0 is undefined at zero power")
     if _normal_snr(spec) is not None:
         bits = capacity(spec)
-        if bits >= _TINY:
+        if bits >= TINY:
             return spec.power / (bits * spec.noise_density)
     m, e = _split_snr(spec)  # Eb/N0 = snr / log2(1 + snr), as in capacity
     if e > 1000:  # OverflowError where Eb/N0 itself is outside the float range

@@ -5,7 +5,11 @@ list entry, at any depth) with a value from a pool of wrong types and extreme
 numbers, or deletes it. Every edit goes through the parser, and through the
 subcommand with and without ``--dump-normalized``. A file-level edit does the
 same to one token or line of a file a scenario references (the impedance CSV
-or the netlist), and runs the scenarios that read it.
+or the netlist), and runs the scenarios that read it. Each case's exit code
+and stderr line are pinned in tests/golden/exit_contract.json, which
+``PYTHONPATH=src python tests/test_exit_contract.py`` rewrites, and every
+exit-0 cell of the closed-form reports is checked against its exact value
+(tests/exact.py).
 
 A size field that fits in int64 but would allocate terabytes (say
 ``count: 2**40``) is a parse error: each size is charged against
@@ -16,6 +20,7 @@ as a run that exhausts memory. The same holds for a netlist node index
 such as 10**20, which is tested on the netlist parser alone.
 """
 
+import contextlib
 import copy
 import csv
 import importlib
@@ -23,12 +28,15 @@ import io
 import json
 import math
 import shutil
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
 
-from rxfront import cli, link, mna
+import exact
+from rxfront import cli, link, matching, mna
+from rxfront.commands import match as match_command
 from rxfront.commands.link import FLAGS as LINK_FLAGS
 from rxfront.core import OPEN_CIRCUIT, NumericalError, ParseError
 from rxfront.scenario import render_report
@@ -149,7 +157,60 @@ def _nonfinite_columns(report: str) -> set:
 
 
 def _case(name, path, value) -> str:
-    return f"{name}: {'.'.join(map(str, path))} = {'delete' if value is DELETE else json.dumps(value)}"
+    text = "delete" if value is DELETE else "10**400" if value == 10**400 else json.dumps(value)
+    return f"{name}: {'.'.join(map(str, path))} = {text}"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "exit_contract.json"
+
+
+def _outcome(argv, work) -> tuple:
+    """main(argv) with warnings recorded: its exit code, its stderr as one
+    golden entry ("<code> <stderr>", the work directory written <work>) and
+    the messages of the warnings it raised."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    entry = f"{code} {err.getvalue()}".replace(str(work), "<work>").rstrip()
+    return code, entry, sorted({str(w.message) for w in caught})
+
+
+def _optimal(data: dict):
+    """The load that optimize_load chooses for a parsed link scenario, as a
+    complex, or None for the open circuit or without a search."""
+    sec, ampd = data["link"], data["amplifier"]
+    if "optimize" not in sec:
+        return None
+    z_r, z_rt = (complex(sec[key]["re"], sec[key]["im"]) for key in ("z_r_ohms", "z_rt_ohms"))
+    lnk = link.SingleLink(z_r, z_rt, sec["s_it_a2_per_hz"])
+    amp = link.AmplifierNoiseModel(ampd["gain"], ampd["n_na_v2_per_hz"], ampd["temp_kelvin"])
+    box = sec["optimize"]
+    best, _ = link.optimize_load(lnk, amp, link.SearchBox(box["r_max_ohms"], box["x_max_ohms"], box["include_open"]))
+    return None if best is OPEN_CIRCUIT else complex(best)
+
+
+def _swept(data: dict) -> tuple:
+    """The exponents and turns ratios, as floats, that a parsed match scenario sweeps."""
+    sec = data["match"]
+    best = matching.optimal_turns_ratio(sec["amp_input_resistance_ohms"], sec["link"]["z_r_ohms"]["re"])
+    span, count = sec["ratio_sweep"]["span_decades"], sec["ratio_sweep"]["count"]
+    exponents = match_command._linspace(-span / 2.0, span / 2.0, count)
+    return exponents, [match_command._scaled(best, e) for e in exponents]
+
+
+EXACT_COLUMNS = {
+    "capacity": exact.capacity_columns,
+    "link": lambda data: exact.link_columns(data, _optimal(data)),
+    "match": lambda data: exact.match_columns(data, *_swept(data)),
+    "noisefig": exact.noisefig_columns,
+}
+
+
+def _inexact_cells(command: str, scenario: Path, report: str) -> dict:
+    """The cells of an exit-0 closed-form report that differ from their
+    exact value rounded to 12 significant digits (tests/exact.py)."""
+    return exact.inexact_cells(EXACT_COLUMNS[command](cli.parse_scenario(scenario).data), report)
 
 
 # Single-field edits whose exit-0 report prints a non-finite cell in a column
@@ -176,28 +237,86 @@ DOCUMENTED_FLAGS = {
 }
 
 
-def test_exit_0_nonfinite_cells_are_the_listed_ones(workdir):
-    # every edit x the whole pool through main(), with warnings recorded:
-    # each exits 0 to 4, no edit may warn, and the non-finite cells of the
-    # exit-0 reports must be exactly the listed ones
-    found, warned = {}, {}
-    report = workdir / "report"
+# Exit-0 closed-form cells that differ from their exact value rounded to 12
+# significant digits (_inexact_cells), by case, each "<column> row N" with
+# "<cell>, exact <value>": a ratchet, as above.
+INEXACT = {}
+
+
+def _edit_survey(work: Path) -> tuple:
+    """Every edit x the whole pool through main(), with warnings recorded:
+    each case's golden entry, the warnings raised, the exit-0 reports'
+    non-finite cells in columns the shipped report prints finite, and their
+    closed-form cells that are not exact."""
+    outcomes, warned, found, inexact = {}, {}, {}, {}
+    report = work / "report"
     for name, path in EDITS:
+        command = name.split("_")[0]  # each example's subcommand is the first word of its name
         shipped = (REFERENCE / f"{name}.csv").read_text()
         finite = set(shipped.partition("\n")[0].split(",")) - _nonfinite_columns(shipped)
         for value in POOL:
-            scenario = _write_edit(workdir, name, path, value)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = cli.main([name.split("_")[0], "--scenario", str(scenario), "--out", str(report)])
-            assert code in (0, 1, 2, 3, 4), (name, path, value)
+            case, scenario = _case(name, path, value), _write_edit(work, name, path, value)
+            code, outcomes[case], caught = _outcome([command, "--scenario", str(scenario), "--out", str(report)], work)
+            assert code in (0, 1, 2, 3, 4), case
             if caught:
-                warned[_case(name, path, value)] = sorted({str(w.message) for w in caught})
-            columns = sorted(_nonfinite_columns(report.read_text()) & finite) if code == 0 else []
+                warned[case] = caught
+            if code != 0:
+                continue
+            text = report.read_text()
+            columns = sorted(_nonfinite_columns(text) & finite)
             if columns:
-                found[_case(name, path, value)] = ",".join(columns)
+                found[case] = ",".join(columns)
+            if command in EXACT_COLUMNS:
+                wrong = _inexact_cells(command, scenario, text)
+                if wrong:
+                    inexact[case] = wrong
+    return outcomes, warned, found, inexact
+
+
+def test_exit_0_nonfinite_cells_are_the_listed_ones(workdir):
+    # each edit exits 0 to 4 with its golden exit code and stderr line, no
+    # edit may warn, the non-finite cells of the exit-0 reports must be
+    # exactly the listed ones, and every closed-form cell of an exit-0
+    # report is exact but for the listed ones
+    outcomes, warned, found, inexact = _edit_survey(workdir)
     assert warned == {}
     assert found == {**REMAINING_OVERFLOWS, **DOCUMENTED_FLAGS}
+    assert inexact == INEXACT
+    golden = json.loads(GOLDEN.read_text())["edits"]
+    assert {case: entry for case, entry in outcomes.items() if golden.get(case) != entry} == {}
+    assert outcomes.keys() == golden.keys()
+
+
+@pytest.mark.parametrize("r_in,code,err", [
+    (1e200, 0, ""),  # once exit 3: |r_in|^2 overflowed
+    (1e-300, 0, ""),  # once exit 3: r_in^2 underflowed to 0, then n^2 s_voc to a subnormal
+    # n^2 Re z_r overflows from row 30, where the exact SNR is 124878802.001
+    (1e308, 3, "numerical error: snr row 30 is outside the float range\n"),
+], ids=["1e200", "1e-300", "1e308"])
+def test_match_input_resistance_against_the_exact_values(workdir, capsys, r_in, code, err):
+    # core.divider_snr takes the divider as quotients: r_in is never squared,
+    # and each printed cell is its exact value to 12 digits
+    scenario = _write_edit(workdir, "match_step_up", ("match", "amp_input_resistance_ohms"), r_in)
+    report = workdir / "r_in.csv"
+    report.unlink(missing_ok=True)
+    assert cli.main(["match", "--scenario", str(scenario), "--out", str(report)]) == code
+    assert capsys.readouterr().err == err
+    if code == 0:
+        text = report.read_text()
+        assert text.count("\n") == 52 and _inexact_cells("match", scenario, text) == {}
+    else:
+        exact_snr = EXACT_COLUMNS["match"](cli.parse_scenario(scenario).data)["snr"][29]
+        assert exact.printed(exact_snr) == {"124878802.001"} and not report.exists()
+
+
+def test_noise_factor_beyond_the_float_range_names_its_row(workdir, capsys):
+    # amp.gain 1e-300: 2kT g^2 underflows to 0, which the noise factor once
+    # divided by; its exact value is outside the float range
+    scenario = _write_edit(workdir, "noisefig_sweep", ("noisefig", "amp", "gain"), 1e-300)
+    assert cli.main(["noisefig", "--scenario", str(scenario), "--out", str(workdir / "gain.csv")]) == 3
+    assert capsys.readouterr().err == "numerical error: noise_factor row 1 is outside the float range\n"
+    factor = exact.noisefig_columns(cli.parse_scenario(scenario).data)["noise_factor"][0]
+    assert exact.printed(factor) == {"inf"} and factor > exact.dec(1) * 2**1024
 
 
 # Edits that once printed inf or undefined at exit 0, or a numpy warning
@@ -310,29 +429,58 @@ FILE_READERS = {"coupled_pair.csv": (",", ["validate_pair", "array_pair"]),
 
 
 def _file_edits(text: str, sep: str):
+    """Each edit of a file's text: its name and the edited lines."""
     lines = text.splitlines()
     for i, line in enumerate(lines):
-        yield lines[:i] + lines[i + 1:]
-        yield lines[:i + 1] + lines[i:]
+        yield f"line {i + 1} deleted", lines[:i] + lines[i + 1:]
+        yield f"line {i + 1} repeated", lines[:i + 1] + lines[i:]
         tokens = line.split(sep)
         for j in range(len(tokens)):
             for value in TOKEN_POOL:
                 edited = tokens[:j] + ([] if value is DELETE else [value]) + tokens[j + 1:]
-                yield lines[:i] + [sep.join(edited)] + lines[i + 1:]
+                text = "delete" if value is DELETE else json.dumps(value)
+                yield f"line {i + 1} token {j + 1} = {text}", lines[:i] + [sep.join(edited)] + lines[i + 1:]
+
+
+def _file_survey(work: Path, referenced: str) -> dict:
+    """Every edit of one referenced file, run by each scenario that reads
+    it: the golden entry of each, as _edit_survey's."""
+    sep, names = FILE_READERS[referenced]
+    for name in names:
+        (work / f"{name}.json").write_text(json.dumps(DOCS[name]))
+    target, outcomes = work / referenced, {}
+    for edit, lines in _file_edits((SCENARIOS / referenced).read_text(), sep):
+        target.write_text("\n".join(lines) + "\n")
+        for name in names:
+            argv = [name.split("_")[0], "--scenario", str(work / f"{name}.json"), "--out", str(work / "report")]
+            code, entry, _ = _outcome(argv, work)
+            assert code in (0, 1, 2, 3, 4), (referenced, edit, name)
+            outcomes[f"{name}: {referenced} {edit}"] = entry
+    return outcomes
 
 
 @pytest.mark.parametrize("referenced", sorted(FILE_READERS))
 def test_file_token_edit_exits_0_to_4(tmp_path, referenced):
-    sep, names = FILE_READERS[referenced]
-    for name in names:
-        (tmp_path / f"{name}.json").write_text(json.dumps(DOCS[name]))
-    target = tmp_path / referenced
-    for lines in _file_edits((SCENARIOS / referenced).read_text(), sep):
-        target.write_text("\n".join(lines) + "\n")
-        for name in names:
-            argv = [name.split("_")[0], "--scenario", str(tmp_path / f"{name}.json"),
-                    "--out", str(tmp_path / "report")]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                code = cli.main(argv)
-            assert code in (0, 1, 2, 3, 4), (referenced, lines, name)
+    # and with its golden exit code and stderr line
+    outcomes = _file_survey(tmp_path, referenced)
+    golden = {case: entry for case, entry in json.loads(GOLDEN.read_text())["files"].items()
+              if case.partition(": ")[2].startswith(referenced + " ")}
+    assert {case: entry for case, entry in outcomes.items() if golden.get(case) != entry} == {}
+    assert outcomes.keys() == golden.keys()
+
+
+if __name__ == "__main__":
+    # Rewrite tests/golden/exit_contract.json from the code as it is:
+    #   PYTHONPATH=src python tests/test_exit_contract.py
+    # Review the diff it leaves: each changed entry is a changed exit code or message.
+    golden = {}
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        for referenced in FILE_READERS:
+            shutil.copy(SCENARIOS / referenced, work)
+        golden["edits"] = _edit_survey(work)[0]
+        golden["files"] = {}
+        for referenced in sorted(FILE_READERS):
+            with tempfile.TemporaryDirectory() as files:
+                golden["files"].update(_file_survey(Path(files), referenced))
+    GOLDEN.write_text(json.dumps(golden, indent=1, ensure_ascii=False) + "\n")

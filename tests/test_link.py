@@ -29,6 +29,7 @@ from rxfront.link import (
     snr_ratio_oc_over_match,
 )
 
+import exact
 from oracles import (
     K_BOLTZ,
     divided_voltage_scalar,
@@ -350,9 +351,11 @@ def _link_scenario(path, lnk, amp, loads, **section):
 
 def test_array_loads_match_the_scalar_formulas_bit_for_bit(tmp_path):
     # the link report's rows come from one row kernel and have the bits of
-    # the one-load formulas (tests/oracles.py), per unit v_oc, with the power
-    # scaled by s_voc: the conjugate match, explicit loads (JSON floats, JSON
-    # integers and -0.0 parts) and the optimal load
+    # the one-load formulas, per unit v_oc, with the power scaled by s_voc:
+    # the divider and power of tests/oracles.py, and the SNR of output_snr,
+    # whose digits are checked against the exact values (tests/exact.py) on
+    # every tenth load: the conjugate match, explicit loads (JSON floats,
+    # JSON integers and -0.0 parts) and the optimal load
     box = SearchBox(500.0, 2000.0, include_open=False)
     for lnk, amp, source, z in _array_cases():
         loads = z.tolist()
@@ -378,14 +381,18 @@ def test_array_loads_match_the_scalar_formulas_bit_for_bit(tmp_path):
         assert _bits(columns["divider_mag"]).tolist() == _bits(want).tolist()
         want = [s_voc * extracted_power_scalar(unit, load) for load in loads]
         assert _bits(columns["extracted_power_w_per_hz"]).tolist() == _bits(want).tolist()
-        want = [output_snr_scalar(lnk, amp, load) for load in loads]
+        want = [output_snr(lnk, amp, load) for load in loads]
         assert _bits(columns["snr"]).tolist() == _bits(want).tolist()
+        data = cli.parse_scenario(path).data
+        data["link"]["loads"] = data["link"]["loads"][::10]
+        data["link"].pop("optimize", None)
+        for snr, value in zip(columns["snr"][::10], exact.link_columns(data, None)["snr"]):
+            assert exact.fmt12(snr) in exact.printed(value), (lnk, amp, snr, value)
         # the public one-load calls: Python scalars with the same bits
         for load in loads[::7]:
             assert type(output_snr(lnk, amp, load)) is float
             assert type(extracted_power(source, load)) is float
             assert type(divided_voltage(source, load)) is complex
-            assert _bits(output_snr(lnk, amp, load)) == _bits(output_snr_scalar(lnk, amp, load))
             assert _bits(extracted_power(source, load)) == _bits(extracted_power_scalar(source, load))
             got, want = divided_voltage(source, load), divided_voltage_scalar(source, load)
             assert _bits([got.real, got.imag]).tolist() == _bits([want.real, want.imag]).tolist()
