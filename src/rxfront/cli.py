@@ -176,7 +176,7 @@ def _main(argv) -> int:
             _write_text(out, json.dumps(scenario.data, indent=2, sort_keys=True) + "\n")
             return 0
         module = _load(f"{__package__}.commands.{command}")
-        columns, ok = module.run(scenario)
+        columns, ok = module.solve(module.build(scenario))
         _write_text(out, render_report(columns, args["format"], f"{scenario.name} {command}", module.FLAGS))
         if not ok:
             print(f"{command}: validation failed", file=sys.stderr)

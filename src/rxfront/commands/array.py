@@ -98,13 +98,19 @@ FIELDS = {"array": (_array, REQUIRED)}
 FLAGS = ()  # the ratio, inf where the divider's diagonal is zero, prints inside the annotation text
 
 
-def run(scenario: Scenario):
-    import numpy as np
+def _complexes(canon):
+    """A canonical complex, or a list (of lists) of them, as Python complex numbers."""
+    return [_complexes(item) for item in canon] if isinstance(canon, list) else _as_complex(canon)
 
+
+def build(scenario: Scenario):
     from .. import arrays
     from ..impedance import load_impedance_csv
 
     section = scenario.data["array"]
+    strategies = [arrays.TerminationStrategy(canon) if isinstance(canon, str)
+                  else arrays.TerminationStrategy("explicit", _complexes(canon["z_l_ohms"]))
+                  for canon in section["strategies"]]
     if "synthetic" in section:
         syn = section["synthetic"]
         model = arrays.make_synthetic_model(
@@ -116,22 +122,19 @@ def run(scenario: Scenario):
         zms = load_impedance_csv(
             scenario.base_dir / section["impedance_csv"], (section["dims_m"], section["dims_k"])
         )
-        i_t = section["i_t_amperes"]
-        if isinstance(i_t[0], list):
-            currents = np.array([[_as_complex(v) for v in row] for row in i_t])
-        else:
-            currents = np.array([_as_complex(v) for v in i_t])
-        model = arrays.ArrayModel(zms, currents)
-    labels, notes, solved = [], [], []
-    for canon in section["strategies"]:
-        if isinstance(canon, str):
-            label, strategy = canon, arrays.TerminationStrategy(canon)
-        else:
-            z_l = np.array([[_as_complex(v) for v in row] for row in canon["z_l_ohms"]], dtype=np.complex128)
-            label, strategy = "explicit", arrays.TerminationStrategy("explicit", z_l)
-        labels.append(label)
-        notes.append(";time_reversal_caveat" if strategy.kind == "full_conjugate" else "")
-        solved.append(arrays.terminate_array(model, strategy))
+        model = arrays.ArrayModel(zms, _complexes(section["i_t_amperes"]))
+    return model, strategies
+
+
+def solve(model):
+    import numpy as np
+
+    from .. import arrays
+
+    array_model, strategies = model
+    labels = [strategy.kind for strategy in strategies]  # a strategy's label is its kind
+    notes = [";time_reversal_caveat" if kind == "full_conjugate" else "" for kind in labels]
+    solved = [arrays.terminate_array(array_model, strategy) for strategy in strategies]
 
     def flat(field: str) -> np.ndarray:
         """One result field over the report rows, frequency-major then strategy (then port)."""
@@ -140,7 +143,7 @@ def run(scenario: Scenario):
     n_freqs, n_rx = solved[0].voltages.shape
     volts = flat("voltages").reshape(-1, n_rx)  # one row of ports per report row
     columns = {
-        "freq_hz": [freq for freq in model.zms.grid for _ in solved],
+        "freq_hz": [freq for freq in array_model.zms.grid for _ in solved],
         "strategy": labels * n_freqs,
         "sum_power_w": flat("power").tolist(),
         "v_mag_volts": np.hypot(volts.real, volts.imag).tolist(),  # hypot: abs() of each voltage, to the last bit

@@ -12,17 +12,20 @@ FIELDS = {"capacity": (_obj(_CAPACITY), REQUIRED)}
 FLAGS = ()
 
 
-def run(scenario: Scenario):
+def build(scenario: Scenario):
     from .. import shannon
 
     section = scenario.data["capacity"]
     power = section["power"]
     n0 = section["noise_density"]
-    bound = shannon.capacity_bound(power, n0)
+    bound = shannon.capacity_bound(power, n0)  # checks power and noise_density before any bandwidth
+    return bound, [shannon.AwgnChannelSpec(power, bandwidth, n0) for bandwidth in section["bandwidths"]]
 
-    def row(bandwidth: float) -> tuple:
-        spec = shannon.AwgnChannelSpec(power, bandwidth, n0)
-        return bandwidth, shannon.capacity(spec), bound, shannon.eb_n0(spec) if power > 0 else None
 
-    rows = [row(bandwidth) for bandwidth in section["bandwidths"]]
+def solve(model):
+    from .. import shannon
+
+    bound, specs = model
+    rows = [(spec.bandwidth, shannon.capacity(spec), bound, shannon.eb_n0(spec) if spec.power > 0 else None)
+            for spec in specs]
     return _from_rows(("bandwidth", "capacity_bits", "capacity_bound_bits", "eb_n0"), rows), True

@@ -56,13 +56,34 @@ def _optional_cx(canon):
     return None if canon == "inf" else _as_complex(canon)
 
 
-def run(scenario: Scenario):
+def build(scenario: Scenario):
     section = scenario.data["frontend"]
     if "netlist" in section:
         from .. import mna
 
-        text = read_text(scenario.base_dir / section["netlist"])
-        solution = mna.mna_solve(mna.parse_netlist(text))
+        return mna.parse_netlist(read_text(scenario.base_dir / section["netlist"]))
+
+    from .. import frontend
+
+    source_d = section["source"]
+    source = frontend.TheveninSource(
+        _as_complex(source_d["v_oc_volts"]), _as_complex(source_d["z_r_ohms"])
+    )
+    opamp_d = section["opamp"]
+    z_id = _optional_cx(opamp_d["z_id_ohms"])
+    z_cm = _optional_cx(opamp_d["z_cm_ohms"])
+    gains = section.get("gain_sweep", [_to_float(opamp_d["open_loop_gain"])])
+    amps = [frontend.OpAmpModel(a, z_id, z_cm, opamp_d["r_out_ohms"]) for a in gains]
+    cc = section.get("constant_current")
+    stage = None if cc is None else (_as_complex(cc["v_c_volts"]), _to_float(cc["r_c_ohms"]))
+    return source, section["topologies"], amps, stage
+
+
+def solve(model):
+    if not isinstance(model, tuple):  # a netlist
+        from .. import mna
+
+        solution = mna.mna_solve(model)
         rows = []
         for node in sorted(solution.node_voltages):
             value = solution.node_voltages[node]
@@ -75,34 +96,23 @@ def run(scenario: Scenario):
 
     from .. import frontend
 
-    source_d = section["source"]
-    source = frontend.TheveninSource(
-        _as_complex(source_d["v_oc_volts"]), _as_complex(source_d["z_r_ohms"])
-    )
-    opamp_d = section["opamp"]
-    gains = section.get("gain_sweep", [_to_float(opamp_d["open_loop_gain"])])
-    z_id = _optional_cx(opamp_d["z_id_ohms"])
-    z_cm = _optional_cx(opamp_d["z_cm_ohms"])
-    cc = section.get("constant_current")
+    source, topologies, amps, stage = model
 
-    def row(topo: str, a: float) -> tuple:
-        amp = frontend.OpAmpModel(a, z_id, z_cm, opamp_d["r_out_ohms"])
+    def row(topo: str, amp) -> tuple:
         if topo == "buffer":
             sol = frontend.solve_buffer(source, amp)
         elif topo == "inside_out":
             sol = frontend.solve_inside_out(source, amp)
         else:
-            sol = frontend.solve_constant_current(
-                source, amp, _as_complex(cc["v_c_volts"]), _to_float(cc["r_c_ohms"])
-            )
-        z_eff = sol.z_effective
+            sol = frontend.solve_constant_current(source, amp, *stage)
+        a, z_eff = amp.open_loop_gain, sol.z_effective
         return (
             topo, "inf" if math.isinf(a) else a, sol.v_out.real, sol.v_out.imag, sol.i_source.real,
             sol.i_source.imag, "inf" if z_eff is None else z_eff.real, "inf" if z_eff is None else z_eff.imag,
             sol.p_extracted,
         )
 
-    rows = [row(topo, a) for topo in section["topologies"] for a in gains]
+    rows = [row(topo, amp) for topo in topologies for amp in amps]
     names = (
         "topology", "open_loop_gain", "v_out_re", "v_out_im", "i_source_re",
         "i_source_im", "z_eff_re_ohms", "z_eff_im_ohms", "p_extracted_w",

@@ -72,7 +72,7 @@ _LOAD_MESSAGES = {  # the message of one bad load's error, in the scenario's fie
 }
 
 
-def run(scenario: Scenario):
+def build(scenario: Scenario):
     from .. import link as link_mod
 
     section = scenario.data["link"]
@@ -83,6 +83,15 @@ def run(scenario: Scenario):
         section["s_it_a2_per_hz"],
     )
     amp = link_mod.AmplifierNoiseModel(ampd["gain"], ampd["n_na_v2_per_hz"], ampd["temp_kelvin"])
+    opt = section.get("optimize")
+    search = None if opt is None else link_mod.SearchBox(opt["r_max_ohms"], opt["x_max_ohms"], opt["include_open"])
+    return lnk, amp, section["loads"], search
+
+
+def solve(model):
+    from .. import link as link_mod
+
+    lnk, amp, loads, search = model
     _check_squares(("link.z_rt_ohms", lnk.z_rt), ("link.z_r_ohms", lnk.z_r))  # s_voc, then the power's divider
 
     @cache
@@ -96,7 +105,7 @@ def run(scenario: Scenario):
         return math.inf, math.inf, 1.0, 0.0, link_mod.output_snr(lnk, amp, OPEN_CIRCUIT), note
 
     match = lnk.z_r.conjugate()
-    solve, loads, rows = link_mod._row_kernel(lnk, amp), section["loads"], []
+    kernel, rows = link_mod._row_kernel(lnk, amp), []
     append = rows.append
     try:  # one pass: the first bad load raises, and it is loads[len(rows)]
         for load in loads:
@@ -109,16 +118,14 @@ def run(scenario: Scenario):
                 continue
             else:
                 re, im = match.real, match.imag
-            mag, power, snr = solve(re, im)
+            mag, power, snr = kernel(re, im)
             append((load["label"], re, im, mag, power, snr, ""))
     except (ToolkitError, ArithmeticError) as exc:
         message = _LOAD_MESSAGES.get(type(exc), exc)  # the open-circuit ratio's own message
         raise type(exc)(f"load {loads[len(rows)]['label']!r}: {message}") from exc
-    if "optimize" in section:
-        opt = section["optimize"]
-        search = link_mod.SearchBox(opt["r_max_ohms"], opt["x_max_ohms"], opt["include_open"])
+    if search is not None:
         best, _ = link_mod.optimize_load(lnk, amp, search)
-        cells = open_cells() if best is OPEN_CIRCUIT else (best.re, best.im, *solve(best.re, best.im), "")
+        cells = open_cells() if best is OPEN_CIRCUIT else (best.re, best.im, *kernel(best.re, best.im), "")
         rows.append(("optimal", *cells))
     names = ("label", "z_l_re_ohms", "z_l_im_ohms", "divider_mag", "extracted_power_w_per_hz", "snr", "annotations")
     return _from_rows(names, rows), True

@@ -52,7 +52,7 @@ def _linspace(start: float, stop: float, count: int) -> list:
     return points + [stop]
 
 
-def run(scenario: Scenario):
+def build(scenario: Scenario):
     from .. import link as link_mod
     from .. import matching
 
@@ -64,7 +64,6 @@ def run(scenario: Scenario):
     )
     amp = link_mod.AmplifierNoiseModel(ampd["gain"], ampd["n_na_v2_per_hz"], ampd["temp_kelvin"])
     r_in = section["amp_input_resistance_ohms"]
-    cancel = section["cancel_reactance"]
     if lnk.z_r.real <= 0:
         raise ValidationError("match requires Re(z_r) > 0")
     best = matching.optimal_turns_ratio(r_in, lnk.z_r.real)
@@ -83,6 +82,13 @@ def run(scenario: Scenario):
                 f"match.ratio_sweep.span_decades {fmt(span)} takes the turns ratio from "
                 f"its optimum {fmt(best)} to {fmt(end)}"
             )
+    return lnk, amp, r_in, section["cancel_reactance"], exponents, ratios
+
+
+def solve(model):
+    from .. import matching
+
+    lnk, amp, r_in, cancel, exponents, ratios = model
     _check_squares(("match.link.z_rt_ohms", lnk.z_rt))  # s_voc; the SNR squares no other field
     rows = [(ratio, matching.snr_with_transformer(lnk, r_in, amp, matching.TransformerMatch(ratio, cancel)),
              "at_optimal" if e == 0 else "") for e, ratio in zip(exponents, ratios)]

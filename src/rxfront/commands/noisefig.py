@@ -31,7 +31,7 @@ FIELDS = {"noisefig": (_obj(_NOISEFIG), REQUIRED)}
 FLAGS = ("output_snr", "noise_factor", "noise_figure_db")  # inf: no noise, a noiseless source
 
 
-def run(scenario: Scenario):
+def build(scenario: Scenario):
     from .. import noisefig
 
     section = scenario.data["noisefig"]
@@ -39,19 +39,22 @@ def run(scenario: Scenario):
         _as_complex(section["v_s_volts"]), section["r_s_ohms"], section["temp_kelvin"]
     )
     ampd = section["amp"]
+    stages = [noisefig.VoltageAmplifierStage(ampd["gain"], ampd["n_na_v2_per_hz"], _to_float(r_l), ampd["r_out_ohms"])
+              for r_l in section["r_l_sweep_ohms"]]
+    return gen, stages
 
-    def row(r_l_token) -> tuple:
-        amp = noisefig.VoltageAmplifierStage(
-            ampd["gain"], ampd["n_na_v2_per_hz"], _to_float(r_l_token), ampd["r_out_ohms"]
-        )
-        factor = noisefig.noise_factor(gen, amp)
-        return (r_l_token, noisefig.friis_gain(gen, amp), noisefig.output_snr_friis(gen, amp), factor,
-                10.0 * math.log10(factor), "")
 
-    try:
-        rows = [row(r_l) for r_l in section["r_l_sweep_ohms"]]
-    except OverflowError:  # output_snr_friis squares v_s, after a row's checks
-        _check_squares(("noisefig.v_s_volts", gen.v_s))
-        raise
+def solve(model):
+    from .. import noisefig
+
+    gen, stages = model
+    _check_squares(("noisefig.v_s_volts", gen.v_s))  # output_snr_friis squares v_s
+
+    def row(amp) -> tuple:
+        r_l, factor = amp.r_load_in, noisefig.noise_factor(gen, amp)
+        return ("inf" if math.isinf(r_l) else r_l, noisefig.friis_gain(gen, amp), noisefig.output_snr_friis(gen, amp),
+                factor, 10.0 * math.log10(factor), "")
+
+    rows = [row(amp) for amp in stages]
     names = ("r_l_ohms", "friis_gain", "output_snr", "noise_factor", "noise_figure_db", "annotations")
     return _from_rows(names, rows), True

@@ -18,17 +18,21 @@ FIELDS = {"validate": (_validate, REQUIRED)}
 FLAGS = ()
 
 
-def run(scenario: Scenario):
-    from ..impedance import load_impedance_csv, validate_passivity, validate_reciprocity
+def build(scenario: Scenario):
+    from ..impedance import load_impedance_csv
 
     section = scenario.data["validate"]
     tol = section["tol"]
     if tol <= 0:  # the validators' own check, made before the CSV is read
         raise ValidationError("tol must be positive")
-    dims = None
-    if "dims_m" in section:
-        dims = (section["dims_m"], section["dims_k"])
-    zms = load_impedance_csv(scenario.base_dir / section["impedance_csv"], dims)
+    dims = (section["dims_m"], section["dims_k"]) if "dims_m" in section else None
+    return load_impedance_csv(scenario.base_dir / section["impedance_csv"], dims), tol
+
+
+def solve(model):
+    from ..impedance import validate_passivity, validate_reciprocity
+
+    zms, tol = model
     reports = (validate_reciprocity(zms, tol), validate_passivity(zms, tol))
     deviations = [d for report in reports for d in report.deviations]
     columns = {

@@ -2,9 +2,9 @@
 
 A scenario is checked and normalized by walking field tables: the shared
 checkers and tables are here, and each subcommand's own tables, with its
-runner, are in its module under ``rxfront.commands``. ``parse_scenario``
-imports that module only once it has found the scenario's one section, so a
-call compiles no other subcommand's code. ``render_report`` applies the one
+``build`` and ``solve`` stages, are in its module under ``rxfront.commands``.
+``parse_scenario`` imports that module only once it has found the scenario's
+one section, so a call compiles no other subcommand's code. ``render_report`` applies the one
 float-range rule of every report while it converts the columns, and renders
 them to CSV or text through one %-template per report.
 """
@@ -227,7 +227,7 @@ def _as_complex(canon) -> complex:
 
 
 def _from_rows(names: tuple, rows: list) -> dict:
-    """Report columns from the rows of a runner that computes one row at a
+    """Report columns from the rows of a ``solve`` that computes one row at a
     time, each row a tuple of cells in the order of ``names``. No rows
     gives empty columns, which render as the header alone."""
     return dict(zip(names, map(list, zip(*rows)))) if rows else {name: [] for name in names}

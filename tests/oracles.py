@@ -105,12 +105,6 @@ def output_snr_scalar(link, amp, z_l):
     return g2 * w2 * s_voc / noise
 
 
-def snr_ratio_ref(z_r, gain, n_na, temperature):
-    """Open-circuit over matched SNR for a receiver with amplifier noise."""
-    re = z_r.real
-    return 4.0 * re**2 / abs(z_r) ** 2 + gain**2 * 2.0 * K_BOLTZ * temperature * re / n_na
-
-
 def friis_gain_ref(g, r_s, r_l, r_o):
     if math.isinf(r_l):
         return g * g * r_s / r_o

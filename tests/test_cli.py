@@ -1,5 +1,6 @@
 import csv
 import gc
+import importlib.util
 import io
 import json
 import math
@@ -769,6 +770,50 @@ def test_link_reports_the_first_bad_load(tmp_path, capsys, loads, code, message)
     assert message in err
 
 
+# Scenarios with an input error and a numerical one: one field set, one list
+# entry appended. The input error wins, because each command's build checks
+# every input before its solve computes. Each once exited 3, when an input
+# was checked only as its own row or strategy ran.
+TWO_FAULTS = {
+    "link_huge_load_and_negative_box": (
+        "link_crossover", ("link", "optimize", "r_max_ohms"), -1,
+        ("link", "loads"), _load("huge", 1e308, 1e308), "search bounds must be nonnegative"),
+    "noisefig_huge_v_s_and_negative_load": (
+        "noisefig_sweep", ("noisefig", "v_s_volts", "re"), 1e200,
+        ("noisefig", "r_l_sweep_ohms"), -1, "r_load_in must be positive (math.inf allowed)"),
+    "array_huge_current_and_1x2_load": (
+        "array_pair", ("array", "i_t_amperes", 0, "re"), 1e308,
+        ("array", "strategies"), {"kind": "explicit", "z_l_ohms": [[{"re": 50, "im": 0}, {"re": 0, "im": 0}]]},
+        "explicit load matrix must be square"),
+}
+
+
+@pytest.mark.parametrize("name,path,value,listed,appended,message", TWO_FAULTS.values(), ids=TWO_FAULTS)
+def test_an_input_error_is_reported_before_a_numerical_one(tmp_path, capsys, name, path, value, listed, appended,
+                                                          message):
+    doc = _edited(name, path, value)
+    entries = doc
+    for key in listed:
+        entries = entries[key]
+    entries.append(appended)
+    (tmp_path / "coupled_pair.csv").write_bytes((SCENARIOS / "coupled_pair.csv").read_bytes())
+    scen = tmp_path / "two_faults.json"
+    scen.write_text(json.dumps(doc))
+    got = run_cli([name.split("_")[0], "--scenario", str(scen)], capsys)
+    assert got == (1, "", f"validation error: {message}\n")
+
+
+def test_the_traced_benchmark_finds_its_cli_targets():
+    # perfbench/traced.py wraps these rxfront.cli functions by name, and
+    # reports the metrics of a name it cannot find as absent without failing
+    spec = importlib.util.spec_from_file_location("traced", SCENARIOS.parent / "perfbench" / "traced.py")
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    targets = [attr for module, attr in {**traced.SPAN_TARGETS, **traced.COUNT_TARGETS}.values()
+               if module == "rxfront.cli"]
+    assert targets and all(callable(getattr(cli, attr, None)) for attr in targets), targets
+
+
 LABELS = ["a,b", 'say "hi"', "two\nlines", "", " lead", "ünïcødé", "{}", "{0}", "plain"]
 
 
@@ -1286,7 +1331,7 @@ def test_link_report_matches_the_cell_by_cell_rendering(tmp_path, fmt_kind):
                  "optimize": {"r_max_ohms": 500.0, "x_max_ohms": 500.0}},
         "amplifier": {"gain": 10, "n_na_v2_per_hz": 1e-9, "temp_kelvin": 290},
     }))
-    columns, _ = link_command.run(cli.parse_scenario(scenario))
+    columns, _ = link_command.solve(link_command.build(cli.parse_scenario(scenario)))
     assert len(columns["label"]) == 20_003
     assert all(type(column) is list for column in columns.values())
     got = cli.render_report(columns, fmt_kind, "sweep link", link_command.FLAGS)

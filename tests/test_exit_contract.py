@@ -3,7 +3,10 @@
 An edit takes one shipped scenario and replaces one field (any object key or
 list entry, at any depth) with a value from a pool of wrong types and extreme
 numbers, or deletes it. Every edit goes through the parser, and through the
-subcommand with and without ``--dump-normalized``. A file-level edit does the
+subcommand with and without ``--dump-normalized``. In process, each edit the
+parser accepts also goes through its command's two stages: ``build`` must
+raise every input error, and ``solve`` only numerical errors and the checks
+listed in SOLVE_TIME_CHECKS, without opening a file. A file-level edit does the
 same to one token or line of a file a scenario references (the impedance CSV
 or the netlist), and runs the scenarios that read it. Each case's exit code
 and stderr line are pinned in tests/golden/exit_contract.json, which
@@ -23,11 +26,14 @@ such as 10**20, which is tested on the netlist parser alone.
 import contextlib
 import copy
 import csv
+import functools
 import importlib
 import io
 import json
 import math
+import re
 import shutil
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -38,7 +44,7 @@ import exact
 from rxfront import cli, link, matching, mna
 from rxfront.commands import match as match_command
 from rxfront.commands.link import FLAGS as LINK_FLAGS
-from rxfront.core import OPEN_CIRCUIT, NumericalError, ParseError
+from rxfront.core import OPEN_CIRCUIT, NumericalError, ParseError, ToolkitError, ValidationError
 from rxfront.scenario import render_report
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -84,16 +90,63 @@ def _write_edit(workdir, name, path, value) -> Path:
     return scenario
 
 
+# The input checks that a command's solve may raise, as a regex of the
+# message: each is made inside a solver function that solve calls, and every
+# other parse, validation and I/O error comes from build (rxfront.commands).
+SOLVE_TIME_CHECKS = {
+    "link": r"load '.*': z_l_ohms must have nonnegative real part",  # link._row_kernel, per load
+    "frontend": r"r_c must be positive \(math\.inf allowed\)",  # frontend.solve_constant_current
+    # arrays.termination_matrix, against the model's ports; no single-field edit reaches it
+    "array": r"explicit load matrix (shape .* does not match .*|is not passive \(Re part not PSD\))",
+}
+
+
+@functools.cache
+def _open_guard() -> list:
+    """A list to hold the work directory while a solve runs: a file opened in
+    it then fails the test. sys.addaudithook has no removal, so the hook,
+    added once, stays for the process, idle while the list is empty."""
+    solving = []
+
+    def hook(event, args):
+        if event == "open" and solving and str(args[0]).startswith(solving[0]):
+            raise AssertionError(f"solve opened {args[0]}")
+    sys.addaudithook(hook)
+    return solving
+
+
 def test_every_single_field_edit_normalizes_or_is_a_parse_error(workdir):
-    # all edits x the whole pool, through the parser only (main() costs ~2 ms a call)
+    # all edits x the whole pool through the parser, and each scenario it
+    # accepts through its command's build, then solve: build raises every
+    # input error, solve only numerical ones and SOLVE_TIME_CHECKS, and
+    # solve opens no file (main() costs ~2 ms a call)
+    solving, solve_time = _open_guard(), []
     for name, path in EDITS:
+        command = name.split("_")[0]
+        module = importlib.import_module(f"rxfront.commands.{command}")
         for value in POOL:
+            case = _case(name, path, value)
             try:
-                cli.parse_scenario(_write_edit(workdir, name, path, value))
+                scenario = cli.parse_scenario(_write_edit(workdir, name, path, value))
             except ParseError:
-                pass
+                continue
             except Exception as exc:
-                raise AssertionError(f"{name}: {path} = {value!r}") from exc
+                raise AssertionError(case) from exc
+            try:
+                model = module.build(scenario)
+            except (ToolkitError, OSError, *cli._numerical_errors()):
+                continue
+            solving.append(str(workdir))
+            try:
+                module.solve(model)
+            except cli._numerical_errors():
+                pass
+            except ValidationError as exc:
+                assert re.fullmatch(SOLVE_TIME_CHECKS[command], str(exc)), case
+                solve_time.append(command)
+            finally:
+                solving.clear()
+    assert sorted(solve_time) == ["frontend"] * 3 + ["link"] * 4
 
 
 SIZE_FIELDS = [
@@ -392,7 +445,7 @@ def test_exit_0_nonfinite_float_cells_lie_in_flag_columns(workdir):
     for name, path, value in [(name, None, None) for name in DOCS] + edits:
         scenario = SCENARIOS / f"{name}.json" if path is None else _write_edit(workdir, name, path, value)
         module = importlib.import_module(f"rxfront.commands.{name.split('_')[0]}")
-        columns, _ = module.run(cli.parse_scenario(scenario))
+        columns, _ = module.solve(module.build(cli.parse_scenario(scenario)))
         assert all(type(cells) is list for cells in columns.values()), (name, path, value)
         render_report(columns, "csv", name, module.FLAGS)
         for column, cells in columns.items():

@@ -37,7 +37,6 @@ from oracles import (
     output_snr_ref,
     output_snr_scalar,
     snr_grid_ref,
-    snr_ratio_ref,
 )
 
 
@@ -127,9 +126,17 @@ def test_snr_matched_equals_output_snr_at_conjugate():
 
 
 def test_snr_ratio_closed_form_matches_reference():
+    # the open-circuit note of tests/exact.py: 4 (Re z_r)^2 / |z_r|^2 + g^2 2kT Re z_r / n_na
     link = SingleLink(50.0, 10.0, 1e-12)
     amp = AmplifierNoiseModel(10.0, 1e-9, 290.0)
-    assert snr_ratio_oc_over_match(link, amp) == snr_ratio_ref(50 + 0j, 10.0, 1e-9, 290.0)
+    data = {
+        "link": {"z_r_ohms": {"re": 50.0, "im": 0.0}, "z_rt_ohms": {"re": 10.0, "im": 0.0}, "s_it_a2_per_hz": 1e-12,
+                 "loads": [{"kind": "open_circuit"}]},
+        "amplifier": {"gain": 10.0, "n_na_v2_per_hz": 1e-9, "temp_kelvin": 290.0},
+    }
+    want = exact.link_columns(data, None)["annotations"][0]
+    got = snr_ratio_oc_over_match(link, amp)
+    assert abs(Decimal(got) - want) <= Decimal("2.5e-16") * want
 
 
 @pytest.mark.parametrize("z_r", [1e-300, 1e-300 + 1e-300j, 1e200 + 1e200j, 5 + 37j, 50], ids=repr)
@@ -366,7 +373,7 @@ def test_array_loads_match_the_scalar_formulas_bit_for_bit(tmp_path):
         optimize = {"r_max_ohms": box.r_max, "x_max_ohms": box.x_max, "include_open": False}
         section = {"optimize": optimize} if lossy else {}
         path = _link_scenario(tmp_path / "loads.json", lnk, amp, match + loads + parts, **section)
-        columns, _ = link_command.run(cli.parse_scenario(path))
+        columns, _ = link_command.solve(link_command.build(cli.parse_scenario(path)))
         loads = [lnk.z_r.conjugate()] * lossy + loads + [complex(*part) for part in parts]
         if lossy:
             loads.append(complex(optimize_load(lnk, amp, box)[0]))
