@@ -25,7 +25,6 @@ import sys
 from . import _load
 from .core import ParseError, ToolkitError, ValidationError
 from .scenario import (  # Scenario and fmt: callers use them by these names
-    _ARITHMETIC_MESSAGES,
     SUBCOMMANDS,
     Scenario,  # noqa: F401
     fmt,  # noqa: F401
@@ -186,8 +185,6 @@ def _main(argv) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except _numerical_errors() as exc:
-        if type(exc) is OverflowError and len(exc.args) == 2:  # float ** gives (errno, message)
-            exc = _ARITHMETIC_MESSAGES[OverflowError]
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except ValidationError as exc:

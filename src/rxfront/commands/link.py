@@ -9,14 +9,12 @@ from functools import cache
 from ..core import OPEN_CIRCUIT, SingularCircuitError, ToolkitError, ValidationError
 from ..scenario import (
     _AMPLIFIER,
-    _ARITHMETIC_MESSAGES,
     _LINK_FIELDS,
     OPTIONAL,
     REQUIRED,
     Scenario,
     _as_complex,
     _bool,
-    _check_squares,
     _cx,
     _from_rows,
     _list_of,
@@ -68,7 +66,6 @@ FLAGS = ("z_l_re_ohms", "z_l_im_ohms", "snr")  # inf: an open circuit's load, an
 _LOAD_MESSAGES = {  # the message of one bad load's error, in the scenario's field names
     ValidationError: "z_l_ohms must have nonnegative real part",
     SingularCircuitError: "z_r_ohms + z_l_ohms = 0: divider is singular",
-    **_ARITHMETIC_MESSAGES,
 }
 
 
@@ -92,7 +89,6 @@ def solve(model):
     from .. import link as link_mod
 
     lnk, amp, loads, search = model
-    _check_squares(("link.z_rt_ohms", lnk.z_rt), ("link.z_r_ohms", lnk.z_r))  # s_voc, then the power's divider
 
     @cache
     def open_cells() -> tuple:
@@ -120,7 +116,7 @@ def solve(model):
                 re, im = match.real, match.imag
             mag, power, snr = kernel(re, im)
             append((load["label"], re, im, mag, power, snr, ""))
-    except (ToolkitError, ArithmeticError) as exc:
+    except ToolkitError as exc:
         message = _LOAD_MESSAGES.get(type(exc), exc)  # the open-circuit ratio's own message
         raise type(exc)(f"load {loads[len(rows)]['label']!r}: {message}") from exc
     if search is not None:

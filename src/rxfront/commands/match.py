@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from ..core import MAX_ARRAY_BYTES, ValidationError
+from ..core import MAX_ARRAY_BYTES, TINY, ValidationError
 from ..scenario import (
     _AMPLIFIER,
     _LINK_FIELDS,
@@ -14,7 +14,6 @@ from ..scenario import (
     Scenario,
     _as_complex,
     _bool,
-    _check_squares,
     _count,
     _from_rows,
     _num,
@@ -67,17 +66,17 @@ def build(scenario: Scenario):
     if lnk.z_r.real <= 0:
         raise ValidationError("match requires Re(z_r) > 0")
     best = matching.optimal_turns_ratio(r_in, lnk.z_r.real)
-    if not 0.0 < best < math.inf:  # the quotient under its square root overflowed or underflowed
+    if not TINY <= best < math.inf:  # NaN: beyond the largest float
         raise ValidationError(
-            f"match.amp_input_resistance_ohms / Re match.link.z_r_ohms = {fmt(r_in)} / "
-            f"{fmt(lnk.z_r.real)} is outside the float range, so the optimal turns ratio is {fmt(best)}"
+            f"the optimal turns ratio sqrt(match.amp_input_resistance_ohms / Re match.link.z_r_ohms) = "
+            f"sqrt({fmt(r_in)} / {fmt(lnk.z_r.real)}) is outside the normal floats"
         )
     sweep = section["ratio_sweep"]
     span = sweep["span_decades"]
     exponents = _linspace(-span / 2.0, span / 2.0, sweep["count"])
     ratios = [_scaled(best, exponent) for exponent in exponents]
     for end in ratios[:1] + ratios[-1:]:  # monotone in the exponent: the ends bound the rest
-        if not 0.0 < end < math.inf:
+        if not TINY <= end < math.inf:
             raise ValidationError(
                 f"match.ratio_sweep.span_decades {fmt(span)} takes the turns ratio from "
                 f"its optimum {fmt(best)} to {fmt(end)}"
@@ -89,7 +88,6 @@ def solve(model):
     from .. import matching
 
     lnk, amp, r_in, cancel, exponents, ratios = model
-    _check_squares(("match.link.z_rt_ohms", lnk.z_rt))  # s_voc; the SNR squares no other field
     rows = [(ratio, matching.snr_with_transformer(lnk, r_in, amp, matching.TransformerMatch(ratio, cancel)),
              "at_optimal" if e == 0 else "") for e, ratio in zip(exponents, ratios)]
     return _from_rows(("turns_ratio", "snr", "annotations"), rows), True

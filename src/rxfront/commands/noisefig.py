@@ -9,7 +9,6 @@ from ..scenario import (
     REQUIRED,
     Scenario,
     _as_complex,
-    _check_squares,
     _cx,
     _from_rows,
     _list_of,
@@ -48,12 +47,11 @@ def solve(model):
     from .. import noisefig
 
     gen, stages = model
-    _check_squares(("noisefig.v_s_volts", gen.v_s))  # output_snr_friis squares v_s
 
     def row(amp) -> tuple:
-        r_l, factor = amp.r_load_in, noisefig.noise_factor(gen, amp)
+        r_l = amp.r_load_in
         return ("inf" if math.isinf(r_l) else r_l, noisefig.friis_gain(gen, amp), noisefig.output_snr_friis(gen, amp),
-                factor, 10.0 * math.log10(factor), "")
+                *noisefig._factor_and_figure(gen, amp), "")
 
     rows = [row(amp) for amp in stages]
     names = ("r_l_ohms", "friis_gain", "output_snr", "noise_factor", "noise_figure_db", "annotations")

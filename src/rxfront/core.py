@@ -1,4 +1,5 @@
-"""Shared numeric types, errors, Thevenin construction, and the divider SNR.
+"""Shared numeric types, errors, Thevenin construction, the divider SNR, and
+the closed forms' float filter with its exact fallback (``filtered``).
 
 Nothing here needs numpy but ``FrequencyGrid.as_array`` and ``solve_circuit``
 (the one solve of ``mna`` and ``frontend``), which import it when called. The
@@ -11,6 +12,10 @@ matrix stack never compiles or loads it.
 from __future__ import annotations
 
 import math
+from functools import wraps
+from types import SimpleNamespace
+
+from . import _load
 
 BOLTZMANN = 1.380649e-23
 """Boltzmann constant in J/K (exact SI value)."""
@@ -20,6 +25,12 @@ DEFAULT_TOL = 1e-9
 
 TINY = 2.0**-1022
 """The smallest normal float."""
+
+INF = math.inf
+
+FLOATS = SimpleNamespace(k=BOLTZMANN, ln2=math.log(2.0), ln10=math.log(10.0), sqrt=math.sqrt, log1p=math.log1p)
+"""The float arithmetic of the closed forms' fast path (filtered); rxfront._exact
+is the exact one, with the same names."""
 
 MAX_ARRAY_BYTES = 2**31
 """Largest array, in bytes, that an impedance CSV or a scenario size may ask for (2 GiB)."""
@@ -197,34 +208,87 @@ def solve_circuit(matrix, rhs, what: str) -> list:
         raise SingularCircuitError(f"{what} is singular") from exc
 
 
-def divider_snr(s: float, z_s, z_l, gain: float, n_na: float, temperature: float, source: bool, load: bool) -> tuple:
-    """|w| and the amplifier-output SNR of a source (open-circuit signal
-    density s in V^2/Hz, impedance z_s) behind a load z_l (math.inf: an open
-    input) at an amplifier of gain g and output noise n_na: the one SNR
-    formula of link, match and noisefig. With w = z_l / (z_s + z_l) and
-    u = z_s / (z_s + z_l), 1 and 0 for an open input,
+def filtered(formula):
+    """The closed form ``formula(ar, *args)`` as a function of ``args``: a
+    float fast path with an exact fallback, the one range handling of the
+    closed-form reports.
 
-        SNR = g^2 |w|^2 s / (n_na + g^2 2kT (Re z_s |w|^2 [source] + Re z_l |u|^2 [load]))
+    ``formula`` computes its cells in the arithmetic ``ar`` (its constants
+    k, ln2 and ln10, and its sqrt and log1p) and returns (ok, cells). In
+    floats (FLOATS), ok is the filter: every product and quotient formed of
+    nonzero values, and every cell, is a normal float (at least TINY, and
+    finite). Then each cell is within a few ulps of its exact value: a
+    product or quotient of normal floats rounds once, by half an ulp; the
+    sums add nonnegative terms, which cannot cancel, but for the one rounded
+    sum x_s + x_l of a divider's reactances, whose error is relative to that
+    sum; and sqrt and log1p are within an ulp. A subnormal or zero product
+    would have lost digits, and an inf one all of them. A cell that is 0, or
+    the flag inf (an SNR without noise), passes only where an input makes
+    it so.
+
+    Where the filter fails, or a float operation raises OverflowError or
+    ZeroDivisionError, the call returns ``exact(formula, *args)``. The
+    function keeps the formula as its ``formula``, for formulas built on it.
+    """
+    @wraps(formula)
+    def call(*args):
+        try:
+            ok, cells = formula(FLOATS, *args)
+        except (OverflowError, ZeroDivisionError):
+            ok = False
+        return cells if ok else exact(formula, *args)
+
+    del call.__wrapped__  # its signature is that of args, not of the formula
+    call.formula = formula
+    return call
+
+
+def exact(formula, *args):
+    """The cells of ``formula(ar, *args)`` (see filtered) computed from the
+    exact rationals of the float inputs, and each rounded once: NaN beyond
+    the largest float, never inf, which is a flag. rxfront._exact, and
+    fractions with it, load on the first call."""
+    return _load(f"{__package__}._exact").cells(formula, args)
+
+
+def divider_snr(s, r_s, x_s, g2, n_na, kt, source: bool, load: bool):
+    """The amplifier-output SNR of a source (open-circuit signal density s in
+    V^2/Hz, impedance r_s + j x_s) behind a load r_l + j x_l, at an amplifier
+    of power gain g2 = g^2 and output noise n_na, with kt = 2kT, as a
+    function of the load: the one SNR formula of link, match and noisefig,
+    in the arithmetic of its arguments (floats, or Fractions; see filtered).
+    With d2 = |z_s + z_l|^2, w2 = |z_l|^2 / d2 and u2 = |z_s|^2 / d2 (1 and
+    0 for an open load, r_l = inf),
+
+        SNR = g2 w2 s / (n_na + g2 kt (r_s w2 [source] + r_l u2 [load]))
 
     where ``source`` and ``load``, fixed by each caller, say which
-    resistances are Johnson noise sources. |w| and |u| scale the signal and
-    the resistances one factor at a time, so neither a resistance nor |w| is
-    squared on its own to leave the float range. Zero noise gives inf; an
-    SNR outside the float range, or taken over a noise that is, gives NaN;
-    a zero divider raises ZeroDivisionError.
+    resistances are Johnson noise sources. snr_of(r_l, x_l) gives
+    (ok, w2, SNR, d2), ok being the filter of what it formed. The SNR
+    without noise is inf; a short (z_l = 0) has w2 = 0 and SNR 0.
     """
-    if z_l == math.inf:
-        mag, johnson = 1.0, z_s.real if source else 0.0
-    else:
-        den = z_s + z_l
-        mag, u = abs(z_l / den), abs(z_s / den)
-        johnson = (z_s.real * mag * mag if source else 0.0) + (z_l.real * u * u if load else 0.0)
-    g2 = gain * gain
-    noise = n_na + g2 * (2.0 * BOLTZMANN * temperature * johnson) if johnson else n_na
-    if noise == 0:
-        return mag, math.inf
-    snr = g2 * mag * (mag * s) / noise
-    return mag, snr if math.isfinite(snr) and noise < math.inf else math.nan
+    b2, r_n = r_s * r_s + x_s * x_s, r_s if source else 0
+    fixed = TINY <= g2 and TINY <= kt and TINY <= b2 and TINY <= s < INF
+
+    def snr_of(r_l, x_l) -> tuple:
+        if r_l == INF:  # an open input
+            w2, d2, johnson, ok = 1, INF, r_n, fixed
+        else:
+            d2 = (r_s + r_l) ** 2 + (x_s + x_l) ** 2
+            if not (r_l or x_l):  # a short: no signal, and no noise but n_na
+                return TINY <= d2, 0.0, 0.0 if n_na else INF, d2
+            a2, r_m = r_l * r_l + x_l * x_l, r_l if load else 0
+            w2, u2 = a2 / d2, b2 / d2
+            johnson = r_n * w2 + r_m * u2
+            ok = (fixed and TINY <= d2 and TINY <= a2 and TINY <= w2 and (not r_n or TINY <= r_n * w2)
+                  and (not r_m or TINY <= u2 and TINY <= r_m * u2) and (TINY <= johnson or not (r_n or r_m)))
+        t, s1 = kt * johnson, g2 * w2
+        noise, signal = n_na + g2 * t, s1 * s
+        snr = signal / noise if noise else INF
+        return (ok and TINY <= s1 and TINY <= signal and (TINY <= snr < INF or not noise)
+                and (not johnson or TINY <= t and TINY <= g2 * t)), w2, snr, d2
+
+    return snr_of
 
 
 def thevenin_from_link(z_rt, i_t, z_r) -> TheveninSource:
@@ -259,8 +323,6 @@ _IMPEDANCE_NAMES = frozenset({
 def __getattr__(name: str):
     if name not in _IMPEDANCE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import _load
-
     value = getattr(_load(f"{__package__}.impedance"), name)
     globals()[name] = value  # later lookups skip this hook
     return value

@@ -5,10 +5,13 @@ distinguished ``OPEN_CIRCUIT`` marker, which selects exact open-circuit
 formulas instead of a large-impedance approximation. All spectral densities
 are two-sided; thermal noise of a resistance R is 2kTR, not 4kTR.
 
-Each formula takes one load and computes in Python floats and complex
-numbers, so a bad load raises what Python arithmetic raises: OverflowError
-for a square that overflows, ZeroDivisionError for a division by an
-|z_series + z|^2 that underflowed to 0. No call imports numpy.
+Each formula takes one load. The report's cells (``_row_kernel``,
+``output_snr`` and ``snr_ratio_oc_over_match``) are exact on any finite
+input: floats where they pass core.filtered's filter, exact rationals where
+they do not. The Thevenin-source calls compute in Python floats and complex
+numbers and raise what that arithmetic raises: OverflowError for a square
+that overflows, ZeroDivisionError for a division by an |z_series + z|^2 that
+underflowed to 0. No call imports numpy.
 
 ``optimize_load`` finds the exact SNR-optimal load in a box of passive
 loads from its corners and the stationary points along its edges.
@@ -20,7 +23,10 @@ import math
 
 from .core import (
     BOLTZMANN,
+    FLOATS,
+    INF,
     OPEN_CIRCUIT,
+    TINY,
     ComplexImpedance,
     Frozen,
     NumericalError,
@@ -29,7 +35,8 @@ from .core import (
     ValidationError,
     as_complex,
     divider_snr,
-    johnson_density,
+    exact,
+    filtered,
 )
 
 
@@ -79,9 +86,11 @@ class SearchBox(Frozen):
         self._store(r_max, x_max, include_open)
 
 
-def _signal_voc_density(link: SingleLink) -> float:
-    """Open-circuit signal voltage density |z_rt|^2 * s_it in V^2/Hz."""
-    return (link.z_rt.real**2 + link.z_rt.imag**2) * link.s_it
+def _signal(link: SingleLink) -> tuple:
+    """|z_rt|^2 and the open-circuit signal voltage density s_voc =
+    |z_rt|^2 s_it in V^2/Hz, in the arithmetic of the link's numbers."""
+    abs2 = link.z_rt.real * link.z_rt.real + link.z_rt.imag * link.z_rt.imag
+    return abs2, abs2 * link.s_it
 
 
 def _divider(z_series: complex, z: complex, passive: bool = True) -> tuple:
@@ -128,33 +137,42 @@ def divided_voltage(source: TheveninSource, z_in) -> complex:
     return source.v_oc * z / den
 
 
-def _row_kernel(link: SingleLink, amp: AmplifierNoiseModel):
+def _row_kernel(link: SingleLink, amp: AmplifierNoiseModel, ar=FLOATS):
     """The link's per-load formulas, built once per link and amplifier, as
     one function of a finite load's parts (re, im): the divider magnitude
     |z_l / (z_r + z_l)| and the SNR of core.divider_snr, the load being the
     one noise source, and the power per unit V_oc scaled by s_voc (the
-    report's power per Hz).
+    report's power per Hz), in the arithmetic ``ar``. A float row that
+    fails the filter is exact (core.filtered).
 
     A divider z_r + z_l = 0 raises SingularCircuitError, even for an active
-    load; then a negative re raises ValidationError. The power's
-    |z_r + z_l|^2 raises OverflowError where a square overflows (squares are
-    **, which differs from x * x in the last bit for some doubles) and
-    ZeroDivisionError where it underflows to 0. Building it squares z_rt.
+    load; then a negative re raises ValidationError. The power's squares are
+    **, which differs from x * x in the last bit for some doubles.
     """
-    z_r, s_voc, gain, n_na, temperature = link.z_r, _signal_voc_density(link), amp.gain, amp.n_na, amp.temperature
+    abs2, s_voc = _signal(link)
+    r_r, x_r = link.z_r.real, link.z_r.imag
+    snr_of = divider_snr(s_voc, r_r, x_r, amp.gain * amp.gain, amp.n_na, 2 * ar.k * amp.temperature, False, True)
 
-    def row(re: float, im: float) -> tuple:
-        z = complex(re, im)
-        den = z_r + z
-        if den == 0:
+    def row(re, im) -> tuple:
+        if not (r_r + re or x_r + im):
             raise SingularCircuitError("z_r + z_l = 0: divider is singular")
-        if re < 0.0:
+        if re < 0:
             raise ValidationError("z_l must have nonnegative real part")
-        power = s_voc * (re / (2.0 * (den.real**2 + den.imag**2)))
-        mag, snr = divider_snr(s_voc, z_r, z, gain, n_na, temperature, False, True)
-        return mag, power, snr
+        try:
+            ok, w2, snr, d2 = snr_of(re, im)
+            share = re / (2 * d2)
+            power = s_voc * share
+            if ar is not FLOATS or ok and TINY <= abs2 and (not re or TINY <= share and TINY <= power) and power < INF:
+                return ar.sqrt(w2), power, snr
+        except (OverflowError, ZeroDivisionError):
+            pass
+        return exact(_link_row, link, amp, re, im)
 
     return row
+
+
+def _link_row(ar, link: SingleLink, amp: AmplifierNoiseModel, re, im) -> tuple:
+    return True, _row_kernel(link, amp, ar)(re, im)
 
 
 def output_snr(link: SingleLink, amp: AmplifierNoiseModel, z_l) -> float:
@@ -166,13 +184,20 @@ def output_snr(link: SingleLink, amp: AmplifierNoiseModel, z_l) -> float:
     ValidationError before a singular divider is looked for.
     """
     if z_l is OPEN_CIRCUIT:
-        return divider_snr(_signal_voc_density(link), link.z_r, math.inf, amp.gain, amp.n_na, amp.temperature,
-                           False, True)[1]
+        return _open_snr(link, amp)
     z = as_complex(z_l, "z_l")
     row = _row_kernel(link, amp)
     if z.real < 0.0:
         raise ValidationError("z_l must have nonnegative real part")
     return row(z.real, z.imag)[2]
+
+
+@filtered
+def _open_snr(ar, link: SingleLink, amp: AmplifierNoiseModel):
+    abs2, s_voc = _signal(link)
+    ok, _, snr, _ = divider_snr(s_voc, link.z_r.real, link.z_r.imag, amp.gain * amp.gain, amp.n_na,
+                                2 * ar.k * amp.temperature, False, True)(INF, 0)
+    return ok and TINY <= abs2, snr
 
 
 def snr_matched(link: SingleLink, amp: AmplifierNoiseModel) -> float:
@@ -189,17 +214,26 @@ def snr_ratio_oc_over_match(link: SingleLink, amp: AmplifierNoiseModel) -> float
     g^2 * 2kT * Re z_r / n_na. A ratio outside the float range raises
     NumericalError.
     """
-    zr = link.z_r
-    if zr.real <= 0:
+    if link.z_r.real <= 0:
         raise ValidationError("ratio is degenerate for Re(z_r) = 0")
     if amp.n_na == 0:
         raise NumericalError("ratio diverges for zero amplifier noise")
-    cos = zr.real / abs(zr)  # not Re^2 / |z_r|^2, whose squares underflow at Re z_r ~ 1e-300
-    g2 = amp.gain * amp.gain
-    ratio = 4.0 * (cos * cos) + g2 * johnson_density(amp.temperature, zr.real) / amp.n_na
-    if not math.isfinite(ratio):
+    ratio = _oc_over_match(link, amp)
+    if ratio != ratio:
         raise NumericalError("the open-circuit over matched SNR ratio is outside the float range")
     return ratio
+
+
+@filtered
+def _oc_over_match(ar, link: SingleLink, amp: AmplifierNoiseModel):
+    re, im = link.z_r.real, link.z_r.imag
+    re2 = re * re
+    cos2 = re2 / (re2 + im * im)
+    g2, kt = amp.gain * amp.gain, 2 * ar.k * amp.temperature
+    johnson = g2 * (kt * re)
+    noise_ratio = johnson / amp.n_na
+    ratio = 4 * cos2 + noise_ratio
+    return TINY <= min(re2, cos2, g2, kt, kt * re, johnson, noise_ratio) and ratio < INF, ratio
 
 
 def optimize_load(link: SingleLink, amp: AmplifierNoiseModel, search: SearchBox) -> tuple:
@@ -211,11 +245,10 @@ def optimize_load(link: SingleLink, amp: AmplifierNoiseModel, search: SearchBox)
     Hessian of N - SNR * D is 2 (1 - SNR n_na) I: a minimum if SNR < 1/n_na,
     and at R < 0 if SNR > 1/n_na. So the maximum is at a corner of the box or
     at a stationary point of an edge. Candidates are scored by output_snr's
-    formula, dropping singular ones and those whose squares overflow; ties
-    go to the larger |z_l|, then the earlier candidate, then OPEN_CIRCUIT. A
-    lossless z_r whose resonance -j X_r lies in the box has unbounded SNR,
-    and a candidate's SNR outside the float range cannot be ranked: both
-    raise NumericalError.
+    formula, dropping singular ones; ties go to the larger |z_l|, then the
+    earlier candidate, then OPEN_CIRCUIT. A lossless z_r whose resonance
+    -j X_r lies in the box has unbounded SNR, and a candidate's SNR outside
+    the float range cannot be ranked: both raise NumericalError.
     """
     z_r = link.z_r
     if z_r.real == 0.0 and z_r.imag != 0.0 and abs(z_r.imag) <= search.x_max and amp.n_na > 0:
@@ -224,7 +257,7 @@ def optimize_load(link: SingleLink, amp: AmplifierNoiseModel, search: SearchBox)
     for z in _candidates(link, amp, search):
         try:
             snr = row(z.real, z.imag)[2]
-        except ArithmeticError:  # singular, or a square overflowed, or |z_r + z|^2 underflowed
+        except SingularCircuitError:
             continue
         if snr != snr:
             raise NumericalError(f"output SNR at candidate load {z} is outside the float range")
@@ -239,7 +272,7 @@ def optimize_load(link: SingleLink, amp: AmplifierNoiseModel, search: SearchBox)
         if best_finite is None or snr_oc >= best_finite[1]:
             return OPEN_CIRCUIT, snr_oc
     if best_finite is None:
-        raise NumericalError("every candidate load is singular or overflows")
+        raise NumericalError("every candidate load is singular")
     return best_finite
 
 

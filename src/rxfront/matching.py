@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 
-from .core import TINY, Frozen, TheveninSource, ValidationError, divider_snr
-from .link import AmplifierNoiseModel, SingleLink, _signal_voc_density
+from .core import INF, TINY, Frozen, TheveninSource, ValidationError, divider_snr, filtered
+from .link import AmplifierNoiseModel, SingleLink, _signal
 
 
 class TransformerMatch(Frozen):
@@ -33,13 +33,16 @@ class TransformerMatch(Frozen):
         self._store(turns_ratio, cancel_reactance)
 
 
-def optimal_turns_ratio(r_in: float, re_z_r: float) -> float:
-    """Turns ratio sqrt(r_in / re_z_r) that presents r_in as re_z_r to the source."""
+@filtered
+def optimal_turns_ratio(ar, r_in: float, re_z_r: float):
+    """Turns ratio sqrt(r_in / re_z_r) that presents r_in as re_z_r to the
+    source; NaN beyond the largest float (core.filtered)."""
     if not math.isfinite(r_in) or r_in <= 0:
         raise ValidationError("r_in must be finite and positive")
     if not math.isfinite(re_z_r) or re_z_r <= 0:
         raise ValidationError("re_z_r must be finite and positive")
-    return math.sqrt(r_in / re_z_r)
+    ratio = r_in / re_z_r
+    return TINY <= ratio < INF, ar.sqrt(ratio)
 
 
 def reflected_source(source: TheveninSource, xf: TransformerMatch) -> TheveninSource:
@@ -53,27 +56,26 @@ def reflected_source(source: TheveninSource, xf: TransformerMatch) -> TheveninSo
     return TheveninSource(n * source.v_oc, (n * n) * z)
 
 
+@filtered
 def snr_with_transformer(
+    ar,
     link: SingleLink,
     amp_input_resistance: float,
     amp: AmplifierNoiseModel,
     xf: TransformerMatch,
-) -> float:
+):
     """Amplifier-output SNR with the transformer between antenna and
     amplifier: inf without noise, NaN where it leaves the float range.
 
     The reflected source (n^2 s_voc, n^2 z_r) drives the input resistance
     r_in, and only the reflected antenna resistance is a noise source
-    (core.divider_snr). The SNR is linear in the signal: where n^2 s_voc
-    underflows below the normal floats, and so has lost digits, the SNR is
-    taken for s_voc and scaled by n^2 after.
+    (core.divider_snr).
     """
     if not math.isfinite(amp_input_resistance) or amp_input_resistance <= 0:
         raise ValidationError("amp_input_resistance must be finite and positive")
-    n2, s_voc = xf.turns_ratio * xf.turns_ratio, _signal_voc_density(link)
-    z_src = complex(link.z_r.real, 0.0) if xf.cancel_reactance else link.z_r
-    s = n2 * s_voc
-    late = 0.0 < s < TINY <= s_voc
-    snr = divider_snr(s_voc if late else s, n2 * z_src, amp_input_resistance, amp.gain, amp.n_na, amp.temperature,
-                      True, False)[1]
-    return n2 * snr if late else snr
+    n2 = xf.turns_ratio * xf.turns_ratio
+    abs2, s_voc = _signal(link)
+    r_s, x_s = n2 * link.z_r.real, 0 if xf.cancel_reactance else n2 * link.z_r.imag
+    ok, _, snr, _ = divider_snr(n2 * s_voc, r_s, x_s, amp.gain * amp.gain, amp.n_na, 2 * ar.k * amp.temperature,
+                                True, False)(amp_input_resistance, 0)
+    return ok and TINY <= min(n2, abs2, s_voc, r_s), snr

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .core import BOLTZMANN, Frozen, ValidationError, as_complex, divider_snr
+from .core import BOLTZMANN, INF, TINY, Frozen, ValidationError, as_complex, divider_snr, filtered
 
 
 class SignalGenerator(Frozen):
@@ -74,16 +74,20 @@ def input_snr(gen: SignalGenerator) -> float:
     return v2 / (2.0 * BOLTZMANN * gen.temperature * gen.r_s)
 
 
-def friis_gain(gen: SignalGenerator, amp: VoltageAmplifierStage) -> float:
+@filtered
+def friis_gain(ar, gen: SignalGenerator, amp: VoltageAmplifierStage):
     """Available-power gain (g^2 r_s / r_out) * (r_l / (r_s + r_l))^2."""
-    g2 = amp.gain * amp.gain
-    if math.isinf(amp.r_load_in):
-        return g2 * gen.r_s / amp.r_out
-    w = amp.r_load_in / (gen.r_s + amp.r_load_in)
-    return g2 * gen.r_s / amp.r_out * w * w
+    g2, r_l = amp.gain * amp.gain, amp.r_load_in
+    w = 1 if r_l == INF else r_l / (gen.r_s + r_l)
+    source = g2 * gen.r_s
+    per_out = source / amp.r_out
+    loaded = per_out * w
+    gain = loaded * w
+    return TINY <= min(g2, w, source, per_out, loaded, gain) and gain < INF, gain
 
 
-def output_snr_friis(gen: SignalGenerator, amp: VoltageAmplifierStage) -> float:
+@filtered
+def output_snr_friis(ar, gen: SignalGenerator, amp: VoltageAmplifierStage):
     """Amplifier-output SNR; independent of r_out by construction. Without
     noise it is inf; where it leaves the float range it is NaN.
 
@@ -91,29 +95,39 @@ def output_snr_friis(gen: SignalGenerator, amp: VoltageAmplifierStage) -> float:
     resistances are noise sources, r_s*r_l/(r_s + r_l) in all
     (core.divider_snr).
     """
-    return divider_snr(_v2(gen), gen.r_s, amp.r_load_in, amp.gain, amp.n_na, gen.temperature, True, True)[1]
+    ok, _, snr, _ = divider_snr(_v2(gen), gen.r_s, 0, amp.gain * amp.gain, amp.n_na, 2 * ar.k * gen.temperature,
+                                True, True)(amp.r_load_in, 0)
+    return ok, snr
 
 
 def noise_factor(gen: SignalGenerator, amp: VoltageAmplifierStage) -> float:
     """Noise factor F = input SNR / output SNR; always >= 1, independent of
     r_out. A noiseless source (r_s = 0) gives inf; an F outside the float
-    range is NaN. The amplifier noise enters as r_na = n_na / (2kT g^2), the
-    input resistance of equal Johnson noise, formed by divisions alone: no
-    product of small factors underflows, not even where 2kT g^2 would."""
-    r_na = amp.n_na / amp.gain / amp.gain / gen.temperature / (2.0 * BOLTZMANN)
-    if math.isinf(amp.r_load_in):
-        if amp.n_na == 0:
-            return 1.0
-        if gen.r_s == 0:
-            return math.inf
-        factor = 1.0 + r_na / gen.r_s
-    else:
-        factor = (gen.r_s + amp.r_load_in) / amp.r_load_in
-        if amp.n_na != 0:
-            if gen.r_s == 0:
-                return math.inf
-            factor *= 1.0 + r_na * (1.0 / gen.r_s + 1.0 / amp.r_load_in)  # (r_s + r_l)/(r_s*r_l), without r_s*r_l
-    return factor if math.isfinite(factor) else math.nan
+    range is NaN."""
+    return _factor_and_figure(gen, amp)[0]
+
+
+@filtered
+def _factor_and_figure(ar, gen: SignalGenerator, amp: VoltageAmplifierStage):
+    """The noise factor F and the noise figure 10 log10 F in dB, both from
+    the excess x = F - 1 = a + b + a b, a sum of nonnegative terms: with
+    F = (1 + a)(1 + b), a = r_s / r_l (0 for an open input) and
+    b = r_na (1/r_s + 1/r_l), where r_na = n_na / (2kT g^2) is the input
+    resistance of equal Johnson noise. The figure is 10 log1p(x) / ln 10,
+    accurate also where F is near 1. A noiseless source (r_s = 0) gives
+    inf and inf, or 1 and 0 without amplifier noise, as does an open input
+    without it."""
+    r_s, r_l, n_na = gen.r_s, amp.r_load_in, amp.n_na
+    if r_s == 0 or n_na == 0 and r_l == INF:
+        return True, (1.0, 0.0) if n_na == 0 else (INF, INF)
+    g2, kt = amp.gain * amp.gain, 2 * ar.k * gen.temperature
+    r_na = n_na / (kt * g2)
+    open_input = r_l == INF
+    a, conductance = (0, 1 / r_s) if open_input else (r_s / r_l, 1 / r_s + 1 / r_l)
+    b = r_na * conductance
+    x = a + b + a * b
+    low = min(g2, kt, kt * g2, r_na, 1 / r_s, b, *(() if open_input else (a, 1 / r_l, a * b)))
+    return TINY <= low and x < INF, (1 + x, 10 * ar.log1p(x) / ar.ln10)
 
 
 def optimal_rs_for_noise_factor(amp: VoltageAmplifierStage, temperature: float) -> float:

@@ -202,22 +202,6 @@ def parse_scenario(path) -> Scenario:
     return Scenario(data["name"], kind, data, path.parent)
 
 
-_ARITHMETIC_MESSAGES = {  # Python's own messages, without OverflowError's errno
-    OverflowError: "Numerical result out of range",
-    ZeroDivisionError: "float division by zero",
-}
-
-
-def _check_squares(*fields) -> None:
-    """Raise an OverflowError naming the first (field, value) whose |value|^2,
-    a square the formulas take of a scenario field itself, overflows."""
-    for field, value in fields:
-        try:
-            value.real**2 + value.imag**2
-        except OverflowError:
-            raise OverflowError(f"|{field}|^2 is outside the float range") from None
-
-
 def _to_float(canon) -> float:
     return math.inf if canon == "inf" else float(canon)
 

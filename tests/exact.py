@@ -2,9 +2,9 @@
 ``match`` and ``noisefig``.
 
 Each cell is computed from ``Fraction(x)`` of the parsed scenario's floats,
-so rational steps are exact. Square roots, natural logs, log10 and powers of
-ten are taken in 50-digit ``decimal``, whose ``sqrt``, ``ln`` and ``log10``
-are correctly rounded. Boltzmann's constant and ln 2 are their exact values,
+so rational steps are exact. Square roots, natural logs and powers of ten
+are taken in 50-digit ``decimal``, whose ``sqrt`` and ``ln`` are correctly
+rounded. Boltzmann's constant and ln 2 are their exact values,
 not the package's floats. A cell that the formulas define as a flag (an SNR
 without noise, an open circuit's load) is ``INF``; a text cell is its str.
 
@@ -15,7 +15,8 @@ boundary (the decimal one, or a float one among subnormals).
 
 These functions take the points that are not closed forms from the caller:
 the load that ``optimize_load`` chose, and the turns ratios that ``match``
-swept, as the floats the program used.
+swept, as the floats the program used. ``report_columns`` asks the program
+for those points and gives a whole report's exact columns.
 """
 
 import csv
@@ -28,6 +29,7 @@ CTX = Context(prec=50)
 INF = Decimal("Infinity")
 BOLTZMANN = Fraction("1.380649e-23")  # exact SI value, J/K
 LN2 = CTX.ln(Decimal(2))
+LN10 = CTX.ln(Decimal(10))
 EPS = Decimal("1e-15")
 
 
@@ -179,8 +181,10 @@ def noisefig_columns(data: dict) -> dict:
     r_l) and r_par = r_s w: the Friis gain g^2 r_s w^2 / r_out, the output
     SNR g^2 |v_s|^2 w^2 / (n_na + g^2 2kT r_par), and the noise factor, the
     input SNR |v_s|^2/(2kT r_s) over the output SNR, with its figure
-    10 log10 F. A noiseless source (r_s = 0) has F = inf, or 1 without
-    amplifier noise: the flags of the noiseless-source limit."""
+    10 log10 F, taken as 10 ln(1 + (F - 1)) / ln 10 from the exact F - 1, so
+    that an F within 1e-50 of 1 keeps its figure's digits. A noiseless
+    source (r_s = 0) has F = inf, or 1 without amplifier noise: the flags of
+    the noiseless-source limit."""
     sec = data["noisefig"]
     v_re, v_im = _cx(sec["v_s_volts"])
     r_s, r_out = Fraction(sec["r_s_ohms"]), Fraction(sec["amp"]["r_out_ohms"])
@@ -191,12 +195,59 @@ def noisefig_columns(data: dict) -> dict:
         w = Fraction(1) if token == "inf" else Fraction(token) / (r_s + Fraction(token))
         den = n_na + g2 * two_kt * r_s * w
         if r_s == 0:
-            factor = Decimal(1) if n_na == 0 else INF
+            factor = Fraction(1) if n_na == 0 else None
         else:
-            factor = dec(den / (g2 * two_kt * r_s * w * w))
+            factor = den / (g2 * two_kt * r_s * w * w)
         cols["r_l_ohms"].append(INF if token == "inf" else dec(Fraction(token)))
         cols["friis_gain"].append(dec(g2 * r_s * w * w / r_out))
         cols["output_snr"].append(_quotient(g2 * (v_re * v_re + v_im * v_im) * w * w, den))
-        cols["noise_factor"].append(factor)
-        cols["noise_figure_db"].append(INF if factor.is_infinite() else CTX.multiply(10, CTX.log10(factor)))
+        cols["noise_factor"].append(INF if factor is None else dec(factor))
+        cols["noise_figure_db"].append(INF if factor is None else CTX.divide(CTX.multiply(10, ln1p(factor - 1)), LN10))
     return cols
+
+
+def _optimal(data: dict):
+    """The load that optimize_load chooses for a parsed link scenario, as a
+    complex, or None for the open circuit or without a search."""
+    from rxfront import link
+
+    sec, ampd = data["link"], data["amplifier"]
+    if "optimize" not in sec:
+        return None
+    z_r, z_rt = (complex(sec[key]["re"], sec[key]["im"]) for key in ("z_r_ohms", "z_rt_ohms"))
+    lnk = link.SingleLink(z_r, z_rt, sec["s_it_a2_per_hz"])
+    amp = link.AmplifierNoiseModel(ampd["gain"], ampd["n_na_v2_per_hz"], ampd["temp_kelvin"])
+    box = sec["optimize"]
+    best, _ = link.optimize_load(lnk, amp, link.SearchBox(box["r_max_ohms"], box["x_max_ohms"], box["include_open"]))
+    return None if best is link.OPEN_CIRCUIT else complex(best)
+
+
+def _swept(data: dict) -> tuple:
+    """The exponents and turns ratios, as floats, that a parsed match scenario sweeps."""
+    from rxfront import matching
+    from rxfront.commands import match
+
+    sec = data["match"]
+    best = matching.optimal_turns_ratio(sec["amp_input_resistance_ohms"], sec["link"]["z_r_ohms"]["re"])
+    span, count = sec["ratio_sweep"]["span_decades"], sec["ratio_sweep"]["count"]
+    exponents = match._linspace(-span / 2.0, span / 2.0, count)
+    return exponents, [match._scaled(best, e) for e in exponents]
+
+
+COMMANDS = {
+    "capacity": capacity_columns,
+    "link": lambda data: link_columns(data, _optimal(data)),
+    "match": lambda data: match_columns(data, *_swept(data)),
+    "noisefig": noisefig_columns,
+}
+
+
+def report_columns(command: str, data: dict) -> dict:
+    """The exact columns of the ``command`` report of a parsed scenario,
+    at the points the program chooses."""
+    return COMMANDS[command](data)
+
+
+def inexact_report(command: str, data: dict, report: str) -> dict:
+    """inexact_cells of a ``command`` report of a parsed scenario."""
+    return inexact_cells(report_columns(command, data), report)

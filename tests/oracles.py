@@ -48,14 +48,6 @@ def golden_section_min(fun, lo, hi, iters=90):
     return 0.5 * (a + b)
 
 
-def output_snr_ref(z_r, z_l, gain, n_na, temperature, s_voc):
-    """Loaded receiver SNR written with complex dividers, no shared helpers."""
-    w = z_l / (z_r + z_l)
-    u = z_r / (z_r + z_l)
-    noise = n_na + gain**2 * abs(u) ** 2 * 2.0 * K_BOLTZ * temperature * z_l.real
-    return gain**2 * abs(w) ** 2 * s_voc / noise
-
-
 # The single-link divider, power and SNR written straight from the one-load
 # formulas, in Python floats and complex numbers, with no shared helper.
 
@@ -103,30 +95,6 @@ def output_snr_scalar(link, amp, z_l):
     if noise == 0:
         return math.inf
     return g2 * w2 * s_voc / noise
-
-
-def friis_gain_ref(g, r_s, r_l, r_o):
-    if math.isinf(r_l):
-        return g * g * r_s / r_o
-    return (g * g * r_s / r_o) * (r_l / (r_s + r_l)) ** 2
-
-
-def output_snr_friis_ref(v_s, g, r_s, r_l, n_na, temperature):
-    two_kt = 2.0 * K_BOLTZ * temperature
-    v2 = abs(v_s) ** 2
-    if math.isinf(r_l):
-        return g * g * v2 / (two_kt * r_s * g * g + n_na)
-    w = r_l / (r_s + r_l)
-    r_par = r_s * r_l / (r_s + r_l)
-    return g * g * v2 * w * w / (two_kt * r_par * g * g + n_na)
-
-
-def noise_factor_ref(g, r_s, r_l, n_na, temperature):
-    two_kt = 2.0 * K_BOLTZ * temperature
-    if math.isinf(r_l):
-        return 1.0 + n_na / (two_kt * r_s * g * g)
-    lead = (r_s + r_l) / r_l
-    return lead * (1.0 + (n_na / (two_kt * g * g)) * ((r_s + r_l) / (r_s * r_l)))
 
 
 def _fmt_c(z):

@@ -11,6 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import exact
 import numpy as np
 import pytest
 from oracles import cells_ref, render_report_ref
@@ -584,8 +585,9 @@ def test_a_report_without_rows_is_its_header(tmp_path, capsys, fmt_kind, want):
 
 
 @pytest.mark.parametrize("span,code,message", [
-    # 10**312 turns the ratio into 1e161, whose square overflows: its SNR is NaN
-    (600, 3, "numerical error: snr row 39 is outside the float range\n"),
+    # 10**312 turns the ratio into 1e161, whose square overflows: its SNR,
+    # 1e-298 there, is exact, and underflows to 0 from 1e185
+    (600, 0, ""),
     # 10**-350 underflows: the first turns ratio would be 0
     (700, 1, "validation error: match.ratio_sweep.span_decades 700 takes the turns ratio "
              "from its optimum 100000 to 0\n"),
@@ -598,14 +600,22 @@ def test_a_report_without_rows_is_its_header(tmp_path, capsys, fmt_kind, want):
 def test_match_sweep_beyond_the_float_range_names_its_field(tmp_path, capsys, span, code, message):
     scen = _edited_example(tmp_path, "match_step_up", ("match", "ratio_sweep", "span_decades"), span)
     got, out, err = run_cli(["match", "--scenario", str(scen)], capsys)
-    assert (got, out, err) == (code, "", message)
+    if code:
+        assert (got, out, err) == (code, "", message)
+    else:
+        assert (got, err) == (0, "") and exact.inexact_report("match", cli.parse_scenario(scen).data, out) == {}
+        assert out.splitlines()[39:41] == ["1e+161,1e-298,", "1e+173,9.88131291682e-323,"]
 
 
+# The optimum sqrt(r_in / Re z_r) is refused only where its exact value is
+# not a positive normal float; (1e308, 1e-10) and (1e-300, 1e300), whose
+# quotients leave the float range, once exited 1 here and now sweep 1e159
+# and 1e-300 (test_match_optimum_past_the_float_range_never_reports_a_nonfinite_snr)
 @pytest.mark.parametrize("r_in,re_z_r,message", [
-    (1e308, 1e-10, "validation error: match.amp_input_resistance_ohms / Re match.link.z_r_ohms = "
-                   "1e+308 / 1e-10 is outside the float range, so the optimal turns ratio is inf\n"),
-    (1e-300, 1e300, "validation error: match.amp_input_resistance_ohms / Re match.link.z_r_ohms = "
-                    "1e-300 / 1e+300 is outside the float range, so the optimal turns ratio is 0\n"),
+    (1e308, 5e-324, "validation error: the optimal turns ratio sqrt(match.amp_input_resistance_ohms / "
+                    "Re match.link.z_r_ohms) = sqrt(1e+308 / 4.94065645841e-324) is outside the normal floats\n"),
+    (5e-324, 1e308, "validation error: the optimal turns ratio sqrt(match.amp_input_resistance_ohms / "
+                    "Re match.link.z_r_ohms) = sqrt(4.94065645841e-324 / 1e+308) is outside the normal floats\n"),
 ], ids=["overflow", "underflow"])
 def test_match_optimum_beyond_the_float_range_names_its_fields(tmp_path, capsys, r_in, re_z_r, message):
     scen = _edited_example(tmp_path, "match_step_up", ("match", "amp_input_resistance_ohms"), r_in)
@@ -620,9 +630,9 @@ def test_match_optimum_beyond_the_float_range_names_its_fields(tmp_path, capsys,
                          ids=["overflow_1e310", "overflow_1e318", "underflow_1e-600", "underflow_1e-310"])
 def test_match_optimum_past_the_float_range_never_reports_a_nonfinite_snr(tmp_path, capsys, r_in, re_z_r):
     # The quotient under the optimum's root leaves the float range where the
-    # root itself would not. Taking the root of each side first yields a
-    # finite optimum, but snr_with_transformer then squares it (n * n), which
-    # overflows: such a fix must rearrange the SNR too, or it reports inf rows.
+    # root itself does not; snr_with_transformer then squares the ratio
+    # (n * n), which overflows. Where the exact SNRs are in range the report
+    # prints them; else it exits 3
     scen = _edited_example(tmp_path, "match_step_up", ("match", "amp_input_resistance_ohms"), r_in)
     doc = json.loads(scen.read_text())
     doc["match"]["link"]["z_r_ohms"]["re"] = re_z_r
@@ -630,27 +640,30 @@ def test_match_optimum_past_the_float_range_never_reports_a_nonfinite_snr(tmp_pa
     got, out, _ = run_cli(["match", "--scenario", str(scen)], capsys)
     snrs = [row["snr"] for row in csv.DictReader(io.StringIO(out))]
     assert got != 0 or all(cell != "undefined" and math.isfinite(float(cell)) for cell in snrs), out
+    assert got == 3 or exact.inexact_report("match", cli.parse_scenario(scen).data, out) == {}
 
 
-@pytest.mark.parametrize("name,path,code", [
-    ("link_crossover", ("link", "z_rt_ohms", "re"), 3),
-    ("link_crossover", ("link", "z_r_ohms", "re"), 3),
-    ("noisefig_sweep", ("noisefig", "v_s_volts", "re"), 3),
-    ("match_step_up", ("match", "link", "z_rt_ohms", "re"), 3),  # not a turns ratio's fault
-    # core.divider_snr takes the divider as a quotient and never squares r_in:
-    # the report's cells are exact (test_exit_contract)
-    ("match_step_up", ("match", "amp_input_resistance_ohms"), 0),
+@pytest.mark.parametrize("name,path,message", [
+    # |z_rt|^2 s_it = 1e388: the SNRs are beyond the float range, first at a
+    # candidate load of the optimum search, or at a report row
+    ("link_crossover", ("link", "z_rt_ohms", "re"),
+     "numerical error: output SNR at candidate load -100j is outside the float range\n"),
+    ("link_crossover", ("link", "z_r_ohms", "re"), ""),
+    ("noisefig_sweep", ("noisefig", "v_s_volts", "re"), "numerical error: output_snr row 1 is outside the float range\n"),
+    ("match_step_up", ("match", "link", "z_rt_ohms", "re"), "numerical error: snr row 1 is outside the float range\n"),
+    ("match_step_up", ("match", "amp_input_resistance_ohms"), ""),
 ], ids=["link_z_rt", "link_z_r", "noisefig_v_s", "match_z_rt", "match_r_in"])
-def test_overflow_outside_a_load_prints_no_errno(tmp_path, capsys, name, path, code):
-    # a square of 1e200 overflows; float ** gives the OverflowError an errno,
-    # and the message names the scenario field that was squared
+def test_overflow_outside_a_load_prints_no_errno(tmp_path, capsys, name, path, message):
+    # a square of 1e200 overflows a float, and float ** gives the
+    # OverflowError an errno; no message shows it. Each cell is the exact
+    # value, and one beyond the float range exits 3 naming where
+    command = name.split("_")[0]
     scen = _edited_example(tmp_path, name, path, 1e200)
-    got, out, err = run_cli([name.split("_")[0], "--scenario", str(scen)], capsys)
-    field = ".".join(key for key in path if key != "re")
-    if code:
-        assert (got, out, err) == (3, "", f"numerical error: |{field}|^2 is outside the float range\n")
+    got, out, err = run_cli([command, "--scenario", str(scen)], capsys)
+    if message:
+        assert (got, out, err) == (3, "", message)
     else:
-        assert (got, err, out.count("\n")) == (0, "", 52)
+        assert (got, err) == (0, "") and exact.inexact_report(command, cli.parse_scenario(scen).data, out) == {}
 
 
 @pytest.mark.parametrize("sub,section", [
@@ -676,13 +689,11 @@ def _edited_example(tmp_path, name, path, value):
 
 
 @pytest.mark.parametrize("name,path,value", [
-    # OverflowError: |z_rt|^2 overflows a float
+    # |z_rt|^2 s_it = 1e604: the exact SNRs are beyond the float range
     ("link_crossover", ("link", "z_rt_ohms", "re"), 1e308),
-    # ZeroDivisionError: the matched load's |z_r + z_l|^2 = 4e-600 underflows to 0
-    ("link_crossover", ("link", "z_r_ohms", "re"), 1e-300),
     # LinAlgError: eigenvalues of a 1e308 self-impedance do not converge
     ("array_synthetic", ("array", "synthetic", "self_ohms", "re"), 1e308),
-], ids=["overflow", "zero_division", "linalg"])
+], ids=["overflow", "linalg"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_failures_exit_3(tmp_path, capsys, name, path, value):
     scen = _edited_example(tmp_path, name, path, value)
@@ -755,8 +766,9 @@ def _load(label, re, im):
      "load 'n': z_l_ohms must have nonnegative real part\n"),
     ([_load("ok", 50, 0), _load("s", -5, -37)], 3, "load 's': z_r_ohms + z_l_ohms"),  # singular and negative
     ([_load("ok", 50, 0), _load("n", -1, 0)], 1, "load 'n': z_l_ohms must have nonnegative real part\n"),
-    ([_load("ok", 50, 0), _load("big", 1e200, 0), _load("n", -1, 0)], 3,
-     "load 'big': Numerical result out of range\n"),
+    # a load whose squares overflow prints its exact cells: n is the first bad load
+    ([_load("ok", 50, 0), _load("big", 1e200, 0), _load("n", -1, 0)], 1,
+     "load 'n': z_l_ohms must have nonnegative real part\n"),
 ], ids=["singular_first", "negative_first", "singular_and_negative", "negative", "overflow"])
 def test_link_reports_the_first_bad_load(tmp_path, capsys, loads, code, message):
     scen = tmp_path / "link.json"

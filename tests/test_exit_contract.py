@@ -41,8 +41,7 @@ from pathlib import Path
 import pytest
 
 import exact
-from rxfront import cli, link, matching, mna
-from rxfront.commands import match as match_command
+from rxfront import cli, link, mna
 from rxfront.commands.link import FLAGS as LINK_FLAGS
 from rxfront.core import OPEN_CIRCUIT, NumericalError, ParseError, ToolkitError, ValidationError
 from rxfront.scenario import render_report
@@ -229,41 +228,10 @@ def _outcome(argv, work) -> tuple:
     return code, entry, sorted({str(w.message) for w in caught})
 
 
-def _optimal(data: dict):
-    """The load that optimize_load chooses for a parsed link scenario, as a
-    complex, or None for the open circuit or without a search."""
-    sec, ampd = data["link"], data["amplifier"]
-    if "optimize" not in sec:
-        return None
-    z_r, z_rt = (complex(sec[key]["re"], sec[key]["im"]) for key in ("z_r_ohms", "z_rt_ohms"))
-    lnk = link.SingleLink(z_r, z_rt, sec["s_it_a2_per_hz"])
-    amp = link.AmplifierNoiseModel(ampd["gain"], ampd["n_na_v2_per_hz"], ampd["temp_kelvin"])
-    box = sec["optimize"]
-    best, _ = link.optimize_load(lnk, amp, link.SearchBox(box["r_max_ohms"], box["x_max_ohms"], box["include_open"]))
-    return None if best is OPEN_CIRCUIT else complex(best)
-
-
-def _swept(data: dict) -> tuple:
-    """The exponents and turns ratios, as floats, that a parsed match scenario sweeps."""
-    sec = data["match"]
-    best = matching.optimal_turns_ratio(sec["amp_input_resistance_ohms"], sec["link"]["z_r_ohms"]["re"])
-    span, count = sec["ratio_sweep"]["span_decades"], sec["ratio_sweep"]["count"]
-    exponents = match_command._linspace(-span / 2.0, span / 2.0, count)
-    return exponents, [match_command._scaled(best, e) for e in exponents]
-
-
-EXACT_COLUMNS = {
-    "capacity": exact.capacity_columns,
-    "link": lambda data: exact.link_columns(data, _optimal(data)),
-    "match": lambda data: exact.match_columns(data, *_swept(data)),
-    "noisefig": exact.noisefig_columns,
-}
-
-
 def _inexact_cells(command: str, scenario: Path, report: str) -> dict:
     """The cells of an exit-0 closed-form report that differ from their
     exact value rounded to 12 significant digits (tests/exact.py)."""
-    return exact.inexact_cells(EXACT_COLUMNS[command](cli.parse_scenario(scenario).data), report)
+    return exact.inexact_report(command, cli.parse_scenario(scenario).data, report)
 
 
 # Single-field edits whose exit-0 report prints a non-finite cell in a column
@@ -319,7 +287,7 @@ def _edit_survey(work: Path) -> tuple:
             columns = sorted(_nonfinite_columns(text) & finite)
             if columns:
                 found[case] = ",".join(columns)
-            if command in EXACT_COLUMNS:
+            if command in exact.COMMANDS:
                 wrong = _inexact_cells(command, scenario, text)
                 if wrong:
                     inexact[case] = wrong
@@ -340,26 +308,20 @@ def test_exit_0_nonfinite_cells_are_the_listed_ones(workdir):
     assert outcomes.keys() == golden.keys()
 
 
-@pytest.mark.parametrize("r_in,code,err", [
-    (1e200, 0, ""),  # once exit 3: |r_in|^2 overflowed
-    (1e-300, 0, ""),  # once exit 3: r_in^2 underflowed to 0, then n^2 s_voc to a subnormal
-    # n^2 Re z_r overflows from row 30, where the exact SNR is 124878802.001
-    (1e308, 3, "numerical error: snr row 30 is outside the float range\n"),
-], ids=["1e200", "1e-300", "1e308"])
-def test_match_input_resistance_against_the_exact_values(workdir, capsys, r_in, code, err):
-    # core.divider_snr takes the divider as quotients: r_in is never squared,
-    # and each printed cell is its exact value to 12 digits
+@pytest.mark.parametrize("r_in", [1e200, 1e-300, 1e308], ids=["1e200", "1e-300", "1e308"])
+def test_match_input_resistance_against_the_exact_values(workdir, capsys, r_in):
+    # each once exited 3: |r_in|^2 overflowed (1e200); r_in^2 underflowed to
+    # 0, then n^2 s_voc to a subnormal (1e-300); n^2 Re z_r overflowed from
+    # row 30, whose exact SNR is 124878802.001 (1e308). Each printed cell is
+    # now its exact value to 12 digits
     scenario = _write_edit(workdir, "match_step_up", ("match", "amp_input_resistance_ohms"), r_in)
     report = workdir / "r_in.csv"
-    report.unlink(missing_ok=True)
-    assert cli.main(["match", "--scenario", str(scenario), "--out", str(report)]) == code
-    assert capsys.readouterr().err == err
-    if code == 0:
-        text = report.read_text()
-        assert text.count("\n") == 52 and _inexact_cells("match", scenario, text) == {}
-    else:
-        exact_snr = EXACT_COLUMNS["match"](cli.parse_scenario(scenario).data)["snr"][29]
-        assert exact.printed(exact_snr) == {"124878802.001"} and not report.exists()
+    assert cli.main(["match", "--scenario", str(scenario), "--out", str(report)]) == 0
+    assert capsys.readouterr().err == ""
+    text = report.read_text()
+    assert text.count("\n") == 52 and _inexact_cells("match", scenario, text) == {}
+    if r_in == 1e308:
+        assert text.splitlines()[30] == "1.44543977075e+153,124878802.001,"
 
 
 def test_noise_factor_beyond_the_float_range_names_its_row(workdir, capsys):

@@ -109,7 +109,11 @@ def _link_doc(loads, optimize=None) -> dict:
 # Standard-library modules that a numpy-free call has no use for. dataclasses
 # alone costs about 13 ms of start-up, most of it in inspect; argparse and
 # the gettext it loads about 3.4 ms, and building its parsers 5 ms more.
-UNUSED_AT_STARTUP = ("argparse", "csv", "dataclasses", "gettext", "inspect", "numbers")
+# fractions (with numbers and decimal) is the closed forms' exact fallback,
+# rxfront._exact: a shipped scenario's every cell passes the float filter,
+# so its call loads neither.
+UNUSED_AT_STARTUP = ("argparse", "csv", "dataclasses", "decimal", "fractions", "gettext", "inspect", "numbers",
+                     "rxfront._exact")
 
 
 @pytest.mark.parametrize("command, scenario", [
@@ -182,9 +186,10 @@ print(json.dumps([[rxfront.cli.main(argv) for argv in {calls!r}], {MODULES}]))
 
 
 def test_link_load_failures_keep_their_exit_codes_without_numpy(tmp_path):
-    def scenario(name, loads, z_r=(5, 37)):
+    def scenario(name, loads, z_r=(5, 37), s_it=1e-12):
         doc = _link_doc(loads)
         doc["link"]["z_r_ohms"] = {"re": z_r[0], "im": z_r[1]}
+        doc["link"]["s_it_a2_per_hz"] = s_it
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         return ["link", "--scenario", str(path)]
@@ -192,8 +197,10 @@ def test_link_load_failures_keep_their_exit_codes_without_numpy(tmp_path):
     calls = [
         scenario("negative", [(50, 0), (-1, 0)]),  # 1
         scenario("singular", [(50, 0), (-5, -37)]),  # 3
-        scenario("overflow", [(50, 0), (1e200, 0)]),  # 3
-        scenario("underflow", [(1e-170, -37)], z_r=(0, 37)),  # 3: |z_r + z_l|^2 underflows to 0
+        scenario("beyond", [(50, 0)], s_it=1e300),  # 3: s_voc is 1e302, and the SNR 5.7e312
+        # 0: the squares overflow, or |z_r + z_l|^2 underflows to 0, and the exact fallback prints the rows
+        scenario("overflow", [(50, 0), (1e200, 0)]),
+        scenario("underflow", [(1e-170, -37)], z_r=(0, 37)),
     ]
     codes, errors, loaded = _fresh(f"""
 import contextlib, io, json, sys, rxfront.cli
@@ -203,14 +210,15 @@ for argv in {calls!r}:
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         codes.append(rxfront.cli.main(argv))
     errors.append(err.getvalue())
-print(json.dumps([codes, errors, "numpy" in sys.modules]))
+print(json.dumps([codes, errors, sorted({{"numpy", "rxfront._exact"}} & set(sys.modules))]))
 """)
-    assert (codes, loaded) == ([1, 3, 3, 3], False)
+    assert (codes, loaded) == ([1, 3, 3, 0, 0], ["rxfront._exact"])
     assert errors == [
         "validation error: load 'z1': z_l_ohms must have nonnegative real part\n",
         "numerical error: load 'z1': z_r_ohms + z_l_ohms = 0: divider is singular\n",
-        "numerical error: load 'z1': Numerical result out of range\n",
-        "numerical error: load 'z0': float division by zero\n",
+        "numerical error: snr row 1 is outside the float range\n",
+        "",
+        "",
     ]
 
 

@@ -34,7 +34,6 @@ from oracles import (
     K_BOLTZ,
     divided_voltage_scalar,
     extracted_power_scalar,
-    output_snr_ref,
     output_snr_scalar,
     snr_grid_ref,
 )
@@ -94,6 +93,18 @@ def test_output_snr_open_circuit_value():
     assert output_snr(link, AmplifierNoiseModel(10.0, 0.0, 290.0), OPEN_CIRCUIT) == math.inf
 
 
+def _exact_link(link, amp, loads) -> dict:
+    """The exact link columns (tests/exact.py) of explicit ``loads``."""
+    def cx(z):
+        return {"re": z.real, "im": z.imag}
+
+    return exact.link_columns({
+        "link": {"z_r_ohms": cx(link.z_r), "z_rt_ohms": cx(link.z_rt), "s_it_a2_per_hz": link.s_it,
+                 "loads": [{"kind": "explicit", "z_l_ohms": cx(complex(z))} for z in loads]},
+        "amplifier": {"gain": amp.gain, "n_na_v2_per_hz": amp.n_na, "temp_kelvin": amp.temperature},
+    }, None)
+
+
 def test_output_snr_against_reference_formula():
     rng = np.random.default_rng(17)
     for _ in range(300):
@@ -107,8 +118,8 @@ def test_output_snr_against_reference_formula():
         link = SingleLink(z_r, z_rt, s_it)
         amp = AmplifierNoiseModel(g, n_na, t)
         got = output_snr(link, amp, z_l)
-        want = output_snr_ref(z_r, z_l, g, n_na, t, abs(z_rt) ** 2 * s_it)
-        assert math.isclose(got, want, rel_tol=1e-12)
+        want = _exact_link(link, amp, [z_l])["snr"][0]
+        assert abs(Decimal(got) - want) <= Decimal("1e-15") * want and exact.fmt12(got) in exact.printed(want)
 
 
 def test_snr_matched_equals_output_snr_at_conjugate():
@@ -359,10 +370,11 @@ def _link_scenario(path, lnk, amp, loads, **section):
 def test_array_loads_match_the_scalar_formulas_bit_for_bit(tmp_path):
     # the link report's rows come from one row kernel and have the bits of
     # the one-load formulas, per unit v_oc, with the power scaled by s_voc:
-    # the divider and power of tests/oracles.py, and the SNR of output_snr,
-    # whose digits are checked against the exact values (tests/exact.py) on
-    # every tenth load: the conjugate match, explicit loads (JSON floats,
-    # JSON integers and -0.0 parts) and the optimal load
+    # the power of tests/oracles.py and the SNR of output_snr; the divider
+    # is within 1e-15 of the oracle's. The divider and SNR digits are checked
+    # against the exact values (tests/exact.py) on every tenth load: the
+    # conjugate match, explicit loads (JSON floats, JSON integers and -0.0
+    # parts) and the optimal load
     box = SearchBox(500.0, 2000.0, include_open=False)
     for lnk, amp, source, z in _array_cases():
         loads = z.tolist()
@@ -383,9 +395,10 @@ def test_array_loads_match_the_scalar_formulas_bit_for_bit(tmp_path):
         assert all(type(x) is float for x in columns["z_l_re_ohms"] + columns["z_l_im_ohms"])
         assert _bits(columns["z_l_re_ohms"]).tolist() == _bits([x.real for x in loads]).tolist()
         assert _bits(columns["z_l_im_ohms"]).tolist() == _bits([x.imag for x in loads]).tolist()
-        # abs() of a Python complex is hypot, which np.abs does not always match
+        # |z_l| / |z_r + z_l|, within an ulp or two of |divided_voltage| (its
+        # digits are checked against the exact values below)
         want = [abs(divided_voltage_scalar(unit, load)) for load in loads]
-        assert _bits(columns["divider_mag"]).tolist() == _bits(want).tolist()
+        assert np.allclose(columns["divider_mag"], want, rtol=1e-15, atol=0)
         want = [s_voc * extracted_power_scalar(unit, load) for load in loads]
         assert _bits(columns["extracted_power_w_per_hz"]).tolist() == _bits(want).tolist()
         want = [output_snr(lnk, amp, load) for load in loads]
@@ -393,8 +406,10 @@ def test_array_loads_match_the_scalar_formulas_bit_for_bit(tmp_path):
         data = cli.parse_scenario(path).data
         data["link"]["loads"] = data["link"]["loads"][::10]
         data["link"].pop("optimize", None)
-        for snr, value in zip(columns["snr"][::10], exact.link_columns(data, None)["snr"]):
-            assert exact.fmt12(snr) in exact.printed(value), (lnk, amp, snr, value)
+        want = exact.link_columns(data, None)
+        for column in ("divider_mag", "snr"):
+            for got, value in zip(columns[column][::10], want[column]):
+                assert exact.fmt12(got) in exact.printed(value), (lnk, amp, column, got, value)
         # the public one-load calls: Python scalars with the same bits
         for load in loads[::7]:
             assert type(output_snr(lnk, amp, load)) is float
@@ -426,15 +441,17 @@ def test_array_errors_are_the_first_bad_loads(tmp_path, capsys):
     unit = TheveninSource(1.0, 5 + 37j)
     singular = "numerical error: load 'z1': z_r_ohms + z_l_ohms = 0: divider is singular\n"
     cases = [
-        # (loads, exit code, stderr): the earliest bad load, named by its label
+        # (loads, exit code, stderr): the earliest bad load, named by its label;
+        # 1e200, whose squares overflow, prints its exact cells
         ([50.0, -5 - 37j, -1.0, 1e200], 3, singular),  # negative and singular: the divider fails first
-        ([50.0, 20.0, 1e200, -1.0], 3, "numerical error: load 'z2': Numerical result out of range\n"),
+        ([50.0, 20.0, 1e200, -1.0], 1, "validation error: load 'z3': z_l_ohms must have nonnegative real part\n"),
         ([50.0, -1.0, -5 - 37j], 1, "validation error: load 'z1': z_l_ohms must have nonnegative real part\n"),
     ]
     for loads, code, err in cases:
         assert _first_bad_load(tmp_path, capsys, link, amp, loads) == (code, err)
-    # each library call raises what its one-load formula raises
-    calls = [(output_snr, output_snr_scalar, (link, amp), (-5 - 37j, -1.0, 1e200)),
+    # each library call raises what its one-load formula raises; the SNR at
+    # 1e200 is exact, where the Thevenin power's square overflows
+    calls = [(output_snr, output_snr_scalar, (link, amp), (-5 - 37j, -1.0)),
              (extracted_power, extracted_power_scalar, (unit,), (-5 - 37j, -1.0, 1e200)),
              (divided_voltage, divided_voltage_scalar, (unit,), (-5 - 37j,))]
     for call, scalar_call, args, bad_loads in calls:
@@ -442,28 +459,33 @@ def test_array_errors_are_the_first_bad_loads(tmp_path, capsys):
             got, want = _error(call, *args, load), _error(scalar_call, *args, load)
             assert (type(got), str(got)) == (type(want), str(want))
     assert divided_voltage(unit, -1.0) == divided_voltage_scalar(unit, -1.0)  # any finite load divides
+    assert exact.fmt12(output_snr(link, amp, 1e200)) in exact.printed(_exact_link(link, amp, [1e200])["snr"][0])
 
 
 def test_divider_underflow_is_a_division_by_zero_as_in_python_floats(tmp_path, capsys):
-    # |z_r + z_l| ~ 1e-170 is not zero, but its square underflows to 0
+    # |z_r + z_l| ~ 1e-170 is not zero, but its square underflows to 0: the
+    # Thevenin power divides by it, as Python floats do, while the link's
+    # cells are exact (power 5e159 W/Hz and SNR 1.2e182, both in range)
     link = SingleLink(37j, 1.0, 1e-12)
     amp = AmplifierNoiseModel(10.0, 1e-9, 290.0)
     load = complex(1e-170, -37.0)
     with pytest.raises(ZeroDivisionError):
         output_snr_scalar(link, amp, load)
     with pytest.raises(ZeroDivisionError):
-        output_snr(link, amp, load)
-    with pytest.raises(ZeroDivisionError):
         extracted_power(TheveninSource(1.0, 37j), load)
-    assert _first_bad_load(tmp_path, capsys, link, amp, [1.0, load]) == (
-        3, "numerical error: load 'z1': float division by zero\n")
+    want = _exact_link(link, amp, [1.0, load])
+    assert exact.fmt12(output_snr(link, amp, load)) in exact.printed(want["snr"][1])
+    assert _first_bad_load(tmp_path, capsys, link, amp, [1.0, load]) == (0, "")
+    report = (tmp_path / "bad.csv").read_text()
+    assert exact.inexact_cells(want, report) == {}
 
 
 @pytest.mark.parametrize("re,im,code,message", [
-    (-1.0, 0.0, 1, "validation error: load 'bad': z_l_ohms must have nonnegative real part"),
-    (0.0, -37.0, 3, "numerical error: load 'bad': z_r_ohms + z_l_ohms = 0: divider is singular"),
-    (1e200, 0.0, 3, "numerical error: load 'bad': Numerical result out of range"),
-    (1e-170, -37.0, 3, "numerical error: load 'bad': float division by zero"),  # |z_r + z_l|^2 underflows
+    (-1.0, 0.0, 1, "validation error: load 'bad': z_l_ohms must have nonnegative real part\n"),
+    (0.0, -37.0, 3, "numerical error: load 'bad': z_r_ohms + z_l_ohms = 0: divider is singular\n"),
+    # loads whose squares overflow, or underflow to 0, once exited 3: their cells are exact
+    (1e200, 0.0, 0, ""),
+    (1e-170, -37.0, 0, ""),  # |z_r + z_l|^2 underflows
 ], ids=["negative", "singular", "overflow", "underflow"])
 def test_a_long_sweep_names_its_bad_load(tmp_path, capsys, re, im, code, message):
     # one bad load first, in the middle and last of a 20,000-load sweep on a lossless receiver
@@ -471,12 +493,19 @@ def test_a_long_sweep_names_its_bad_load(tmp_path, capsys, re, im, code, message
     rng = np.random.default_rng(7)
     good = (rng.uniform(0.0, 500.0, 20_000) + 1j * rng.uniform(-500.0, 500.0, 20_000)).tolist()
     bad = {"label": "bad", "kind": "explicit", "z_l_ohms": {"re": re, "im": im}}
+    want = _exact_link(link, amp, [complex(re, im)]) if code == 0 else None
     out = tmp_path / "report.csv"
     for at in (0, 10_000, 19_999):
+        out.unlink(missing_ok=True)
         path = _link_scenario(tmp_path / "sweep.json", link, amp, good[:at] + [bad] + good[at + 1:])
         assert cli.main(["link", "--scenario", str(path), "--out", str(out)]) == code, at
-        assert capsys.readouterr().err == message + "\n", at
-        assert not out.exists(), at
+        assert capsys.readouterr().err == message, at
+        if code:
+            assert not out.exists(), at
+        else:
+            row = out.read_text().splitlines()[at + 1]
+            assert exact.inexact_cells(want, "label,z_l_re_ohms,z_l_im_ohms,divider_mag,extracted_power_w_per_hz,"
+                                       "snr,annotations\n" + row + "\n") == {}, at
 
 
 def test_optimal_load_extracts_no_power_on_random_links():

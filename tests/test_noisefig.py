@@ -1,13 +1,14 @@
 import math
-from fractions import Fraction
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from rxfront.core import BOLTZMANN, ValidationError
+from rxfront.core import ValidationError
 from rxfront.noisefig import (
     SignalGenerator,
     VoltageAmplifierStage,
+    _factor_and_figure,
     available_noise_power,
     available_signal_power,
     friis_gain,
@@ -17,12 +18,8 @@ from rxfront.noisefig import (
     output_snr_friis,
 )
 
-from oracles import (
-    friis_gain_ref,
-    golden_section_min,
-    noise_factor_ref,
-    output_snr_friis_ref,
-)
+import exact
+from oracles import golden_section_min
 
 
 def test_available_powers():
@@ -52,6 +49,22 @@ def test_friis_gain_infinite_load():
     assert friis_gain(gen, amp) == 100.0
 
 
+def _assert_exact(gen, amp):
+    """friis_gain, output_snr_friis, noise_factor and the noise figure are
+    their exact values (tests/exact.py) to 12 digits, and within 1e-15."""
+    data = {"noisefig": {
+        "v_s_volts": {"re": gen.v_s.real, "im": gen.v_s.imag}, "r_s_ohms": gen.r_s, "temp_kelvin": gen.temperature,
+        "amp": {"gain": amp.gain, "n_na_v2_per_hz": amp.n_na, "r_out_ohms": amp.r_out},
+        "r_l_sweep_ohms": ["inf" if math.isinf(amp.r_load_in) else amp.r_load_in],
+    }}
+    want = exact.noisefig_columns(data)
+    got = {"friis_gain": friis_gain(gen, amp), "output_snr": output_snr_friis(gen, amp),
+           "noise_factor": noise_factor(gen, amp), "noise_figure_db": _factor_and_figure(gen, amp)[1]}
+    for column, value in got.items():
+        assert exact.fmt12(value) in exact.printed(want[column][0]), (gen, amp, column, value)
+        assert value == math.inf or abs(Decimal(value) - want[column][0]) <= Decimal("1e-15") * want[column][0]
+
+
 def test_against_reference_formulas():
     rng = np.random.default_rng(41)
     for _ in range(200):
@@ -62,16 +75,7 @@ def test_against_reference_formulas():
         n_na = 10.0 ** rng.uniform(-20, -14)
         t = rng.uniform(30, 600)
         gen = SignalGenerator(complex(rng.normal(), rng.normal()) * 1e-6, r_s, t)
-        amp = VoltageAmplifierStage(g, n_na, r_l, r_o)
-        assert math.isclose(friis_gain(gen, amp), friis_gain_ref(g, r_s, r_l, r_o), rel_tol=1e-12)
-        assert math.isclose(
-            output_snr_friis(gen, amp),
-            output_snr_friis_ref(gen.v_s, g, r_s, r_l, n_na, t),
-            rel_tol=1e-12,
-        )
-        assert math.isclose(
-            noise_factor(gen, amp), noise_factor_ref(g, r_s, r_l, n_na, t), rel_tol=1e-12
-        )
+        _assert_exact(gen, VoltageAmplifierStage(g, n_na, r_l, r_o))
 
 
 def test_noise_factor_times_output_snr_is_input_snr():
@@ -153,16 +157,6 @@ def test_stage_validation():
         SignalGenerator(1e-6, 50.0, 0.0)
 
 
-def _exact_snr_and_factor(v_s, r_s, temperature, gain, n_na, r_l):
-    """Output SNR and noise factor of a finite load in exact rational arithmetic."""
-    v2, r_s, r_l, n_na = Fraction(v_s) ** 2, Fraction(r_s), Fraction(r_l), Fraction(n_na)
-    g2, two_kt = Fraction(gain) ** 2, 2 * Fraction(BOLTZMANN) * Fraction(temperature)
-    w = r_l / (r_s + r_l)
-    snr = g2 * v2 * w * w / (two_kt * g2 * r_s * r_l / (r_s + r_l) + n_na)
-    factor = (r_s + r_l) / r_l * (1 + n_na / (two_kt * g2) * (r_s + r_l) / (r_s * r_l))
-    return float(snr), float(factor)
-
-
 @pytest.mark.parametrize("r_s,r_l,n_na", [
     (50.0, 100.0, 1e-17),
     (1e200, 1e200, 1e-17),  # r_s * r_l overflows: the SNR printed 0
@@ -171,8 +165,14 @@ def _exact_snr_and_factor(v_s, r_s, temperature, gain, n_na, r_l):
     (1e-200, 1e200, 1e-17),
 ])
 def test_results_in_the_float_range_match_exact_arithmetic(r_s, r_l, n_na):
-    gen = SignalGenerator(1e-6, r_s, 290.0)
-    amp = VoltageAmplifierStage(10.0, n_na, r_l, 50.0)
-    snr, factor = _exact_snr_and_factor(1e-6, r_s, 290.0, 10.0, n_na, r_l)
-    assert math.isclose(output_snr_friis(gen, amp), snr, rel_tol=1e-14)
-    assert math.isclose(noise_factor(gen, amp), factor, rel_tol=1e-14)
+    _assert_exact(SignalGenerator(1e-6, r_s, 290.0), VoltageAmplifierStage(10.0, n_na, r_l, 50.0))
+
+
+def test_noise_figure_near_a_noise_factor_of_1():
+    # F = 1 + 2.5e-285 rounds to 1.0, so 10 log10 F would print 0, and
+    # F = 1 + 2.5e-14 keeps two digits of its excess: the figure is
+    # 10 log1p(F - 1) / ln 10, from the excess F - 1
+    gen = SignalGenerator(1e-6, 50.0, 290.0)
+    for amp in (VoltageAmplifierStage(10.0, 1e-300, math.inf, 50.0), VoltageAmplifierStage(10.0, 1e-30, 1e20, 50.0)):
+        _assert_exact(gen, amp)
+        assert 0.0 < _factor_and_figure(gen, amp)[1] < 1e-12

@@ -87,9 +87,8 @@ def test_capacity_outside_the_normal_range_of_its_quotient(power, bandwidth, noi
     spec = AwgnChannelSpec(power, bandwidth, noise_density)
     want_c, want_eb = _exact(power, bandwidth, noise_density)
     assert math.isclose(capacity(spec), want_c, rel_tol=1e-14)
-    if math.isinf(want_eb):  # Eb/N0 itself is outside the float range
-        with pytest.raises(OverflowError):
-            eb_n0(spec)
+    if math.isinf(want_eb):  # Eb/N0 itself is outside the float range: NaN, which a report refuses
+        assert math.isnan(eb_n0(spec))
     else:
         assert math.isclose(eb_n0(spec), want_eb, rel_tol=1e-14)
 
@@ -125,17 +124,24 @@ def test_capacity_report_prints_the_exact_values_to_12_digits(tmp_path, capsys):
 
 
 def test_capacity_is_the_direct_formula_bit_for_bit_where_its_quotient_is_normal():
-    # capacity forms P/(B*N0) from the three exponents; where B*N0 and the
-    # quotient are normal floats, that is the direct quotient, to the bit
+    # where B*N0, the quotient and the capacity's steps are normal floats,
+    # capacity is the direct formula, to the bit; where the capacity itself
+    # is subnormal, it is the exact value rounded once, where the direct
+    # formula loses digits
     rng = random.Random(28)
     draws = [tuple(10.0 ** rng.uniform(-300, 300) for _ in range(3)) for _ in range(50_000)]
     tiny = sys.float_info.min
     draws += [(tiny, 1.0, 1.0), (1.5 * tiny, 1.0, 1.0), (2.0**1023, 1.0, 1.0), (sys.float_info.max, 1.0, 1.0)]
-    compared = 0
+    compared = subnormal = 0
     for power, bandwidth, noise_density in draws:
         noise = bandwidth * noise_density
         if tiny <= noise < math.inf and tiny <= power / noise < math.inf:
-            want = bandwidth * math.log1p(power / noise) / LN2
-            assert capacity(AwgnChannelSpec(power, bandwidth, noise_density)) == want, (power, bandwidth, noise_density)
-            compared += 1
-    assert compared > 25_000
+            nats = bandwidth * math.log1p(power / noise)
+            got = capacity(AwgnChannelSpec(power, bandwidth, noise_density))
+            if tiny <= nats / LN2 and tiny <= nats:
+                assert got == nats / LN2, (power, bandwidth, noise_density)
+                compared += 1
+            elif 0 < nats / LN2 < tiny:
+                assert got == _exact(power, bandwidth, noise_density)[0], (power, bandwidth, noise_density)
+                subnormal += 1
+    assert compared > 25_000 and subnormal > 10
