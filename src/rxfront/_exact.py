@@ -4,7 +4,8 @@ where a float filter fails.
 ``cells`` runs a closed form's formula on the exact rationals of its float
 inputs, with this module as its arithmetic, and rounds each cell once. The
 cells are rational in the inputs but for a square root (``divider_mag``, the
-turns ratio), which ``sqrt`` rounds correctly, and ln(1 + q) (capacity,
+turns ratio, the optimal source resistance), which ``sqrt`` and
+``scaled_sqrt`` round correctly, and ln(1 + q) (capacity,
 Eb/N0, the noise figure), which ``log1p`` takes to about 1e-17 relative,
 as it does ln 2 and ln 10. k is Boltzmann's exact SI value.
 """
@@ -43,6 +44,11 @@ def sqrt(x) -> float:
     if rest or root * root != scaled:
         return _quotient(2 * root + 1, 1 << n + 1)
     return _quotient(root, 1 << n)
+
+
+def scaled_sqrt(a, x) -> float:
+    """a sqrt(x) for rationals a, x >= 0, rounded once: the root of a^2 x."""
+    return sqrt(Fraction(a) ** 2 * x)
 
 
 def log1p(q) -> Fraction:

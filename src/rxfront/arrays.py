@@ -23,7 +23,7 @@ from .core import (
     SingularCircuitError,
     ValidationError,
 )
-from .impedance import ImpedanceMatrixSeries, validate_passivity, validate_reciprocity
+from .impedance import ImpedanceMatrixSeries, _passivity_deviation, validate_passivity, validate_reciprocity
 
 COND_WARN = 1e12
 """Condition-number threshold above which a termination solve warns.
@@ -100,10 +100,7 @@ def open_circuit_voltages(model: ArrayModel) -> np.ndarray:
 
 
 def _check_explicit_passivity(z_l: np.ndarray, tol: float = DEFAULT_TOL) -> None:
-    sym = (z_l.real + z_l.real.T) / 2.0
-    eigs = np.linalg.eigvalsh(sym)
-    scale = float(np.max(np.abs(eigs)))
-    if scale > 0 and eigs[0] < -tol * scale:
+    if _passivity_deviation(np.linalg.eigvalsh((z_l.real + z_l.real.T) / 2.0)) > tol:
         raise ValidationError("explicit load matrix is not passive (Re part not PSD)")
 
 
@@ -158,23 +155,24 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _frobenius(stack: np.ndarray) -> np.ndarray:
-    # Per-matrix sqrt(re.re + im.im): the dot products np.linalg.norm takes
-    # for one matrix.
-    flat = stack.reshape(len(stack), -1)
-    return np.sqrt(_dot(flat.real, flat.real) + _dot(flat.imag, flat.imag))
+def _frobenius(*parts: np.ndarray) -> np.ndarray:
+    # Per-matrix sqrt of the sum of squares of the parts' real and imaginary
+    # parts: the dot products np.linalg.norm takes for one matrix.
+    flats = [part.reshape(len(part), -1) for part in parts]
+    squares = [_dot(c, c) for flat in flats for c in ((flat.real, flat.imag) if flat.dtype.kind == "c" else (flat,))]
+    return np.sqrt(sum(squares[1:], squares[0]))
 
 
-def _offdiag_ratio(divider: np.ndarray) -> np.ndarray:
-    """Off-diagonal over diagonal Frobenius norm per matrix; divider is
-    overwritten. A zero diagonal gives inf, and a ratio outside the float
-    range NaN, so that inf means a zero diagonal only."""
-    ports = np.arange(divider.shape[-1])
-    diag = np.zeros_like(divider)
-    diag[:, ports, ports] = divider[:, ports, ports]
-    divider[:, ports, ports] = 0.0
-    diag_norm = _frobenius(diag)
-    ratio = _frobenius(divider) / diag_norm
+def _offdiag_ratio(*parts: np.ndarray) -> np.ndarray:
+    """Off-diagonal over diagonal Frobenius norm per matrix of a divider
+    given whole or as its real and imaginary parts, which are overwritten.
+    A zero diagonal gives inf, and a ratio outside the float range NaN, so
+    that inf means a zero diagonal only."""
+    ports = np.arange(parts[0].shape[-1])
+    diag_norm = _frobenius(*(part[:, ports, ports] for part in parts))  # from the (F, K) diagonals
+    for part in parts:
+        part[:, ports, ports] = 0.0
+    ratio = _frobenius(*parts) / diag_norm
     return np.where(diag_norm == 0, math.inf, np.where(np.isfinite(ratio), ratio, math.nan))
 
 
@@ -189,7 +187,7 @@ def _check_condition(cond: np.ndarray, indices: np.ndarray) -> None:
         warnings.warn(
             f"ill-conditioned termination at frequency index {index}: cond={value:.3e}",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=5,
         )
 
 
@@ -197,14 +195,17 @@ def terminate_array(model: ArrayModel, strategy: TerminationStrategy) -> ArrayTe
     """Solve V = Z_L (Z_R + Z_L)^-1 V_oc for one strategy over all F frequencies.
 
     Open circuit is exact: V = V_oc, zero power and an identity divider.
-    Otherwise one stacked solve and one inverse cover every frequency. Each
-    index whose condition number exceeds COND_WARN emits one RuntimeWarning,
-    and a singular Z_R + Z_L raises SingularCircuitError naming the first
-    singular frequency index. The condition number is an SVD, taken only
-    where the bound ||A||_F ||A^-1||_F exceeds COND_WARN * 1e-2 (see
-    COND_WARN), or at every index if the solve meets a zero pivot; the error
-    then names the worst-conditioned index. The warnings and errors are
-    those of an SVD at every frequency.
+    Otherwise Z_R + Z_L is factored once per frequency, into the inverse
+    that gives the currents, the divider and the condition screen. The full
+    conjugate's Z_R + conj(Z_R) = 2 Re Z_R is inverted in real arithmetic,
+    and the per-antenna match's diagonal load scales rows. Each index whose
+    condition number exceeds COND_WARN emits one RuntimeWarning, and a
+    singular Z_R + Z_L raises SingularCircuitError naming the first singular
+    frequency index. The condition number is an SVD, taken only where the
+    bound ||A||_F ||A^-1||_F exceeds COND_WARN * 1e-2 (see COND_WARN), or at
+    every index if the inverse meets a zero pivot; the error then names the
+    worst-conditioned index. The warnings and errors are those of an SVD at
+    every frequency.
 
     numpy's floating-point warnings are off while it runs. A V_oc, voltage
     or power that leaves the float range, or an off-diagonal ratio that
@@ -225,15 +226,9 @@ def terminate_array(model: ArrayModel, strategy: TerminationStrategy) -> ArrayTe
     return result
 
 
-def _terminate(model: ArrayModel, strategy: TerminationStrategy, v_oc: np.ndarray) -> ArrayTermination:
-    if strategy.kind == "open_circuit":
-        zeros = np.zeros(len(v_oc))
-        return ArrayTermination(v_oc, zeros, zeros.copy())
-    z_r = model.zms.z_r
-    z_l = termination_matrix(strategy, z_r)
-    total = z_r + z_l
+def _inverse(total: np.ndarray) -> np.ndarray:
+    """(Z_R + Z_L)^-1 at every frequency, after the condition screen."""
     try:
-        currents = np.linalg.solve(total, v_oc[..., None])  # I = (Z_R + Z_L)^-1 V_oc, (F, K, 1)
         inverse = np.linalg.inv(total)
     except np.linalg.LinAlgError as exc:
         # A zero pivot: check every index, then name the worst-conditioned one.
@@ -245,12 +240,48 @@ def _terminate(model: ArrayModel, strategy: TerminationStrategy, v_oc: np.ndarra
     suspects = np.flatnonzero(~(bound <= COND_WARN * 1e-2))
     if suspects.size:
         _check_condition(np.linalg.cond(total[suspects]), suspects)
-    del total  # freed before the products below allocate theirs
-    voltages = (z_l @ currents)[..., 0]
-    power = 0.5 * _dot(np.conj(currents[..., 0]), voltages).real  # 0.5 Re(I^H V)
-    divider = z_l @ inverse
+    return inverse
+
+
+def _apply(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """matrices @ vectors per frequency, for a (F, K) complex stack of
+    vectors. A real stack multiplies the vectors' real and imaginary parts
+    as the two columns of one real product, never a complex copy of itself."""
+    if matrices.dtype.kind == "c":
+        return (matrices @ vectors[..., None])[..., 0]
+    pairs = np.ascontiguousarray(vectors).view(np.float64).reshape(*vectors.shape, 2)
+    return (matrices @ pairs).view(np.complex128)[..., 0]
+
+
+def _terminate(model: ArrayModel, strategy: TerminationStrategy, v_oc: np.ndarray) -> ArrayTermination:
+    if strategy.kind == "open_circuit":
+        zeros = np.zeros(len(v_oc))
+        return ArrayTermination(v_oc, zeros, zeros.copy())
+    z_r = model.zms.z_r
+    if strategy.kind == "full_conjugate":
+        inverse = _inverse(2.0 * z_r.real)  # Z_R + conj(Z_R), exactly
+        currents = _apply(inverse, v_oc)  # I = (Z_R + Z_L)^-1 V_oc
+        voltages = _apply(np.conj(z_r), currents)
+        parts = (z_r.real @ inverse, z_r.imag @ inverse)  # the divider's real and negated imaginary parts
+    elif strategy.kind == "per_antenna_conjugate":
+        ports = np.arange(z_r.shape[-1])
+        load = np.conj(z_r[:, ports, ports])  # Z_L's diagonal, (F, K)
+        total = z_r + 0.0  # Z_R + Z_L off the diagonal, signed zeros as the full sum has them
+        total[:, ports, ports] += load
+        inverse = _inverse(total)
+        del total  # freed before the products below allocate theirs
+        currents = _apply(inverse, v_oc)
+        voltages = load * currents
+        parts = (load[:, :, None] * inverse,)  # the divider, row by row
+    else:
+        load = termination_matrix(strategy, z_r)
+        inverse = _inverse(z_r + load)
+        currents = _apply(inverse, v_oc)
+        voltages = _apply(load, currents)
+        parts = (load @ inverse,)
     del inverse  # freed before _offdiag_ratio's copies, which reuse its memory
-    return ArrayTermination(voltages, power, _offdiag_ratio(divider))
+    power = 0.5 * _dot(np.conj(currents), voltages).real  # 0.5 Re(I^H V)
+    return ArrayTermination(voltages, power, _offdiag_ratio(*parts))
 
 
 def make_synthetic_model(

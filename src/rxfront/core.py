@@ -28,7 +28,8 @@ TINY = 2.0**-1022
 
 INF = math.inf
 
-FLOATS = SimpleNamespace(k=BOLTZMANN, ln2=math.log(2.0), ln10=math.log(10.0), sqrt=math.sqrt, log1p=math.log1p)
+FLOATS = SimpleNamespace(k=BOLTZMANN, ln2=math.log(2.0), ln10=math.log(10.0), sqrt=math.sqrt,
+                         scaled_sqrt=lambda a, x: a * math.sqrt(x), log1p=math.log1p)
 """The float arithmetic of the closed forms' fast path (filtered); rxfront._exact
 is the exact one, with the same names."""
 
@@ -214,14 +215,15 @@ def filtered(formula):
     closed-form reports.
 
     ``formula`` computes its cells in the arithmetic ``ar`` (its constants
-    k, ln2 and ln10, and its sqrt and log1p) and returns (ok, cells). In
-    floats (FLOATS), ok is the filter: every product and quotient formed of
-    nonzero values, and every cell, is a normal float (at least TINY, and
-    finite). Then each cell is within a few ulps of its exact value: a
-    product or quotient of normal floats rounds once, by half an ulp; the
-    sums add nonnegative terms, which cannot cancel, but for the one rounded
-    sum x_s + x_l of a divider's reactances, whose error is relative to that
-    sum; and sqrt and log1p are within an ulp. A subnormal or zero product
+    k, ln2 and ln10, and its sqrt, scaled_sqrt (a sqrt(x)) and log1p) and
+    returns (ok, cells). In floats (FLOATS), ok is the filter: every product
+    and quotient formed of nonzero values, and every cell, is a normal float
+    (at least TINY, and finite). Then each cell is within a few ulps of its
+    exact value: a product or quotient of normal floats rounds once, by half
+    an ulp; the sums add nonnegative terms, which cannot cancel, but for the
+    one rounded sum x_s + x_l of a divider's reactances, whose error is
+    relative to that sum; and sqrt and log1p are within an ulp, and
+    scaled_sqrt within an ulp and a half. A subnormal or zero product
     would have lost digits, and an inf one all of them. A cell that is 0, or
     the flag inf (an SNR without noise), passes only where an input makes
     it so.

@@ -109,7 +109,7 @@ def validate_reciprocity(zms: ImpedanceMatrixSeries, tol: float = DEFAULT_TOL) -
         raise ValidationError("tol must be positive")
     mats = zms.matrices
     scale = np.abs(mats).max(axis=(1, 2))
-    return _report("reciprocity", tol, np.abs(mats - mats.swapaxes(1, 2)).max(axis=(1, 2)), scale)
+    return _report("reciprocity", tol, _ratio(np.abs(mats - mats.swapaxes(1, 2)).max(axis=(1, 2)), scale))
 
 
 def validate_passivity(zms: ImpedanceMatrixSeries, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -135,8 +135,14 @@ def validate_passivity(zms: ImpedanceMatrixSeries, tol: float = DEFAULT_TOL) -> 
         raise NumericalError(f"eigenvalue solve failed at frequency index {index}") from exc
     if distinct is not sym:
         eigs = eigs[np.cumsum(first) - 1]
-    lowest = -eigs[:, 0]
-    return _report("passivity", tol, np.where(lowest > 0.0, lowest, 0.0), np.abs(eigs).max(axis=1))
+    return _report("passivity", tol, _passivity_deviation(eigs))
+
+
+def _passivity_deviation(eigs: np.ndarray) -> np.ndarray:
+    """max(0, -min_eig) / max |eig| of each symmetric real part, from its
+    ascending eigenvalues (..., N); 0 where every eigenvalue is 0."""
+    lowest = -eigs[..., 0]
+    return _ratio(np.where(lowest > 0.0, lowest, 0.0), np.abs(eigs).max(axis=-1))
 
 
 def _eigvalsh_converges(mat: np.ndarray) -> bool:
@@ -147,10 +153,14 @@ def _eigvalsh_converges(mat: np.ndarray) -> bool:
     return True
 
 
-def _report(check: str, tol: float, excess: np.ndarray, scale: np.ndarray) -> ValidationReport:
-    """Per-frequency deviation excess / scale, and 0 where the scale is 0."""
+def _ratio(excess: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """excess / scale, and 0 where the scale is 0."""
     with np.errstate(invalid="ignore"):  # inf / inf is nan, as in scalar float division
-        deviations = np.divide(excess, scale, out=np.zeros_like(excess), where=scale != 0.0)
+        return np.divide(excess, scale, out=np.zeros_like(excess), where=scale != 0.0)
+
+
+def _report(check: str, tol: float, deviations: np.ndarray) -> ValidationReport:
+    """The report of per-frequency deviations against tol."""
     worst = int(np.argmax(deviations))
     passed = bool(deviations[worst] <= tol)
     return ValidationReport(check, passed, tol, tuple(deviations.tolist()), worst)

@@ -143,6 +143,15 @@ def optimal_rs_for_noise_factor(amp: VoltageAmplifierStage, temperature: float) 
         raise ValidationError("temperature must be finite and positive")
     if amp.n_na == 0:
         return 0.0
-    two_kt = 2.0 * BOLTZMANN * temperature
-    g2 = amp.gain * amp.gain
-    return amp.r_load_in * math.sqrt(amp.n_na / (two_kt * amp.r_load_in * g2 + amp.n_na))
+    return _optimal_rs(amp, temperature)
+
+
+@filtered
+def _optimal_rs(ar, amp: VoltageAmplifierStage, temperature: float):
+    """r_l sqrt(n_na / (2kT r_l g^2 + n_na)) for n_na > 0."""
+    g2, kt = amp.gain * amp.gain, 2 * ar.k * temperature
+    loaded = kt * amp.r_load_in
+    johnson = loaded * g2
+    q = amp.n_na / (johnson + amp.n_na)
+    r_s = ar.scaled_sqrt(amp.r_load_in, q)
+    return TINY <= min(g2, kt, loaded, johnson, q, r_s) and r_s < INF, r_s

@@ -209,37 +209,83 @@ def load_matrix_ref(kind, z_r, z_l=None):
     return np.asarray(z_l, dtype=np.complex128)
 
 
-def terminated_voltages_ref(z_r, v_oc, kind, z_l=None):
-    """Loop over frequencies: V = Z_L (Z_R + Z_L)^-1 V_oc, one 2-D solve each."""
-    out = np.empty_like(v_oc)
+def _terminations_ref(z_r, v_oc, kind, z_l=None):
+    """Loop over frequencies, one inverse of Z_R + Z_L each: yields the
+    currents (Z_R + Z_L)^-1 V_oc, the voltages Z_L I and the divider
+    Z_L (Z_R + Z_L)^-1 as a list of parts whose squares sum to its own.
+
+    The full conjugate inverts Z_R + conj(Z_R) = 2 Re Z_R in real numbers,
+    takes the currents from one real product with the two columns Re V_oc
+    and Im V_oc, and gives the divider as Re Z_R and Im Z_R times that
+    inverse; the per-antenna match scales the inverse's rows by its load."""
     for fi in range(len(z_r)):
         load = load_matrix_ref(kind, z_r[fi], z_l)
-        out[fi] = load @ np.linalg.solve(z_r[fi] + load, v_oc[fi])
-    return out
+        if kind == "full_conjugate":
+            inverse = np.linalg.inv(2.0 * z_r[fi].real)
+            columns = inverse @ np.stack([v_oc[fi].real, v_oc[fi].imag], axis=1)
+            currents = np.empty(len(columns), dtype=complex)
+            currents.real, currents.imag = columns[:, 0], columns[:, 1]
+            yield currents, load @ currents, [z_r[fi].real @ inverse, z_r[fi].imag @ inverse]
+            continue
+        inverse = np.linalg.inv(z_r[fi] + load)
+        currents = inverse @ v_oc[fi]
+        if kind == "per_antenna_conjugate":
+            diagonal = np.diag(load)
+            yield currents, diagonal * currents, [diagonal[:, None] * inverse]
+        else:
+            yield currents, load @ currents, [load @ inverse]
+
+
+def terminated_voltages_ref(z_r, v_oc, kind, z_l=None):
+    """Loop over frequencies: V = Z_L (Z_R + Z_L)^-1 V_oc from one inverse each."""
+    return np.array([voltages for _, voltages, _ in _terminations_ref(z_r, v_oc, kind, z_l)])
 
 
 def sum_extracted_power_ref(z_r, v_oc, kind, z_l=None):
     """Loop over frequencies: 0.5 Re(I^H Z_L I)."""
-    out = np.empty(len(z_r))
-    for fi in range(len(z_r)):
-        load = load_matrix_ref(kind, z_r[fi], z_l)
-        currents = np.linalg.solve(z_r[fi] + load, v_oc[fi])
-        out[fi] = 0.5 * float(np.real(np.conj(currents) @ (load @ currents)))
-    return out
+    return np.array([0.5 * float(np.real(np.conj(currents) @ voltages))
+                     for currents, voltages, _ in _terminations_ref(z_r, v_oc, kind, z_l)])
+
+
+def _norm_ref(parts):
+    # sqrt of the sum of the parts' squares, each complex part's real and
+    # imaginary parts taken as np.linalg.norm takes them
+    squares = []
+    for part in parts:
+        flat = part.ravel()
+        squares += [flat.real @ flat.real, flat.imag @ flat.imag] if np.iscomplexobj(flat) else [flat @ flat]
+    return math.sqrt(sum(squares))
 
 
 def coupling_offdiag_ratio_ref(z_r, kind, z_l=None):
     """Loop over frequencies: off-diagonal over diagonal Frobenius norm of
     the divider Z_L (Z_R + Z_L)^-1."""
     out = np.empty(len(z_r))
+    v_oc = np.zeros(z_r.shape[:2], dtype=complex)
+    for fi, (_, _, parts) in enumerate(_terminations_ref(z_r, v_oc, kind, z_l)):
+        diag_norm = _norm_ref([np.diag(part) for part in parts])
+        off_norm = _norm_ref([part - np.diag(np.diag(part)) for part in parts])
+        out[fi] = math.inf if diag_norm == 0 else off_norm / diag_norm
+    return out
+
+
+def termination_by_solve_ref(z_r, v_oc, kind, z_l=None):
+    """The termination as two complex factorizations per frequency compute
+    it: the currents from a solve and the divider from an inverse of
+    Z_R + Z_L. Returns the currents, voltages, powers and off-diagonal
+    ratios, one per frequency."""
+    rows = []
     for fi in range(len(z_r)):
         load = load_matrix_ref(kind, z_r[fi], z_l)
+        currents = np.linalg.solve(z_r[fi] + load, v_oc[fi])
+        voltages = load @ currents
         divider = load @ np.linalg.inv(z_r[fi] + load)
         diag = np.diag(np.diag(divider))
         diag_norm = np.linalg.norm(diag)
-        off_norm = np.linalg.norm(divider - diag)
-        out[fi] = math.inf if diag_norm == 0 else off_norm / diag_norm
-    return out
+        ratio = math.inf if diag_norm == 0 else np.linalg.norm(divider - diag) / diag_norm
+        rows.append((currents, voltages, 0.5 * float(np.real(np.conj(currents) @ voltages)), ratio))
+    currents, voltages, power, ratio = zip(*rows)
+    return np.array(currents), np.array(voltages), np.array(power), np.array(ratio)
 
 
 def cond_check_ref(total, v_oc):

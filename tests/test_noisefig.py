@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,6 +126,19 @@ def test_optimal_source_resistance_closed_form():
     ) == 0.0
     with pytest.raises(ValidationError):
         optimal_rs_for_noise_factor(VoltageAmplifierStage(10.0, 1e-17, math.inf, 50.0), 290.0)
+
+
+@pytest.mark.parametrize("gain, n_na, r_load_in", [
+    (10.0, 1e-17, 1000.0),  # normal: the float path
+    (1e200, 1e-17, 1e200),  # 2kT r_l g^2 overflows
+    (1e200, 1e-300, 1e300),  # sqrt(n_na / (2kT r_l g^2 + n_na)) is below the floats, r_s is not
+])
+def test_optimal_source_resistance_against_50_digits(gain, n_na, r_load_in):
+    amp, t = VoltageAmplifierStage(gain, n_na, r_load_in, 50.0), 290.0
+    r_l, n = Fraction(r_load_in), Fraction(n_na)
+    want = float(exact.sqrt(r_l * r_l * n / (2 * exact.BOLTZMANN * Fraction(t) * r_l * Fraction(gain) ** 2 + n)))
+    got = optimal_rs_for_noise_factor(amp, t)
+    assert abs(got - want) <= 2 * math.ulp(want)
 
 
 def test_optimal_source_resistance_is_the_minimizer():
